@@ -36,6 +36,7 @@ from .evalharness import (
 )
 from .tensor import finite_diff_check
 from .training import (
+    GRAD_CHECK_TOL,
     DivergenceError,
     FrozenStandins,
     TrainConfig,
@@ -43,11 +44,16 @@ from .training import (
     synth_batch,
     train_stage1,
 )
-from .verify import DEFAULT_ALPHA, ConfigError, audit_record, score_response, self_verify
+from .verify import (
+    DEFAULT_ALPHA,
+    ConfigError,
+    audit_record,
+    letter_options,
+    score_response,
+    self_verify,
+)
 
 API_KEY_ENV = "GATEMIX_API_KEY"
-
-GRADCHECK_TOL = 1e-4
 
 
 class _ValidationError(Exception):
@@ -160,7 +166,7 @@ def _cmd_verify(args, config) -> int:
     out = _out_dir(args)
     backend = _make_backend(args.backend, config)
     alpha = _setting(args.alpha, config, "alpha", DEFAULT_ALPHA)
-    options = [("ABCDEFGHIJKLMNOPQRSTUVWXYZ"[i], text) for i, text in enumerate(args.option or [])]
+    options = letter_options(args.option or [])
     direct_trace, cot_trace = dual_generate(backend, args.image_ref, args.question)
     decision = self_verify(
         score_response(direct_trace, options), score_response(cot_trace, options), alpha
@@ -228,7 +234,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--batch-size", type=int, default=4)
     p.add_argument("--eps", type=float, default=1e-5)
-    p.add_argument("--tol", type=float, default=GRADCHECK_TOL)
+    p.add_argument("--tol", type=float, default=GRAD_CHECK_TOL)
     p.set_defaults(func=_cmd_gradcheck)
 
     p = sub.add_parser("train-align", help="desk-scale alignment training")

@@ -20,6 +20,8 @@ from dataclasses import dataclass, asdict
 from importlib import resources
 from typing import Callable, Optional
 
+from .verify import letter_options
+
 __all__ = [
     "SCORE_THRESHOLD",
     "HELD_OUT_SPLITS",
@@ -82,6 +84,7 @@ class CurationRecord:
             raise ValueError(
                 f"source_kind must be one of {SOURCE_KINDS}, got {self.source_kind!r}"
             )
+        letter_options(self.options or [])  # rejects more options than letters
 
 
 @dataclass
@@ -110,16 +113,14 @@ def _load_template(name: str) -> str:
 _REWRITE_TEMPLATE = _load_template("cot_rewrite.txt")
 _SCORE_TEMPLATE = _load_template("cot_score.txt")
 
-_LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
-
 
 def _question_block(rec: CurationRecord) -> str:
     """Question plus lettered option lines; just the question if no options."""
     if not rec.options:
         return rec.question
     lines = [rec.question]
-    for i, option in enumerate(rec.options):
-        lines.append(f"{_LETTERS[i]}. {option}")
+    for letter, option in letter_options(rec.options):
+        lines.append(f"{letter}. {option}")
     return "\n".join(lines)
 
 

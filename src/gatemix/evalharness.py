@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Optional
 
 from .backend import GenerationTrace, dual_generate, trace_from_dict, trace_to_dict
-from .verify import DEFAULT_ALPHA, score_response, self_verify
+from .verify import BRANCHES, DEFAULT_ALPHA, answers_equal, score_response, self_verify
 
 __all__ = [
     "STRATEGIES",
@@ -40,7 +40,7 @@ __all__ = [
 
 STRATEGIES = ("direct", "cot", "sv")
 
-SV_BRANCHES = ("cot-by-agreement", "cot-by-score", "direct-by-score", "error")
+SV_BRANCHES = (*BRANCHES, "error")
 
 
 class EmptyBenchmarkError(ValueError):
@@ -168,10 +168,6 @@ class TraceCache:
                 fh.write("\n")
 
 
-def _answers_match(predicted: str, gold: str) -> bool:
-    return str(predicted).strip().casefold() == str(gold).strip().casefold()
-
-
 def _get_traces(backend, inst: BenchmarkInstance, cache: Optional[TraceCache]) -> tuple:
     if cache is not None:
         direct = cache.get(inst.id, "direct")
@@ -209,7 +205,7 @@ def _eval_one(backend, inst: BenchmarkInstance, strategy: str, alpha: float,
             record["predicted"] = scored.answer
             record["branch"] = strategy
             record[strategy] = {"answer": scored.answer, "s": scored.s, "c": scored.c}
-        record["correct"] = _answers_match(record["predicted"], inst.gold_answer)
+        record["correct"] = answers_equal(record["predicted"], inst.gold_answer)
     except Exception as exc:  # contained per instance, never aborts the run
         record["predicted"] = None
         record["branch"] = "error"

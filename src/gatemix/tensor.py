@@ -1,10 +1,9 @@
 """Dense float64 tensors with tape-recorded ops and reverse-mode gradients.
 
 The op set is deliberately closed -- matmul, transpose, reshape, add, sub,
-mul, div, sigmoid, exp, log, sqrt, sum, mean, concat, slice, norm -- and
-every op carries a hand-written backward rule, so the tape stays small
-enough to audit against the finite-difference checker at the bottom of
-this file.
+mul, div, sigmoid, exp, log, sqrt, sum, mean, concat -- and every op
+carries a hand-written backward rule, so the tape stays small enough to
+audit against the finite-difference checker at the bottom of this file.
 
 Conventions:
   * float64 everywhere, row-major, rank 0..3;
@@ -33,9 +32,7 @@ __all__ = [
     "DegenerateVectorError",
     "matmul",
     "concat",
-    "slice_axis",
     "sigmoid",
-    "norm",
     "cosine_sim",
     "mean_pool",
     "backward",
@@ -473,44 +470,6 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
         return tuple(grads)
 
     return _record("concat", tuple(ts), out, grad_fn)
-
-
-def slice_axis(x: Tensor, start: int, stop: int, axis: int = 0) -> Tensor:
-    """Contiguous slab ``[start:stop]`` of a rank-1/2 tensor along an axis."""
-    x = _as_tensor(x)
-    if x.ndim not in (1, 2):
-        raise ShapeError(f"slice: needs rank 1 or 2, got {x.shape}")
-    if axis not in range(x.ndim):
-        raise ShapeError(f"slice: axis {axis} invalid for rank {x.ndim}")
-    dim = x.shape[axis]
-    if not (0 <= start < stop <= dim):
-        raise ShapeError(f"slice: bounds [{start}, {stop}) invalid for dim {dim}")
-    sel = x.data[start:stop] if axis == 0 else x.data[:, start:stop]
-    out = Tensor._raw(np.ascontiguousarray(sel))
-
-    def grad_fn(g):
-        full = np.zeros_like(x.data)
-        if axis == 0:
-            full[start:stop] = g
-        else:
-            full[:, start:stop] = g
-        return (full,)
-
-    return _record("slice", (x,), out, grad_fn)
-
-
-def norm(x: Tensor) -> Tensor:
-    """Scalar L2 norm over all elements."""
-    x = _as_tensor(x)
-    n = float(np.sqrt((x.data * x.data).sum()))
-    out = Tensor._raw(np.array(n))
-
-    def grad_fn(g):
-        if n == 0.0:
-            raise DegenerateVectorError("norm: gradient undefined at the zero vector")
-        return (float(g) * x.data / n,)
-
-    return _record("norm", (x,), out, grad_fn)
 
 
 def cosine_sim(u, v) -> float:

@@ -26,16 +26,7 @@ from .objectives import (
     similarity_matrix,
     stage1_objective,
 )
-from .tensor import (
-    Graph,
-    Tensor,
-    backward,
-    concat,
-    finite_diff_check,
-    make_rng,
-    matmul,
-    mean_pool,
-)
+from .tensor import Graph, Tensor, backward, finite_diff_check, make_rng, matmul
 
 __all__ = [
     "DivergenceError",
@@ -146,17 +137,6 @@ class FrozenStandins:
         self.readout = Tensor(rng.standard_normal((d_llm, vocab_size)) / np.sqrt(d_llm))
         self.vocab_size = vocab_size
 
-    def image_rep(self, h_img0: Tensor) -> Tensor:
-        """Pooled image representation as a 1 x d_llm row."""
-        pooled = mean_pool(h_img0).reshape((1, h_img0.shape[1]))
-        return matmul(pooled, self.pool_map)
-
-    def token_logits(self, rep_row: Tensor, n_tokens: int) -> Tensor:
-        """Tile the readout logits across the target positions."""
-        row = matmul(rep_row, self.readout)               # 1 x V
-        ones = Tensor(np.ones((n_tokens, 1)))
-        return matmul(ones, row)                          # T x V
-
 
 def _feature_maps(cfg: ConnectorConfig) -> tuple:
     rng = make_rng(_FEATURE_MAP_SEED)
@@ -203,19 +183,33 @@ def stage1_loss(
     lam: float = 1.0,
 ) -> Tensor:
     """Full alignment objective for one batch: mean token loss plus the
-    contrastive term over pooled image/text representations."""
-    rep_rows = []
-    gen_terms = []
-    for feats, targets in zip(batch.feats, batch.target_tokens):
-        out = forward(feats, params)
-        rep = standins.image_rep(out.h_img0)
-        rep_rows.append(rep)
-        gen_terms.append(generation_loss(standins.token_logits(rep, len(targets)), targets))
-    gen = gen_terms[0]
-    for term in gen_terms[1:]:
-        gen = gen + term
-    gen = gen * (1.0 / len(gen_terms))
-    img = concat(rep_rows, axis=0)
+    contrastive term over pooled image/text representations.
+
+    All b items go through one connector pass on their row-stacked feature
+    streams, whose output is the shared prefix rows followed by each item's
+    token rows. A constant b x (n_prefix + total tokens) pooling matrix puts
+    weight 1/(n_prefix + n_i) on the prefix columns and on item i's own
+    rows, so its row i is the mean pool item i would get from a pass of its
+    own (the output projection is linear). The pooled rows go through
+    ``pool_map`` and ``readout`` once; a constant one-hot matrix tiles each
+    item's logit row over its targets, and one token loss averages over all
+    targets, which is the mean of per-item losses as every item carries
+    ``TARGET_LEN`` targets.
+    """
+    b = len(batch.feats)
+    stacked = EncoderFeatures(
+        v_v=Tensor(np.concatenate([f.v_v.data for f in batch.feats])),
+        v_c=Tensor(np.concatenate([f.v_c.data for f in batch.feats])),
+    )
+    h_img0 = forward(stacked, params).h_img0  # (n_prefix + sum n_i) x d_llm
+    n_prefix = params.h_p.shape[0]
+    n_tokens = np.array([f.v_v.shape[0] for f in batch.feats])
+    pool = np.hstack([np.ones((b, n_prefix)), np.repeat(np.eye(b), n_tokens, axis=1)])
+    pool /= (n_prefix + n_tokens)[:, None]
+    img = matmul(matmul(Tensor(pool), h_img0), standins.pool_map)  # b x d_llm
+    tile = Tensor(np.repeat(np.eye(b), [len(t) for t in batch.target_tokens], axis=0))
+    logits = matmul(tile, matmul(img, standins.readout))  # sum T_i x V
+    gen = generation_loss(logits, [t for targets in batch.target_tokens for t in targets])
     creg = creg_loss(similarity_matrix(BatchRepresentations(img=img, txt=batch.txt_reps)))
     return stage1_objective(gen, creg, lam)
 

@@ -23,12 +23,15 @@ from .tensor import cosine_sim
 
 __all__ = [
     "DEFAULT_ALPHA",
+    "BRANCHES",
     "ConfigError",
     "InvalidLogProbError",
     "ScoredResponse",
     "VerifyDecision",
     "confidence",
     "similarity_score",
+    "letter_options",
+    "answers_equal",
     "extract_answer",
     "score_response",
     "self_verify",
@@ -38,6 +41,8 @@ __all__ = [
 DEFAULT_ALPHA = 0.7
 
 BRANCHES = ("cot-by-agreement", "cot-by-score", "direct-by-score")
+
+OPTION_LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 
 class ConfigError(ValueError):
@@ -70,6 +75,22 @@ def similarity_score(img_rep, txt_rep) -> float:
     the decision rule performs; clamping at zero would not.
     """
     return (1.0 + cosine_sim(img_rep, txt_rep)) / 2.0
+
+
+def letter_options(texts: Sequence[str]) -> list:
+    """Pair option texts with the letters A, B, C, ... in order; more options
+    than there are letters is a ValueError."""
+    texts = list(texts)
+    if len(texts) > len(OPTION_LETTERS):
+        raise ValueError(
+            f"at most {len(OPTION_LETTERS)} options can be lettered, got {len(texts)}"
+        )
+    return list(zip(OPTION_LETTERS, texts))
+
+
+def answers_equal(a: str, b: str) -> bool:
+    """The one answer-matching rule: equal after trimming, ignoring case."""
+    return a.strip().casefold() == b.strip().casefold()
 
 
 _ANSWER_DECL = re.compile(
@@ -158,10 +179,6 @@ class VerifyDecision:
     cot: ScoredResponse
 
 
-def _answers_equal(a: str, b: str) -> bool:
-    return a.strip().casefold() == b.strip().casefold()
-
-
 def self_verify(
     direct: ScoredResponse, cot: ScoredResponse, alpha: float = DEFAULT_ALPHA
 ) -> VerifyDecision:
@@ -175,7 +192,7 @@ def self_verify(
         raise ConfigError(f"alpha must be in [0, 1], got {alpha}")
     direct.sc = (1.0 - alpha) * direct.s + alpha * direct.c
     cot.sc = (1.0 - alpha) * cot.s + alpha * cot.c
-    if _answers_equal(cot.answer, direct.answer):
+    if answers_equal(cot.answer, direct.answer):
         return VerifyDecision(cot.answer, "cot-by-agreement", direct, cot)
     if cot.sc >= direct.sc:
         return VerifyDecision(cot.answer, "cot-by-score", direct, cot)

@@ -59,6 +59,14 @@ class TestVerify:
         assert audit["alpha"] == 0.7
         assert "B" in capsys.readouterr().out
 
+    def test_more_options_than_letters_is_validation_error(self, tmp_path, capsys):
+        argv = ["verify", "--image-ref", "img-h1", "--question", "question h1"]
+        for i in range(27):
+            argv += ["--option", f"choice {i}"]
+        code = dispatch(argv + ["--backend", EASY_HARD, "--out", str(tmp_path / "v")])
+        assert code == 1
+        assert "at most 26 options" in capsys.readouterr().err
+
 
 class TestEval:
     def test_happy_path_writes_report(self, tmp_path, capsys):
@@ -130,6 +138,19 @@ class TestCurate:
         assert stats["kept"] == 1 and stats["dropped"] == 1
         assert stats["score_histogram"][9] == 1  # 0.9 for the kept record
         assert stats["score_histogram"][5] == 1  # 0.55 for the dropped one
+
+    def test_more_options_than_letters_is_validation_error(self, tmp_path, capsys):
+        record = {
+            "id": "cur-27", "image_ref": "img/27.jpg", "question": "Which one?",
+            "options": [f"choice {i}" for i in range(27)], "raw_cot": "The answer is A.",
+        }
+        records = tmp_path / "records.jsonl"
+        records.write_text(json.dumps(record) + "\n")
+        code = dispatch(
+            ["curate", "--records", str(records), "--backend", CURATION, "--out", str(tmp_path / "c")]
+        )
+        assert code == 1
+        assert "at most 26 options" in capsys.readouterr().err
 
 
 class TestExitCodes:

@@ -15,9 +15,7 @@ from gatemix.tensor import (
     make_rng,
     matmul,
     mean_pool,
-    norm,
     sigmoid,
-    slice_axis,
 )
 
 
@@ -201,8 +199,9 @@ class TestStructuralOps:
         a = Tensor(rng.standard_normal((2, 3)))
         b = Tensor(rng.standard_normal((4, 3)))
         cat = concat([a, b], axis=0)
-        np.testing.assert_array_equal(slice_axis(cat, 0, 2).data, a.data)
-        np.testing.assert_array_equal(slice_axis(cat, 2, 6).data, b.data)
+        assert cat.shape == (6, 3)
+        np.testing.assert_array_equal(cat.data[0:2], a.data)
+        np.testing.assert_array_equal(cat.data[2:6], b.data)
 
     def test_concat_axis1(self):
         a = Tensor(np.ones((2, 2)))
@@ -224,13 +223,6 @@ class TestStructuralOps:
 
         x = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
         assert finite_diff_check(f, [x], eps=1e-6) <= 1e-6
-
-    def test_norm_gradient(self):
-        def f(ps):
-            return norm(ps[0]) * 3.0
-
-        x = Tensor(make_rng(12).standard_normal(4), requires_grad=True)
-        assert finite_diff_check(f, [x], eps=1e-6) <= 1e-7
 
 
 class TestFiniteDiffCheck:
@@ -271,7 +263,8 @@ class TestComposedObjectiveGradients:
     """Finite differences against the full differentiable stack."""
 
     def test_connector_plus_contrastive_composite(self):
-        from gatemix.connector import ConnectorConfig, forward, init_params
+        from conftest import reference_image_rows
+        from gatemix.connector import ConnectorConfig, init_params
         from gatemix.objectives import BatchRepresentations, creg_loss, similarity_matrix
         from gatemix.training import FrozenStandins, synth_batch
 
@@ -282,7 +275,7 @@ class TestComposedObjectiveGradients:
             batch = synth_batch(seed, 4, cfg)
 
             def f(ts):
-                rows = [standins.image_rep(forward(fe, params).h_img0) for fe in batch.feats]
+                rows = reference_image_rows(params, batch, standins)
                 reps = BatchRepresentations(img=concat(rows, axis=0), txt=batch.txt_reps)
                 return creg_loss(similarity_matrix(reps))
 

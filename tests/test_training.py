@@ -4,6 +4,8 @@ determinism, and the stage-2/3 config schema."""
 import numpy as np
 import pytest
 
+from conftest import reference_stage1_loss
+from gatemix import training
 from gatemix.connector import ConnectorConfig, init_params
 from gatemix.tensor import Graph, backward
 from gatemix.training import (
@@ -63,6 +65,52 @@ class TestSynthBatch:
         assert b1.target_tokens == b2.target_tokens
         for tokens in b1.target_tokens:
             assert len(set(tokens)) == 1  # one latent-derived id per item
+
+
+def _loss_and_grads(loss_fn, params, batch, standins):
+    params.zero_grads()
+    with Graph() as g:
+        loss = loss_fn(params, batch, standins)
+    backward(g, loss)
+    return loss.item(), [p.grad.copy() for p in params.tensors()], len(g.records)
+
+
+class TestBatchedObjective:
+    """stage1_loss runs all items through one connector pass; the per-item
+    loop in conftest is the reference. Summation order differs, so values
+    agree to rtol 1e-12; a gradient coordinate that is a cancellation near
+    zero is held to 1e-12 of its gradient's largest entry instead."""
+
+    @pytest.mark.parametrize("b", [1, 4, 16])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_per_item_reference(self, b, seed):
+        params = init_params(CFG, seed)
+        batch = synth_batch(seed, b, CFG)
+        standins = FrozenStandins(CFG.d_llm)
+        loss, grads, _ = _loss_and_grads(stage1_loss, params, batch, standins)
+        ref_loss, ref_grads, _ = _loss_and_grads(reference_stage1_loss, params, batch, standins)
+        assert loss == pytest.approx(ref_loss, rel=1e-12, abs=0.0)
+        for name, got, want in zip(params.FIELD_ORDER, grads, ref_grads):
+            np.testing.assert_allclose(
+                got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max(), err_msg=name
+            )
+
+    def test_one_connector_pass_and_tape_independent_of_batch(self, monkeypatch):
+        calls = []
+        real_forward = training.forward
+
+        def counting_forward(feats, params):
+            calls.append(feats.v_v.shape[0])
+            return real_forward(feats, params)
+
+        monkeypatch.setattr(training, "forward", counting_forward)
+        standins = FrozenStandins(CFG.d_llm)
+        tapes = []
+        for b in (4, 16):
+            params = init_params(CFG, 0)
+            tapes.append(_loss_and_grads(stage1_loss, params, synth_batch(0, b, CFG), standins)[2])
+        assert calls == [4 * CFG.n_tokens, 16 * CFG.n_tokens]
+        assert tapes[0] == tapes[1]
 
 
 class TestTrainStep:
