@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import threading
 import time
 import urllib.error
@@ -129,8 +130,9 @@ class GenerationTrace:
     """One backend call's output.
 
     ``token_logprobs`` covers generated tokens only (log P(w_t | w_<t)),
-    every entry <= 0. ``img_rep``/``txt_rep`` are the pooled representation
-    vectors used for the similarity score.
+    every entry finite and <= 0. ``img_rep``/``txt_rep`` are the pooled
+    representation vectors used for the similarity score, every entry
+    finite. A value of the wrong type or range is a ValueError.
     """
 
     text: str
@@ -140,11 +142,17 @@ class GenerationTrace:
     prompt_mode: str = "direct"
 
     def __post_init__(self):
-        object.__setattr__(self, "token_logprobs", tuple(float(x) for x in self.token_logprobs))
-        object.__setattr__(self, "img_rep", tuple(float(x) for x in self.img_rep))
-        object.__setattr__(self, "txt_rep", tuple(float(x) for x in self.txt_rep))
+        if not isinstance(self.text, str):
+            raise ValueError(f"trace text must be a string, got {type(self.text).__name__}")
+        try:
+            for name in ("token_logprobs", "img_rep", "txt_rep"):
+                object.__setattr__(self, name, tuple(float(x) for x in getattr(self, name)))
+        except TypeError as exc:
+            raise ValueError(f"trace values must be sequences of numbers: {exc}") from exc
         if self.prompt_mode not in PROMPT_MODES:
             raise ValueError(f"bad prompt mode {self.prompt_mode!r}")
+        if not all(map(math.isfinite, self.token_logprobs + self.img_rep + self.txt_rep)):
+            raise ValueError("token logprobs and representations must be finite")
         if any(lp > 0.0 for lp in self.token_logprobs):
             raise ValueError("token logprobs must all be <= 0")
         if self.text and not self.token_logprobs:
@@ -182,8 +190,6 @@ def trace_from_dict(payload: dict, prompt_mode: str | None = None) -> Generation
 
 
 def _builtin_default_trace(mode: str) -> GenerationTrace:
-    import math
-
     return GenerationTrace(
         text="A",
         token_logprobs=(math.log(0.5),),
@@ -302,9 +308,12 @@ class RemoteBackend:
                 attempts=self.retries,
             )
         try:
-            return json.loads(raw.decode("utf-8"))
+            reply = json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise BackendError(f"service returned malformed JSON: {exc}") from exc
+        if not isinstance(reply, dict):
+            raise BackendError(f"service reply is not a JSON object: {type(reply).__name__}")
+        return reply
 
     def _payload(self, prompt: str, decoding: DecodingConfig, image_ref: str | None) -> dict:
         payload = {
@@ -329,9 +338,9 @@ class RemoteBackend:
         if logprobs is None:
             raise CapabilityError("service reply lacks logprobs; cannot score confidence")
         embeddings = reply.get("embeddings")
-        if embeddings and "prompt" in embeddings and "completion" in embeddings:
-            img_rep = tuple(embeddings["prompt"])
-            txt_rep = tuple(embeddings["completion"])
+        if isinstance(embeddings, dict) and "prompt" in embeddings and "completion" in embeddings:
+            img_rep = embeddings["prompt"]
+            txt_rep = embeddings["completion"]
         else:
             log.warning(
                 "service reply lacks embeddings; falling back to neutral "
@@ -340,7 +349,7 @@ class RemoteBackend:
             img_rep, txt_rep = NEUTRAL_IMG_REP, NEUTRAL_TXT_REP
         return GenerationTrace(
             text=reply["text"],
-            token_logprobs=tuple(logprobs),
+            token_logprobs=logprobs,
             img_rep=img_rep,
             txt_rep=txt_rep,
             prompt_mode=req.prompt_mode,

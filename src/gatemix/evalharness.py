@@ -3,25 +3,29 @@
 Loads benchmark instances from JSONL, runs one of three strategies over a
 backend -- direct answering, step-by-step answering, or the full
 self-verification decision -- and reports accuracy with per-instance audit
-records. Backend failures are contained per instance (recorded as
-incorrect-with-error) so long sweeps survive flaky services.
+records. Backend, trace and cache I/O failures are contained per instance
+(recorded as incorrect-with-error); any other exception propagates.
 
-The alpha sweep reuses one generation per instance and branch: traces are
-cached (in memory, optionally on disk as one file per instance id per
-branch) and only the decision rule re-executes per grid point.
+Each instance is generated and scored once; the alpha sweep re-runs only
+the decision rule per grid point. Traces can be cached in memory and on
+disk, as one file per instance id per branch.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import threading
 import urllib.parse
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from .backend import GenerationTrace, dual_generate, trace_from_dict, trace_to_dict
-from .verify import BRANCHES, DEFAULT_ALPHA, answers_equal, score_response, self_verify
+from .backend import (PROMPT_MODES, BackendError, GenerationTrace, dual_generate, trace_from_dict,
+                      trace_to_dict)
+from .verify import (BRANCHES, DEFAULT_ALPHA, answers_equal, branch_record, score_response,
+                     self_verify)
 
 __all__ = [
     "STRATEGIES",
@@ -135,7 +139,8 @@ class EvalReport:
 
 class TraceCache:
     """Per-instance, per-branch trace store backed by memory and optionally
-    by a directory holding one JSON file per (instance id, branch)."""
+    by a directory holding one JSON file per (instance id, branch). Files
+    are replaced whole; one that cannot be read or parsed is a miss."""
 
     def __init__(self, cache_dir=None):
         self._mem: dict = {}
@@ -149,23 +154,25 @@ class TraceCache:
 
     def get(self, instance_id: str, branch: str) -> Optional[GenerationTrace]:
         key = (instance_id, branch)
-        if key in self._mem:
-            return self._mem[key]
-        if self._dir is not None:
-            path = self._path(instance_id, branch)
-            if path.exists():
-                with open(path, "r", encoding="utf-8") as fh:
-                    trace = trace_from_dict(json.load(fh))
-                self._mem[key] = trace
-                return trace
-        return None
+        if key not in self._mem and self._dir is not None:
+            try:
+                text = self._path(instance_id, branch).read_text(encoding="utf-8")
+                self._mem[key] = trace_from_dict(json.loads(text))
+            except (OSError, ValueError, KeyError, AttributeError):
+                return None
+        return self._mem.get(key)
 
     def put(self, instance_id: str, branch: str, trace: GenerationTrace) -> None:
         self._mem[(instance_id, branch)] = trace
         if self._dir is not None:
-            with open(self._path(instance_id, branch), "w", encoding="utf-8") as fh:
-                json.dump(trace_to_dict(trace), fh, indent=2, sort_keys=True)
-                fh.write("\n")
+            path = self._path(instance_id, branch)
+            tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+            text = json.dumps(trace_to_dict(trace), indent=2, sort_keys=True) + "\n"
+            try:
+                tmp.write_text(text, encoding="utf-8")
+                os.replace(tmp, path)
+            finally:
+                tmp.unlink(missing_ok=True)
 
 
 def _get_traces(backend, inst: BenchmarkInstance, cache: Optional[TraceCache]) -> tuple:
@@ -181,37 +188,42 @@ def _get_traces(backend, inst: BenchmarkInstance, cache: Optional[TraceCache]) -
     return direct, cot
 
 
+def _score(backend, inst: BenchmarkInstance, strategy: str, cache: Optional[TraceCache]):
+    """``{branch: ScoredResponse}`` for the branches the strategy uses, or
+    the error text if the instance failed."""
+    try:
+        traces = dict(zip(PROMPT_MODES, _get_traces(backend, inst, cache)))
+        return {b: score_response(t, inst.options)
+                for b, t in traces.items() if strategy in ("sv", b)}
+    except (BackendError, ValueError, KeyError, OSError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
 def _eval_one(backend, inst: BenchmarkInstance, strategy: str, alpha: float,
               cache: Optional[TraceCache]) -> dict:
+    """One instance's eval record at ``alpha``. An eval worker builds it, so
+    the instance's traces are dropped as soon as it is done."""
+    scored = _score(backend, inst, strategy, cache)
     record = {"id": inst.id, "gold": inst.gold_answer, "error": None}
-    try:
-        if strategy == "sv":
-            direct_trace, cot_trace = _get_traces(backend, inst, cache)
-            direct = score_response(direct_trace, inst.options)
-            cot = score_response(cot_trace, inst.options)
-            decision = self_verify(direct, cot, alpha)
-            record["predicted"] = decision.final_answer
-            record["branch"] = decision.chosen_branch
-            record["direct"] = {"answer": direct.answer, "s": direct.s, "c": direct.c, "sc": direct.sc}
-            record["cot"] = {"answer": cot.answer, "s": cot.s, "c": cot.c, "sc": cot.sc}
-        else:
-            trace = None
-            if cache is not None:
-                trace = cache.get(inst.id, strategy)
-            if trace is None:
-                direct_trace, cot_trace = _get_traces(backend, inst, cache)
-                trace = direct_trace if strategy == "direct" else cot_trace
-            scored = score_response(trace, inst.options)
-            record["predicted"] = scored.answer
-            record["branch"] = strategy
-            record[strategy] = {"answer": scored.answer, "s": scored.s, "c": scored.c}
-        record["correct"] = answers_equal(record["predicted"], inst.gold_answer)
-    except Exception as exc:  # contained per instance, never aborts the run
-        record["predicted"] = None
-        record["branch"] = "error"
-        record["correct"] = False
-        record["error"] = f"{type(exc).__name__}: {exc}"
+    if isinstance(scored, str):
+        record.update(predicted=None, branch="error", correct=False, error=scored)
+        return record
+    if strategy == "sv":
+        decision = self_verify(scored["direct"], scored["cot"], alpha)
+        record["predicted"], record["branch"] = decision.final_answer, decision.chosen_branch
+    else:
+        record["predicted"], record["branch"] = scored[strategy].answer, strategy
+    record.update((branch, branch_record(resp)) for branch, resp in scored.items())
+    record["correct"] = answers_equal(record["predicted"], inst.gold_answer)
     return record
+
+
+def _map(fn, instances: list, max_workers: int) -> list:
+    """``fn`` over the instances in order; more than one worker uses a thread pool."""
+    if max_workers == 1:
+        return [fn(inst) for inst in instances]
+    with ThreadPoolExecutor(max_workers=max_workers) as pool:
+        return list(pool.map(fn, instances))
 
 
 def run_eval(
@@ -233,15 +245,8 @@ def run_eval(
         raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
     if not (0.0 <= alpha <= 1.0):
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-    if max_workers < 1:
-        raise ValueError("max_workers must be >= 1")
-    if max_workers == 1:
-        records = [_eval_one(backend, inst, strategy, alpha, cache) for inst in instances]
-    else:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            records = list(
-                pool.map(lambda inst: _eval_one(backend, inst, strategy, alpha, cache), instances)
-            )
+    records = _map(lambda inst: _eval_one(backend, inst, strategy, alpha, cache),
+                   instances, max_workers)
     n = len(records)
     n_correct = sum(1 for r in records if r["correct"])
     branch_counts = {}
@@ -271,24 +276,28 @@ def alpha_sweep(
     grid: Optional[list] = None,
     max_workers: int = 1,
     cache_dir=None,
-    use_cache: bool = True,
 ) -> list:
     """Self-verification accuracy across a grid of alpha values.
 
-    With the cache on (default), each instance generates once per branch and
-    only the decision rule re-runs per grid point; ``use_cache=False``
-    regenerates everything at every point, which must give identical results
-    for a deterministic backend.
+    Each instance is scored once and only ``self_verify`` runs per grid
+    point, so each accuracy equals ``run_eval(..., "sv", alpha=a)``'s; a
+    failed instance is wrong at every point. ``cache_dir`` keeps the traces
+    on disk for later sweeps.
     """
     grid = default_alpha_grid() if grid is None else list(grid)
     for a in grid:
         if not (0.0 <= a <= 1.0):
             raise ValueError(f"alpha grid value {a} outside [0, 1]")
-    cache = TraceCache(cache_dir) if use_cache else None
+    cache = TraceCache(cache_dir) if cache_dir is not None else None
+    scored = _map(lambda inst: _score(backend, inst, "sv", cache), instances, max_workers)
+    valid = [(inst.gold_answer, pair["direct"], pair["cot"])
+             for inst, pair in zip(instances, scored) if not isinstance(pair, str)]
+    n = len(instances)
     results = []
     for a in grid:
-        report = run_eval(backend, instances, "sv", alpha=a, max_workers=max_workers, cache=cache)
-        results.append((a, report.accuracy))
+        n_correct = sum(answers_equal(self_verify(direct, cot, a).final_answer, gold)
+                        for gold, direct, cot in valid)
+        results.append((a, (n_correct / n) if n else 0.0))
     return results
 
 

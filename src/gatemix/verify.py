@@ -35,6 +35,7 @@ __all__ = [
     "extract_answer",
     "score_response",
     "self_verify",
+    "branch_record",
     "audit_record",
 ]
 
@@ -199,25 +200,18 @@ def self_verify(
     return VerifyDecision(direct.answer, "direct-by-score", direct, cot)
 
 
-def _branch_audit(resp: ScoredResponse) -> dict:
-    lps = resp.trace.token_logprobs
-    return {
-        "text": resp.trace.text,
-        "answer": resp.answer,
-        "n_tokens": len(lps),
-        "mean_logprob": (sum(lps) / len(lps)) if lps else None,
-        "s": resp.s,
-        "c": resp.c,
-        "sc": resp.sc,
-    }
+def branch_record(resp: ScoredResponse) -> dict:
+    """The answer and scores of one branch, as eval and audit records hold them."""
+    return {"answer": resp.answer, "s": resp.s, "c": resp.c, "sc": resp.sc}
 
 
 def audit_record(decision: VerifyDecision, alpha: float) -> dict:
-    """One JSON-ready object per verified instance, for offline audit."""
-    return {
-        "alpha": alpha,
-        "final_answer": decision.final_answer,
-        "chosen_branch": decision.chosen_branch,
-        "direct": _branch_audit(decision.direct),
-        "cot": _branch_audit(decision.cot),
-    }
+    """One JSON-ready object per verified instance, for offline audit: each
+    branch's ``branch_record`` plus its text, token count and mean logprob."""
+    record = {"alpha": alpha, "final_answer": decision.final_answer,
+              "chosen_branch": decision.chosen_branch}
+    for name, resp in (("direct", decision.direct), ("cot", decision.cot)):
+        lps = resp.trace.token_logprobs
+        record[name] = {**branch_record(resp), "text": resp.trace.text, "n_tokens": len(lps),
+                        "mean_logprob": (sum(lps) / len(lps)) if lps else None}
+    return record

@@ -72,6 +72,32 @@ class TestGenerationTrace:
         t = _trace("The answer is B.", "cot")
         assert trace_from_dict(trace_to_dict(t)) == t
 
+    @pytest.mark.parametrize("field, values", [
+        ("token_logprobs", (-0.1, float("nan"))),
+        ("token_logprobs", (float("-inf"),)),
+        ("img_rep", (float("nan"), 1.0)),
+        ("txt_rep", (float("inf"), 0.0)),
+        ("txt_rep", (float("-inf"), 1.0)),
+    ])
+    def test_non_finite_values_rejected(self, field, values):
+        fields = {"text": "x", "token_logprobs": (-0.1,), "img_rep": (1.0, 0.0),
+                  "txt_rep": (0.0, 1.0), field: values}
+        with pytest.raises(ValueError, match="finite"):
+            GenerationTrace(**fields, prompt_mode="direct")
+
+    @pytest.mark.parametrize("field, value", [
+        ("text", None),
+        ("text", 5),
+        ("token_logprobs", (None,)),
+        ("token_logprobs", -0.1),
+        ("img_rep", ([1.0], 0.0)),
+    ])
+    def test_wrong_types_are_value_errors(self, field, value):
+        fields = {"text": "x", "token_logprobs": (-0.1,), "img_rep": (1.0, 0.0),
+                  "txt_rep": (0.0, 1.0), field: value}
+        with pytest.raises(ValueError):
+            GenerationTrace(**fields, prompt_mode="direct")
+
 
 class TestPrompts:
     def test_direct_matches_golden(self):
@@ -200,6 +226,26 @@ class TestRemoteBackend:
         req = BackendRequest("img1", QUESTION, "direct", default_decoding("direct"))
         with pytest.raises(CapabilityError, match="logprobs"):
             backend.generate(req)
+
+    @pytest.mark.parametrize("reply", [None, ["text"], "text"])
+    def test_non_object_reply_is_backend_error(self, stub_server, reply):
+        endpoint, handler = stub_server
+        handler.reply = reply
+        req = BackendRequest("img1", QUESTION, "direct", default_decoding("direct"))
+        with pytest.raises(BackendError, match="not a JSON object"):
+            RemoteBackend(endpoint).generate(req)
+
+    @pytest.mark.parametrize("reply", [
+        {"text": "B", "logprobs": [None]},
+        {"text": 5, "logprobs": [-0.1]},
+        {"text": "B", "logprobs": [-0.1], "embeddings": {"prompt": 1, "completion": [0.0]}},
+    ])
+    def test_malformed_trace_fields_are_value_errors(self, stub_server, reply):
+        endpoint, handler = stub_server
+        handler.reply = reply
+        req = BackendRequest("img1", QUESTION, "direct", default_decoding("direct"))
+        with pytest.raises(ValueError):
+            RemoteBackend(endpoint).generate(req)
 
     def test_missing_embeddings_degrades_to_neutral(self, stub_server, caplog):
         endpoint, handler = stub_server

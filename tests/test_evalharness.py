@@ -2,11 +2,14 @@
 the alpha sweep with trace caching, and report emission."""
 
 import json
+import random
 
 import pytest
 
+from gatemix import evalharness
 from gatemix.backend import BackendError, BackendRequest, MockBackend
 from gatemix.evalharness import (
+    BenchmarkInstance,
     BenchmarkValidationError,
     EmptyBenchmarkError,
     TraceCache,
@@ -19,6 +22,40 @@ from gatemix.evalharness import (
 )
 
 from conftest import make_trace
+
+
+class _FailingFor:
+    """Delegates to ``inner`` except for the listed image refs, which fail."""
+
+    def __init__(self, inner, failing):
+        self.inner = inner
+        self.failing = set(failing)
+
+    def generate(self, req):
+        if req.image_ref in self.failing:
+            raise BackendError("service down")
+        return self.inner.generate(req)
+
+
+@pytest.fixture()
+def mixed_backend_and_instances():
+    """50 seeded instances: lettered and free-text items, agreeing and
+    disagreeing branches with random scores, and every ninth failing."""
+    rng = random.Random(7)
+    entries, instances = {}, []
+    for k in range(50):
+        free_text = rng.random() < 0.3
+        options = [] if free_text else [["A", "cat"], ["B", "dog"], ["C", "fish"]]
+        answers = ["7", "8", "nine"] if free_text else ["A", "B", "C"]
+        direct, cot = rng.choice(answers), rng.choice(answers)
+        entries[(f"img{k}", f"q{k}", "direct")] = make_trace(
+            direct, rng.random(), rng.uniform(0.05, 1.0), "direct")
+        entries[(f"img{k}", f"q{k}", "cot")] = make_trace(
+            f"The answer is {cot}.", rng.random(), rng.uniform(0.05, 1.0), "cot")
+        instances.append(BenchmarkInstance(id=f"m{k}", image_ref=f"img{k}", question=f"q{k}",
+                                           options=options, gold_answer=rng.choice(answers)))
+    backend = _FailingFor(MockBackend(entries=entries), {f"img{k}" for k in range(0, 50, 9)})
+    return backend, instances
 
 
 class TestLoadBenchmark:
@@ -108,6 +145,23 @@ class TestRunEval:
         assert report.branch_counts["error"] == len(easy_hard_instances)
         assert all(r["error"] for r in report.records)
 
+    def test_programming_errors_propagate(self, easy_hard_instances):
+        class BuggyBackend:
+            def generate(self, req: BackendRequest):
+                raise TypeError("a bug, not a service failure")
+
+        with pytest.raises(TypeError, match="a bug"):
+            run_eval(BuggyBackend(), easy_hard_instances, "sv")
+
+    @pytest.mark.parametrize("strategy", ["direct", "cot", "sv"])
+    def test_branch_records_hold_answer_and_scores_only(self, easy_hard_backend,
+                                                        easy_hard_instances, strategy):
+        for record in run_eval(easy_hard_backend, easy_hard_instances, strategy).records:
+            branches = [b for b in ("direct", "cot") if b in record]
+            assert branches == (["direct", "cot"] if strategy == "sv" else [strategy])
+            for b in branches:
+                assert set(record[b]) == {"answer", "s", "c", "sc"}
+
     def test_order_independence(self, easy_hard_backend, easy_hard_instances):
         shuffled = list(reversed(easy_hard_instances))
         a = run_eval(easy_hard_backend, easy_hard_instances, "sv").accuracy
@@ -150,10 +204,40 @@ class TestAlphaSweep:
         assert best_alpha == 0.7
         assert best_acc == 1.0
 
-    def test_cache_and_no_cache_agree(self, sweep_backend, sweep_instances):
-        cached = alpha_sweep(sweep_backend, sweep_instances, use_cache=True)
-        uncached = alpha_sweep(sweep_backend, sweep_instances, use_cache=False)
+    def test_cache_and_no_cache_agree(self, sweep_backend, sweep_instances, tmp_path):
+        cached = alpha_sweep(sweep_backend, sweep_instances, cache_dir=tmp_path / "traces")
+        uncached = alpha_sweep(sweep_backend, sweep_instances)
         assert cached == uncached
+
+    @pytest.mark.parametrize("case", ["easy_hard", "sweep", "mixed"])
+    def test_accuracy_equals_run_eval_at_every_point(self, case, request):
+        if case == "mixed":
+            backend, instances = request.getfixturevalue("mixed_backend_and_instances")
+            counts = run_eval(backend, instances, "sv").branch_counts
+            assert all(counts[b] > 0 for b in ("error", "cot-by-score", "direct-by-score"))
+        else:
+            backend = request.getfixturevalue(f"{case}_backend")
+            instances = request.getfixturevalue(f"{case}_instances")
+        for a, accuracy in alpha_sweep(backend, instances, max_workers=2):
+            assert accuracy == run_eval(backend, instances, "sv", alpha=a).accuracy
+
+    def test_scores_each_instance_once(self, sweep_backend, sweep_instances, monkeypatch):
+        calls = []
+        score = evalharness.score_response
+
+        def counting_score(*args):
+            calls.append(args)
+            return score(*args)
+
+        def no_run_eval(*args, **kwargs):
+            raise AssertionError("the sweep must not re-run the evaluation")
+
+        monkeypatch.setattr(evalharness, "score_response", counting_score)
+        monkeypatch.setattr(evalharness, "run_eval", no_run_eval)
+        for grid in ([0.5], default_alpha_grid()):
+            calls.clear()
+            alpha_sweep(sweep_backend, sweep_instances, grid=grid)
+            assert len(calls) == 2 * len(sweep_instances)
 
     def test_disk_cache_layout(self, sweep_backend, sweep_instances, tmp_path):
         cache_dir = tmp_path / "traces"
@@ -176,6 +260,15 @@ class TestAlphaSweep:
         second = alpha_sweep(ExplodingBackend(), sweep_instances, cache_dir=cache_dir)
         assert first == second
 
+    def test_truncated_cache_file_is_regenerated(self, sweep_backend, sweep_instances, tmp_path):
+        cache_dir = tmp_path / "traces"
+        fresh = alpha_sweep(sweep_backend, sweep_instances, cache_dir=cache_dir)
+        torn = cache_dir / "swp2.cot.json"
+        intact = torn.read_text()
+        torn.write_text(intact[: len(intact) // 2])
+        assert alpha_sweep(sweep_backend, sweep_instances, cache_dir=cache_dir) == fresh
+        assert torn.read_text() == intact
+
     def test_grid_values_validated(self, sweep_backend, sweep_instances):
         with pytest.raises(ValueError):
             alpha_sweep(sweep_backend, sweep_instances, grid=[0.5, 1.5])
@@ -194,6 +287,25 @@ class TestTraceCache:
         t = make_trace("A", 0.5, 0.5, "direct")
         cache.put("weird/id:1", "direct", t)
         assert TraceCache(tmp_path).get("weird/id:1", "direct") == t
+
+    def test_failed_write_keeps_the_old_entry(self, tmp_path, monkeypatch):
+        old = make_trace("A", 0.5, 0.5, "direct")
+        TraceCache(tmp_path).put("i1", "direct", old)
+
+        def failing_to_dict(trace):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(evalharness, "trace_to_dict", failing_to_dict)
+        with pytest.raises(OSError):
+            TraceCache(tmp_path).put("i1", "direct", make_trace("B", 0.5, 0.5, "direct"))
+        assert TraceCache(tmp_path).get("i1", "direct") == old
+        assert [p.name for p in tmp_path.iterdir()] == ["i1.direct.json"]
+
+    @pytest.mark.parametrize("content", ["", "{\"text\": ", "[]", "{}",
+                                         '{"text": "A", "token_logprobs": [NaN]}'])
+    def test_unreadable_entry_is_a_miss(self, tmp_path, content):
+        (tmp_path / "i1.direct.json").write_text(content)
+        assert TraceCache(tmp_path).get("i1", "direct") is None
 
 
 class TestEmitReport:

@@ -12,6 +12,8 @@ from gatemix.verify import (
     ConfigError,
     InvalidLogProbError,
     ScoredResponse,
+    audit_record,
+    branch_record,
     confidence,
     extract_answer,
     score_response,
@@ -212,3 +214,12 @@ class TestSelfVerify:
         assert scored.c == pytest.approx(0.5, abs=1e-12)
         assert scored.s == pytest.approx(0.75, abs=1e-12)
         assert scored.sc is None
+
+    def test_audit_record_extends_branch_record(self):
+        decision = self_verify(_scored("A", s=0.8, c=0.9), _scored("B", s=0.6, c=0.95), 0.7)
+        record = audit_record(decision, 0.7)
+        for name in ("direct", "cot"):
+            short = branch_record(getattr(decision, name))
+            assert set(short) == {"answer", "s", "c", "sc"}
+            assert {k: record[name][k] for k in short} == short
+            assert set(record[name]) - set(short) == {"text", "n_tokens", "mean_logprob"}
