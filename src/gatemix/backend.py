@@ -19,6 +19,7 @@ similarity score is exactly 0.5) with a logged warning.
 
 from __future__ import annotations
 
+import http.client
 import json
 import logging
 import math
@@ -298,7 +299,7 @@ class RemoteBackend:
                 if exc.code < 500:
                     raise BackendError(f"service rejected request: HTTP {exc.code}") from exc
                 last_error = exc
-            except (urllib.error.URLError, OSError) as exc:
+            except (urllib.error.URLError, OSError, http.client.HTTPException) as exc:
                 last_error = exc
             if attempt < self.retries:
                 time.sleep(self.retry_wait * attempt)

@@ -18,12 +18,11 @@ import os
 import threading
 import urllib.parse
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional
 
-from .backend import (PROMPT_MODES, BackendError, GenerationTrace, dual_generate, trace_from_dict,
-                      trace_to_dict)
+from .backend import BackendError, GenerationTrace, dual_generate, trace_from_dict, trace_to_dict
 from .verify import (BRANCHES, DEFAULT_ALPHA, answers_equal, branch_record, score_response,
                      self_verify)
 
@@ -122,15 +121,7 @@ class EvalReport:
     records: list
 
     def to_dict(self) -> dict:
-        return {
-            "strategy": self.strategy,
-            "alpha": self.alpha,
-            "n_instances": self.n_instances,
-            "n_correct": self.n_correct,
-            "accuracy": self.accuracy,
-            "branch_counts": self.branch_counts,
-            "records": self.records,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, payload: dict) -> "EvalReport":
@@ -192,9 +183,9 @@ def _score(backend, inst: BenchmarkInstance, strategy: str, cache: Optional[Trac
     """``{branch: ScoredResponse}`` for the branches the strategy uses, or
     the error text if the instance failed."""
     try:
-        traces = dict(zip(PROMPT_MODES, _get_traces(backend, inst, cache)))
+        direct, cot = _get_traces(backend, inst, cache)
         return {b: score_response(t, inst.options)
-                for b, t in traces.items() if strategy in ("sv", b)}
+                for b, t in (("direct", direct), ("cot", cot)) if strategy in ("sv", b)}
     except (BackendError, ValueError, KeyError, OSError) as exc:
         return f"{type(exc).__name__}: {exc}"
 
@@ -249,11 +240,8 @@ def run_eval(
                    instances, max_workers)
     n = len(records)
     n_correct = sum(1 for r in records if r["correct"])
-    branch_counts = {}
-    if strategy == "sv":
-        branch_counts = {b: 0 for b in SV_BRANCHES}
-        for r in records:
-            branch_counts[r["branch"]] += 1
+    branch_counts = ({b: sum(r["branch"] == b for r in records) for b in SV_BRANCHES}
+                     if strategy == "sv" else {})
     return EvalReport(
         strategy=strategy,
         alpha=alpha,
@@ -320,14 +308,12 @@ def emit_report(report: EvalReport, path) -> None:
     formatting, no timestamps.
     """
     path = Path(path)
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8") as fh:  # streamed: no whole-report string
         json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
     text_path = path.with_suffix(".txt") if path.suffix == ".json" else Path(str(path) + ".txt")
-    with open(text_path, "w", encoding="utf-8") as fh:
-        fh.write(_format_table(report))
+    text_path.write_text(_format_table(report), encoding="utf-8")
 
 
 def load_report(path) -> EvalReport:
-    with open(path, "r", encoding="utf-8") as fh:
-        return EvalReport.from_dict(json.load(fh))
+    return EvalReport.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))

@@ -24,6 +24,7 @@ from gatemix.backend import (
     trace_from_dict,
     trace_to_dict,
 )
+from gatemix.evalharness import BenchmarkInstance, run_eval
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -172,6 +173,7 @@ class TestMockBackend:
 class _StubHandler(BaseHTTPRequestHandler):
     reply: dict = {}
     requests: list = []
+    missing_bytes: int = 0  # declared in Content-Length but never sent
 
     def do_POST(self):
         length = int(self.headers["Content-Length"])
@@ -179,7 +181,7 @@ class _StubHandler(BaseHTTPRequestHandler):
         body = json.dumps(type(self).reply).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
+        self.send_header("Content-Length", str(len(body) + type(self).missing_bytes))
         self.end_headers()
         self.wfile.write(body)
 
@@ -193,6 +195,7 @@ def stub_server():
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     _StubHandler.requests = []
+    _StubHandler.missing_bytes = 0
     yield f"http://127.0.0.1:{server.server_port}", _StubHandler
     server.shutdown()
     thread.join(timeout=5)
@@ -264,6 +267,20 @@ class TestRemoteBackend:
         with pytest.raises(RetryableTransportError) as exc:
             backend.generate(req)
         assert exc.value.attempts == 2
+
+    def test_truncated_reply_is_contained(self, stub_server):
+        endpoint, handler = stub_server
+        handler.reply = {"text": "B", "logprobs": [-0.1]}
+        handler.missing_bytes = 10
+        backend = RemoteBackend(endpoint, retries=2, retry_wait=0.0)
+        req = BackendRequest("img1", QUESTION, "direct", default_decoding("direct"))
+        with pytest.raises(RetryableTransportError, match="IncompleteRead"):
+            backend.generate(req)
+        inst = BenchmarkInstance(id="i1", image_ref="img1", question=QUESTION,
+                                 options=[("A", "red"), ("B", "blue")], gold_answer="B")
+        report = run_eval(backend, [inst], "sv")
+        assert [r["branch"] for r in report.records] == ["error"]
+        assert report.accuracy == 0.0
 
     def test_complete_text(self, stub_server):
         endpoint, handler = stub_server

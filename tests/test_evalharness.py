@@ -3,6 +3,7 @@ the alpha sweep with trace caching, and report emission."""
 
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -292,11 +293,12 @@ class TestTraceCache:
         old = make_trace("A", 0.5, 0.5, "direct")
         TraceCache(tmp_path).put("i1", "direct", old)
 
-        def failing_to_dict(trace):
+        def failing_replace(src, dst):
+            assert Path(src).read_text()  # the new entry was written in full first
             raise OSError("disk full")
 
-        monkeypatch.setattr(evalharness, "trace_to_dict", failing_to_dict)
-        with pytest.raises(OSError):
+        monkeypatch.setattr(evalharness.os, "replace", failing_replace)
+        with pytest.raises(OSError, match="disk full"):
             TraceCache(tmp_path).put("i1", "direct", make_trace("B", 0.5, 0.5, "direct"))
         assert TraceCache(tmp_path).get("i1", "direct") == old
         assert [p.name for p in tmp_path.iterdir()] == ["i1.direct.json"]
