@@ -132,8 +132,9 @@ class GenerationTrace:
 
     ``token_logprobs`` covers generated tokens only (log P(w_t | w_<t)),
     every entry finite and <= 0. ``img_rep``/``txt_rep`` are the pooled
-    representation vectors used for the similarity score, every entry
-    finite. A value of the wrong type or range is a ValueError.
+    representation vectors used for the similarity score: of equal length,
+    every entry finite, and each with a non-zero entry. A value of the wrong
+    type, range or shape is a ValueError.
     """
 
     text: str
@@ -154,6 +155,11 @@ class GenerationTrace:
             raise ValueError(f"bad prompt mode {self.prompt_mode!r}")
         if not all(map(math.isfinite, self.token_logprobs + self.img_rep + self.txt_rep)):
             raise ValueError("token logprobs and representations must be finite")
+        if len(self.img_rep) != len(self.txt_rep):
+            raise ValueError(f"img_rep and txt_rep differ in length: "
+                             f"{len(self.img_rep)} vs {len(self.txt_rep)}")
+        if not any(self.img_rep) or not any(self.txt_rep):
+            raise ValueError("img_rep and txt_rep must each have a non-zero entry")
         if any(lp > 0.0 for lp in self.token_logprobs):
             raise ValueError("token logprobs must all be <= 0")
         if self.text and not self.token_logprobs:
@@ -256,10 +262,10 @@ class MockBackend:
 class RemoteBackend:
     """Client for a logprob-capable HTTP inference service.
 
-    Retries transport failures up to ``retries`` times and bounds the number
-    of in-flight requests, so one instance can be shared across eval workers.
-    Logprobs are never fabricated: a reply without them raises
-    ``CapabilityError``.
+    Retries transport failures, 5xx and 429 replies up to ``retries`` times
+    and bounds the number of in-flight requests, so one instance can be
+    shared across eval workers. Logprobs are never fabricated: a reply
+    without them raises ``CapabilityError``.
     """
 
     def __init__(
@@ -296,7 +302,7 @@ class RemoteBackend:
                         raw = resp.read()
                 break
             except urllib.error.HTTPError as exc:
-                if exc.code < 500:
+                if exc.code < 500 and exc.code != 429:
                     raise BackendError(f"service rejected request: HTTP {exc.code}") from exc
                 last_error = exc
             except (urllib.error.URLError, OSError, http.client.HTTPException) as exc:

@@ -7,8 +7,8 @@ records. Backend, trace and cache I/O failures are contained per instance
 (recorded as incorrect-with-error); any other exception propagates.
 
 Each instance is generated and scored once; the alpha sweep re-runs only
-the decision rule per grid point. Traces can be cached in memory and on
-disk, as one file per instance id per branch.
+the decision rule per grid point. Traces can be cached on disk, as one file
+per instance id holding both branches' traces.
 """
 
 from __future__ import annotations
@@ -129,54 +129,52 @@ class EvalReport:
 
 
 class TraceCache:
-    """Per-instance, per-branch trace store backed by memory and optionally
-    by a directory holding one JSON file per (instance id, branch). Files
-    are replaced whole; one that cannot be read or parsed is a miss."""
+    """Trace store on disk: one compact JSON file per instance id holding
+    its (direct, cot) traces and the image ref and question they were
+    generated from. Files are replaced whole; one that cannot be read or
+    parsed, or that was generated from another image ref or question, is a
+    miss."""
 
-    def __init__(self, cache_dir=None):
-        self._mem: dict = {}
-        self._dir = Path(cache_dir) if cache_dir is not None else None
-        if self._dir is not None:
-            self._dir.mkdir(parents=True, exist_ok=True)
+    def __init__(self, cache_dir):
+        self._dir = Path(cache_dir)
+        self._dir.mkdir(parents=True, exist_ok=True)
 
-    def _path(self, instance_id: str, branch: str) -> Path:
-        safe = urllib.parse.quote(instance_id, safe="")
-        return self._dir / f"{safe}.{branch}.json"
+    def _path(self, instance_id: str) -> Path:
+        return self._dir / f"{urllib.parse.quote(instance_id, safe='')}.json"
 
-    def get(self, instance_id: str, branch: str) -> Optional[GenerationTrace]:
-        key = (instance_id, branch)
-        if key not in self._mem and self._dir is not None:
-            try:
-                text = self._path(instance_id, branch).read_text(encoding="utf-8")
-                self._mem[key] = trace_from_dict(json.loads(text))
-            except (OSError, ValueError, KeyError, AttributeError):
+    def get(self, instance_id: str, image_ref: str, question: str) -> Optional[tuple]:
+        """The cached ``(direct, cot)`` pair, or None."""
+        try:
+            entry = json.loads(self._path(instance_id).read_text(encoding="utf-8"))
+            if entry["image_ref"] != image_ref or entry["question"] != question:
                 return None
-        return self._mem.get(key)
+            return trace_from_dict(entry["direct"]), trace_from_dict(entry["cot"])
+        except (OSError, ValueError, KeyError, TypeError, AttributeError):
+            return None
 
-    def put(self, instance_id: str, branch: str, trace: GenerationTrace) -> None:
-        self._mem[(instance_id, branch)] = trace
-        if self._dir is not None:
-            path = self._path(instance_id, branch)
-            tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
-            text = json.dumps(trace_to_dict(trace), indent=2, sort_keys=True) + "\n"
-            try:
-                tmp.write_text(text, encoding="utf-8")
-                os.replace(tmp, path)
-            finally:
-                tmp.unlink(missing_ok=True)
+    def put(self, instance_id: str, image_ref: str, question: str,
+            direct: GenerationTrace, cot: GenerationTrace) -> None:
+        entry = {"image_ref": image_ref, "question": question,
+                 "direct": trace_to_dict(direct), "cot": trace_to_dict(cot)}
+        text = json.dumps(entry, sort_keys=True, separators=(",", ":"))
+        path = self._path(instance_id)
+        tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+        try:
+            tmp.write_text(text, encoding="utf-8")
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
 
 def _get_traces(backend, inst: BenchmarkInstance, cache: Optional[TraceCache]) -> tuple:
-    if cache is not None:
-        direct = cache.get(inst.id, "direct")
-        cot = cache.get(inst.id, "cot")
-        if direct is not None and cot is not None:
-            return direct, cot
-    direct, cot = dual_generate(backend, inst.image_ref, inst.question)
-    if cache is not None:
-        cache.put(inst.id, "direct", direct)
-        cache.put(inst.id, "cot", cot)
-    return direct, cot
+    if cache is None:
+        return dual_generate(backend, inst.image_ref, inst.question)
+    pair = cache.get(inst.id, inst.image_ref, inst.question)
+    if pair is None:
+        pair = dual_generate(backend, inst.image_ref, inst.question)
+        cache.put(inst.id, inst.image_ref, inst.question, *pair)
+    return pair
 
 
 def _score(backend, inst: BenchmarkInstance, strategy: str, cache: Optional[TraceCache]):

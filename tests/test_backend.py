@@ -99,6 +99,17 @@ class TestGenerationTrace:
         with pytest.raises(ValueError):
             GenerationTrace(**fields, prompt_mode="direct")
 
+    @pytest.mark.parametrize("img_rep, txt_rep", [
+        ((1.0, 0.0), (1.0,)),
+        ((1.0,), (0.0, 1.0, 0.0)),
+        ((0.0, 0.0), (0.0, 1.0)),
+        ((1.0, 0.0), (0.0, 0.0)),
+        ((), ()),
+    ])
+    def test_degenerate_representations_rejected(self, img_rep, txt_rep):
+        with pytest.raises(ValueError, match="img_rep and txt_rep"):
+            GenerationTrace("x", (-0.1,), img_rep, txt_rep, "direct")
+
 
 class TestPrompts:
     def test_direct_matches_golden(self):
@@ -174,12 +185,13 @@ class _StubHandler(BaseHTTPRequestHandler):
     reply: dict = {}
     requests: list = []
     missing_bytes: int = 0  # declared in Content-Length but never sent
+    statuses: list = []  # status of each next request; 200 once used up
 
     def do_POST(self):
         length = int(self.headers["Content-Length"])
         type(self).requests.append(json.loads(self.rfile.read(length)))
         body = json.dumps(type(self).reply).encode()
-        self.send_response(200)
+        self.send_response(type(self).statuses.pop(0) if type(self).statuses else 200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body) + type(self).missing_bytes))
         self.end_headers()
@@ -196,6 +208,7 @@ def stub_server():
     thread.start()
     _StubHandler.requests = []
     _StubHandler.missing_bytes = 0
+    _StubHandler.statuses = []
     yield f"http://127.0.0.1:{server.server_port}", _StubHandler
     server.shutdown()
     thread.join(timeout=5)
@@ -281,6 +294,25 @@ class TestRemoteBackend:
         report = run_eval(backend, [inst], "sv")
         assert [r["branch"] for r in report.records] == ["error"]
         assert report.accuracy == 0.0
+
+    def test_rate_limited_request_is_retried(self, stub_server):
+        endpoint, handler = stub_server
+        handler.reply = {"text": "B", "logprobs": [-0.1]}
+        handler.statuses = [429]
+        backend = RemoteBackend(endpoint, retries=2, retry_wait=0.0)
+        req = BackendRequest("img1", QUESTION, "direct", default_decoding("direct"))
+        assert backend.generate(req).text == "B"
+        assert len(handler.requests) == 2
+
+    @pytest.mark.parametrize("status", [400, 404])
+    def test_client_error_is_not_retried(self, stub_server, status):
+        endpoint, handler = stub_server
+        handler.reply = {"text": "B", "logprobs": [-0.1]}
+        handler.statuses = [status]
+        req = BackendRequest("img1", QUESTION, "direct", default_decoding("direct"))
+        with pytest.raises(BackendError, match=f"HTTP {status}"):
+            RemoteBackend(endpoint, retries=2, retry_wait=0.0).generate(req)
+        assert len(handler.requests) == 1
 
     def test_complete_text(self, stub_server):
         endpoint, handler = stub_server

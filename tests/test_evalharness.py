@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from gatemix import evalharness
-from gatemix.backend import BackendError, BackendRequest, MockBackend
+from gatemix.backend import BackendError, BackendRequest, MockBackend, dual_generate
 from gatemix.evalharness import (
     BenchmarkInstance,
     BenchmarkValidationError,
@@ -244,11 +244,9 @@ class TestAlphaSweep:
         cache_dir = tmp_path / "traces"
         alpha_sweep(sweep_backend, sweep_instances, cache_dir=cache_dir)
         files = sorted(p.name for p in cache_dir.iterdir())
-        assert files == sorted(
-            f"{inst.id}.{branch}.json"
-            for inst in sweep_instances
-            for branch in ("direct", "cot")
-        )
+        assert files == sorted(f"{inst.id}.json" for inst in sweep_instances)
+        entry = json.loads((cache_dir / files[0]).read_text())
+        assert sorted(entry) == ["cot", "direct", "image_ref", "question"]
 
     def test_disk_cache_reused_across_sweeps(self, sweep_backend, sweep_instances, tmp_path):
         cache_dir = tmp_path / "traces"
@@ -261,14 +259,71 @@ class TestAlphaSweep:
         second = alpha_sweep(ExplodingBackend(), sweep_instances, cache_dir=cache_dir)
         assert first == second
 
+    def test_one_cache_get_and_put_per_instance(self, sweep_backend, sweep_instances,
+                                                tmp_path, monkeypatch):
+        calls = {"get": 0, "put": 0, "generate": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(TraceCache, "get", counted("get", TraceCache.get))
+        monkeypatch.setattr(TraceCache, "put", counted("put", TraceCache.put))
+        monkeypatch.setattr(sweep_backend, "generate", counted("generate", sweep_backend.generate))
+        n = len(sweep_instances)
+        cold = alpha_sweep(sweep_backend, sweep_instances, cache_dir=tmp_path)
+        assert calls == {"get": n, "put": n, "generate": 2 * n}
+        calls.update(get=0, put=0, generate=0)
+        assert alpha_sweep(sweep_backend, sweep_instances, cache_dir=tmp_path) == cold
+        assert calls == {"get": n, "put": 0, "generate": 0}
+
+    def test_cached_traces_read_back_exactly(self, mixed_backend_and_instances, tmp_path):
+        backend, instances = mixed_backend_and_instances
+        alpha_sweep(backend, instances, max_workers=2, cache_dir=tmp_path)
+        cache = TraceCache(tmp_path)
+        stored = 0
+        for inst in instances:
+            try:
+                generated = dual_generate(backend, inst.image_ref, inst.question)
+            except BackendError:
+                assert cache.get(inst.id, inst.image_ref, inst.question) is None
+                continue
+            assert cache.get(inst.id, inst.image_ref, inst.question) == generated
+            stored += 1
+        assert len(list(tmp_path.iterdir())) == stored == 44
+
     def test_truncated_cache_file_is_regenerated(self, sweep_backend, sweep_instances, tmp_path):
         cache_dir = tmp_path / "traces"
         fresh = alpha_sweep(sweep_backend, sweep_instances, cache_dir=cache_dir)
-        torn = cache_dir / "swp2.cot.json"
+        torn = cache_dir / "swp2.json"
         intact = torn.read_text()
         torn.write_text(intact[: len(intact) // 2])
         assert alpha_sweep(sweep_backend, sweep_instances, cache_dir=cache_dir) == fresh
         assert torn.read_text() == intact
+
+    @pytest.mark.parametrize("changed", ["question", "image_ref"])
+    def test_stale_entry_is_regenerated(self, changed, tmp_path):
+        """Reusing a cache dir after the benchmark's questions (or images)
+        changed must give the fresh answers, not the stale traces'."""
+        entries = {}
+        for image_ref, question, answer in (("img", "old?", "A"), ("img", "new?", "B"),
+                                            ("img2", "old?", "B")):
+            entries[(image_ref, question, "direct")] = make_trace(answer, 0.5, 0.5, "direct")
+            entries[(image_ref, question, "cot")] = make_trace(
+                f"The answer is {answer}.", 0.5, 0.5, "cot")
+        backend = MockBackend(entries=entries)
+        options = [["A", "x"], ["B", "y"]]
+        old = BenchmarkInstance(id="i1", image_ref="img", question="old?",
+                                options=options, gold_answer="B")
+        new = BenchmarkInstance(id="i1", image_ref="img2" if changed == "image_ref" else "img",
+                                question="old?" if changed == "image_ref" else "new?",
+                                options=options, gold_answer="B")
+        assert {acc for _, acc in alpha_sweep(backend, [old], cache_dir=tmp_path)} == {0.0}
+        assert {acc for _, acc in alpha_sweep(backend, [new], cache_dir=tmp_path)} == {1.0}
+        assert TraceCache(tmp_path).get("i1", new.image_ref, new.question) == dual_generate(
+            backend, new.image_ref, new.question)
 
     def test_grid_values_validated(self, sweep_backend, sweep_instances):
         with pytest.raises(ValueError):
@@ -276,22 +331,16 @@ class TestAlphaSweep:
 
 
 class TestTraceCache:
-    def test_memory_roundtrip(self):
-        cache = TraceCache()
-        t = make_trace("A", 0.5, 0.5, "direct")
-        cache.put("i1", "direct", t)
-        assert cache.get("i1", "direct") == t
-        assert cache.get("i1", "cot") is None
-
     def test_awkward_ids_are_safe_filenames(self, tmp_path):
         cache = TraceCache(tmp_path)
-        t = make_trace("A", 0.5, 0.5, "direct")
-        cache.put("weird/id:1", "direct", t)
-        assert TraceCache(tmp_path).get("weird/id:1", "direct") == t
+        pair = (make_trace("A", 0.5, 0.5, "direct"), make_trace("The answer is B.", 0.3, 0.7, "cot"))
+        cache.put("weird/id:1", "img", "q?", *pair)
+        assert [p.name for p in tmp_path.iterdir()] == ["weird%2Fid%3A1.json"]
+        assert TraceCache(tmp_path).get("weird/id:1", "img", "q?") == pair
 
     def test_failed_write_keeps_the_old_entry(self, tmp_path, monkeypatch):
-        old = make_trace("A", 0.5, 0.5, "direct")
-        TraceCache(tmp_path).put("i1", "direct", old)
+        old = (make_trace("A", 0.5, 0.5, "direct"), make_trace("A", 0.5, 0.5, "cot"))
+        TraceCache(tmp_path).put("i1", "img", "q?", *old)
 
         def failing_replace(src, dst):
             assert Path(src).read_text()  # the new entry was written in full first
@@ -299,15 +348,44 @@ class TestTraceCache:
 
         monkeypatch.setattr(evalharness.os, "replace", failing_replace)
         with pytest.raises(OSError, match="disk full"):
-            TraceCache(tmp_path).put("i1", "direct", make_trace("B", 0.5, 0.5, "direct"))
-        assert TraceCache(tmp_path).get("i1", "direct") == old
-        assert [p.name for p in tmp_path.iterdir()] == ["i1.direct.json"]
+            TraceCache(tmp_path).put("i1", "img", "q?", make_trace("B", 0.5, 0.5, "direct"),
+                                     make_trace("B", 0.5, 0.5, "cot"))
+        assert TraceCache(tmp_path).get("i1", "img", "q?") == old
+        assert [p.name for p in tmp_path.iterdir()] == ["i1.json"]
+
+    def test_successful_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        unlinked = []
+        monkeypatch.setattr(Path, "unlink", lambda self, **kw: unlinked.append(self))
+        TraceCache(tmp_path).put("i1", "img", "q?", make_trace("A", 0.5, 0.5, "direct"),
+                                 make_trace("A", 0.5, 0.5, "cot"))
+        assert [p.name for p in tmp_path.iterdir()] == ["i1.json"]
+        assert unlinked == []
 
     @pytest.mark.parametrize("content", ["", "{\"text\": ", "[]", "{}",
-                                         '{"text": "A", "token_logprobs": [NaN]}'])
+                                         '{"text": "A", "token_logprobs": [NaN]}', '"text"'])
     def test_unreadable_entry_is_a_miss(self, tmp_path, content):
-        (tmp_path / "i1.direct.json").write_text(content)
-        assert TraceCache(tmp_path).get("i1", "direct") is None
+        (tmp_path / "i1.json").write_text(content)
+        assert TraceCache(tmp_path).get("i1", "img", "q?") is None
+
+    @pytest.mark.parametrize("key, value", [
+        ("direct", []),
+        ("cot", "The answer is A."),
+        ("question", None),
+        ("img_rep", [1.0, 0.0, 0.0]),
+        ("img_rep", [0.0, 0.0]),
+        ("txt_rep", []),
+    ])
+    def test_invalid_entry_is_a_miss(self, tmp_path, key, value):
+        TraceCache(tmp_path).put("i1", "img", "q?", make_trace("A", 0.5, 0.5, "direct"),
+                                 make_trace("A", 0.5, 0.5, "cot"))
+        path = tmp_path / "i1.json"
+        entry = json.loads(path.read_text())
+        if key in entry:
+            entry[key] = value
+        else:
+            entry["direct"][key] = value
+        path.write_text(json.dumps(entry))
+        assert TraceCache(tmp_path).get("i1", "img", "q?") is None
 
 
 class TestEmitReport:
