@@ -33,6 +33,7 @@ __all__ = [
     "BackendError",
     "RetryableTransportError",
     "CapabilityError",
+    "MalformedReplyError",
     "DecodingConfig",
     "BackendRequest",
     "GenerationTrace",
@@ -85,6 +86,13 @@ class RetryableTransportError(BackendError):
 
 class CapabilityError(BackendError):
     """The service reply lacks a required capability (e.g. logprobs)."""
+
+
+class MalformedReplyError(BackendError, ValueError):
+    """The service replied with trace fields that are not a valid trace
+    (non-numeric or non-finite logprobs, representations of unequal length,
+    ...). The service is at fault, so it is a ``BackendError``; it stays a
+    ``ValueError`` like every other invalid trace."""
 
 
 @dataclass(frozen=True)
@@ -262,10 +270,12 @@ class MockBackend:
 class RemoteBackend:
     """Client for a logprob-capable HTTP inference service.
 
-    Retries transport failures, 5xx and 429 replies up to ``retries`` times
-    and bounds the number of in-flight requests, so one instance can be
-    shared across eval workers. Logprobs are never fabricated: a reply
-    without them raises ``CapabilityError``.
+    Makes up to ``retries`` attempts on transport failures, 5xx and 429
+    replies and bounds the number of in-flight requests, so one instance
+    can be shared across eval workers. Before attempt k+1 it waits
+    ``retry_wait * 2**(k-1)`` seconds, or what a 429 or 503 reply's
+    delta-seconds ``Retry-After`` asks, capped at ``timeout``. Logprobs are
+    never fabricated: a reply without them raises ``CapabilityError``.
     """
 
     def __init__(
@@ -296,6 +306,7 @@ class RemoteBackend:
         last_error = None
         for attempt in range(1, self.retries + 1):
             request = urllib.request.Request(self.endpoint, data=body, headers=headers)
+            wait = self.retry_wait * 2 ** (attempt - 1)
             try:
                 with self._slots:
                     with urllib.request.urlopen(request, timeout=self.timeout) as resp:
@@ -304,11 +315,14 @@ class RemoteBackend:
             except urllib.error.HTTPError as exc:
                 if exc.code < 500 and exc.code != 429:
                     raise BackendError(f"service rejected request: HTTP {exc.code}") from exc
+                retry_after = (exc.headers.get("Retry-After") or "").strip()
+                if exc.code in (429, 503) and retry_after.isascii() and retry_after.isdigit():
+                    wait = min(float(retry_after), self.timeout)
                 last_error = exc
             except (urllib.error.URLError, OSError, http.client.HTTPException) as exc:
                 last_error = exc
             if attempt < self.retries:
-                time.sleep(self.retry_wait * attempt)
+                time.sleep(wait)
         else:
             raise RetryableTransportError(
                 f"transport failed after {self.retries} attempts: {last_error}",
@@ -354,13 +368,16 @@ class RemoteBackend:
                 "representations (similarity score pinned at 0.5)"
             )
             img_rep, txt_rep = NEUTRAL_IMG_REP, NEUTRAL_TXT_REP
-        return GenerationTrace(
-            text=reply["text"],
-            token_logprobs=logprobs,
-            img_rep=img_rep,
-            txt_rep=txt_rep,
-            prompt_mode=req.prompt_mode,
-        )
+        try:
+            return GenerationTrace(
+                text=reply["text"],
+                token_logprobs=logprobs,
+                img_rep=img_rep,
+                txt_rep=txt_rep,
+                prompt_mode=req.prompt_mode,
+            )
+        except ValueError as exc:
+            raise MalformedReplyError(f"service reply is not a valid trace: {exc}") from exc
 
     def complete_text(self, prompt: str, decoding: DecodingConfig | None = None) -> str:
         decoding = decoding or DecodingConfig()

@@ -292,10 +292,15 @@ def dispatch(argv) -> int:
     except _ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except BackendError as exc:
+        # before ValueError: a malformed service reply is both, and the
+        # service is at fault
+        print(f"failure: {exc}", file=sys.stderr)
+        return 2
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (BackendError, DivergenceError, RuntimeError, OSError) as exc:
+    except (DivergenceError, RuntimeError, OSError) as exc:
         print(f"failure: {exc}", file=sys.stderr)
         return 2
 

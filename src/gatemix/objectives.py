@@ -87,7 +87,7 @@ def similarity_matrix(
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
     for name, t in (("img", reps.img), ("txt", reps.txt)):
-        if np.any((t.data * t.data).sum(axis=1) == 0.0):
+        if ((t.data * t.data).sum(axis=1) == 0.0).any():
             raise DegenerateVectorError(f"similarity_matrix: zero-norm {name} row")
     b = reps.b
     dots = matmul(reps.img, reps.txt.transpose())                    # b x b
@@ -110,12 +110,12 @@ def creg_loss(sm: SimilarityMatrix) -> Tensor:
     S = sm.S
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise ShapeError(f"creg_loss: similarity matrix must be square, got {S.shape}")
-    if np.any(S.data <= 0.0):
+    if (S.data <= 0.0).any():
         raise InvalidSimilarityError(
             "creg_loss: non-positive similarity entries; use the exp-cosine mode"
         )
     b = S.shape[0]
-    eye = Tensor(np.eye(b))
+    eye = Tensor._raw(np.eye(b))
     diag = (S * eye).sum(axis=1)      # (b,)
     col_sums = S.sum(axis=0)          # sum_j S_ji for each i
     row_sums = S.sum(axis=1)          # sum_j S_ij for each i
@@ -126,26 +126,28 @@ def creg_loss(sm: SimilarityMatrix) -> Tensor:
 def generation_loss(logits: Tensor, targets) -> Tensor:
     """Mean negative log-softmax probability of the target ids.
 
-    ``logits`` is T x V; ``targets`` holds T integer ids below V. The
-    log-sum-exp is computed with a constant per-row shift, so gradients are
-    exact.
+    ``logits`` is T x V; ``targets`` is a sequence or array of T integer
+    ids below V. The log-sum-exp is computed with a constant per-row shift,
+    so gradients are exact.
     """
     if logits.ndim != 2:
         raise ShapeError(f"generation_loss: logits must be rank 2, got {logits.shape}")
     t_count, vocab = logits.shape
-    ids = list(targets)
-    if len(ids) != t_count:
+    ids = np.asarray(targets)
+    if ids.shape != (t_count,):
         raise ShapeError(
-            f"generation_loss: {len(ids)} targets for {t_count} logit rows"
+            f"generation_loss: {ids.size} targets for {t_count} logit rows"
         )
-    for tid in ids:
-        if not (0 <= int(tid) < vocab):
-            raise ValueError(f"generation_loss: target id {tid} out of range for vocab {vocab}")
+    out_of_range = (ids < 0) | (ids >= vocab)
+    if out_of_range.any():
+        tid = ids[out_of_range.argmax()]
+        raise ValueError(f"generation_loss: target id {tid} out of range for vocab {vocab}")
     onehot = np.zeros((t_count, vocab))
-    onehot[np.arange(t_count), np.asarray(ids, dtype=int)] = 1.0
-    picked = (logits * Tensor(onehot)).sum(axis=1)                    # (T,)
+    onehot[np.arange(t_count), ids] = 1.0
+    picked = (logits * Tensor._raw(onehot)).sum(axis=1)               # (T,)
     row_max = logits.data.max(axis=1, keepdims=True)                  # constant shift
-    lse = (logits - Tensor(row_max)).exp().sum(axis=1).log() + Tensor(row_max.reshape(-1))
+    shift = Tensor._raw(row_max)
+    lse = (logits - shift).exp().sum(axis=1).log() + Tensor._raw(row_max.reshape(-1))
     return (lse - picked).mean()
 
 

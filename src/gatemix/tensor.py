@@ -10,14 +10,20 @@ Conventions:
   * leaves built with ``requires_grad=True`` allocate a zero grad buffer at
     construction; op outputs only propagate the flag, so ``backward``
     deposits gradients exclusively into leaves;
-  * ops record onto the innermost active ``Graph``; with no graph active
-    (or under ``no_grad``) every op is a plain numpy computation;
+  * ops record onto the innermost active ``Graph`` when an input requires
+    grad; otherwise (no graph active, ``no_grad`` innermost, or only
+    constant inputs) an op reads the graph stack once and returns a bare
+    output: no backward closure, no tape record, no grad flag. Both paths
+    run the same numpy arithmetic, so their values agree bit for bit;
+  * Python number constants in arithmetic (``1.0 - t``, ``t * lam``) are
+    checked with ``math.isfinite`` and wrapped without a validating copy;
   * random initialisation goes through ``make_rng`` (numpy's PCG64), so
     every draw is reproducible from an integer seed.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -74,7 +80,9 @@ class Tensor:
 
     @classmethod
     def _raw(cls, arr: np.ndarray) -> "Tensor":
-        # Internal fast path for op outputs: no copy, no validation, no buffer.
+        # Internal fast path for op outputs and for constants built from finite
+        # data (identity and one-hot matrices, row maxima): no copy, no
+        # validation, no buffer.
         t = object.__new__(cls)
         t.data = arr
         t.requires_grad = False
@@ -219,14 +227,29 @@ class no_grad:
 
 
 def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
+    if isinstance(x, Tensor):
+        return x
+    if isinstance(x, (float, int)):
+        if not math.isfinite(x):
+            raise ValueError("tensor data must be finite")
+        return Tensor._raw(np.array(x, dtype=np.float64))
+    return Tensor(x)
 
 
-def _record(op: str, inputs: tuple, out: Tensor, grad_fn) -> Tensor:
-    g = Graph.current()
-    if g is not None and any(t.requires_grad for t in inputs):
-        out.requires_grad = True
-        g.records.append(_OpRecord(op, inputs, out, grad_fn))
+def _tape(inputs: tuple) -> Optional[Graph]:
+    """The graph an op over ``inputs`` records onto, or None when nothing
+    records (no graph, ``no_grad`` innermost, or no input requires grad)."""
+    stack = getattr(_graph_state, "stack", None)
+    tape = stack[-1] if stack else None
+    if tape is not None and any(t.requires_grad for t in inputs):
+        return tape
+    return None
+
+
+def _record(tape: Graph, op: str, inputs: tuple, out_data: np.ndarray, grad_fn) -> Tensor:
+    out = Tensor._raw(out_data)
+    out.requires_grad = True
+    tape.records.append(_OpRecord(op, inputs, out, grad_fn))
     return out
 
 
@@ -248,54 +271,60 @@ def _binary(op: str, a, b, fn, grad_fn_builder) -> Tensor:
     except ValueError as exc:
         raise ShapeError(f"{op}: incompatible shapes {a.shape} and {b.shape}") from exc
     # np.asarray keeps 0-d results 0-d (ascontiguousarray would promote to 1-d)
-    out = Tensor._raw(np.asarray(out_data))
-    return _record(op, (a, b), out, grad_fn_builder(a, b))
+    out_data = np.asarray(out_data)
+    tape = _tape((a, b))
+    if tape is None:
+        return Tensor._raw(out_data)
+    return _record(tape, op, (a, b), out_data, grad_fn_builder(a, b))
+
+
+def _add_grad(a, b):
+    def grad_fn(g):
+        return _reduce_to(g, a.shape), _reduce_to(g, b.shape)
+
+    return grad_fn
 
 
 def _add(a, b) -> Tensor:
-    def build(a, b):
-        def grad_fn(g):
-            return _reduce_to(g, a.shape), _reduce_to(g, b.shape)
+    return _binary("add", a, b, np.add, _add_grad)
 
-        return grad_fn
 
-    return _binary("add", a, b, np.add, build)
+def _sub_grad(a, b):
+    def grad_fn(g):
+        return _reduce_to(g, a.shape), _reduce_to(-g, b.shape)
+
+    return grad_fn
 
 
 def _sub(a, b) -> Tensor:
-    def build(a, b):
-        def grad_fn(g):
-            return _reduce_to(g, a.shape), _reduce_to(-g, b.shape)
+    return _binary("sub", a, b, np.subtract, _sub_grad)
 
-        return grad_fn
 
-    return _binary("sub", a, b, np.subtract, build)
+def _mul_grad(a, b):
+    def grad_fn(g):
+        return _reduce_to(g * b.data, a.shape), _reduce_to(g * a.data, b.shape)
+
+    return grad_fn
 
 
 def _mul(a, b) -> Tensor:
-    def build(a, b):
-        def grad_fn(g):
-            return _reduce_to(g * b.data, a.shape), _reduce_to(g * a.data, b.shape)
+    return _binary("mul", a, b, np.multiply, _mul_grad)
 
-        return grad_fn
 
-    return _binary("mul", a, b, np.multiply, build)
+def _div_grad(a, b):
+    def grad_fn(g):
+        ga = _reduce_to(g / b.data, a.shape)
+        gb = _reduce_to(-g * a.data / (b.data * b.data), b.shape)
+        return ga, gb
+
+    return grad_fn
 
 
 def _div(a, b) -> Tensor:
-    b_t = _as_tensor(b)
-    if np.any(b_t.data == 0.0):
+    b = _as_tensor(b)
+    if (b.data == 0.0).any():
         raise ValueError("div: zero denominator")
-
-    def build(a, b):
-        def grad_fn(g):
-            ga = _reduce_to(g / b.data, a.shape)
-            gb = _reduce_to(-g * a.data / (b.data * b.data), b.shape)
-            return ga, gb
-
-        return grad_fn
-
-    return _binary("div", a, b_t, np.divide, build)
+    return _binary("div", a, b, np.divide, _div_grad)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -306,24 +335,30 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul: needs rank-2 operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: inner dims disagree for {a.shape} x {b.shape}")
-    out = Tensor._raw(a.data @ b.data)
+    out_data = a.data @ b.data
+    tape = _tape((a, b))
+    if tape is None:
+        return Tensor._raw(out_data)
 
     def grad_fn(g):
         return g @ b.data.T, a.data.T @ g
 
-    return _record("matmul", (a, b), out, grad_fn)
+    return _record(tape, "matmul", (a, b), out_data, grad_fn)
 
 
 def _transpose(x: Tensor) -> Tensor:
     x = _as_tensor(x)
     if x.ndim != 2:
         raise ShapeError(f"transpose: needs rank 2, got {x.shape}")
-    out = Tensor._raw(np.ascontiguousarray(x.data.T))
+    out_data = np.ascontiguousarray(x.data.T)
+    tape = _tape((x,))
+    if tape is None:
+        return Tensor._raw(out_data)
 
     def grad_fn(g):
         return (np.ascontiguousarray(g.T),)
 
-    return _record("transpose", (x,), out, grad_fn)
+    return _record(tape, "transpose", (x,), out_data, grad_fn)
 
 
 def _reshape(x: Tensor, shape) -> Tensor:
@@ -331,66 +366,80 @@ def _reshape(x: Tensor, shape) -> Tensor:
     shape = tuple(int(s) for s in shape)
     if int(np.prod(shape, dtype=np.int64)) != x.size:
         raise ShapeError(f"reshape: cannot view {x.shape} as {shape}")
-    out = Tensor._raw(x.data.reshape(shape).copy())
+    out_data = x.data.reshape(shape).copy()
+    tape = _tape((x,))
+    if tape is None:
+        return Tensor._raw(out_data)
 
     def grad_fn(g):
         return (g.reshape(x.shape),)
 
-    return _record("reshape", (x,), out, grad_fn)
+    return _record(tape, "reshape", (x,), out_data, grad_fn)
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    """Elementwise logistic function, clamped strictly inside (0, 1)."""
+    """Elementwise logistic function, clamped strictly inside (0, 1).
+
+    With ``e = exp(-|v|)`` (never overflows) the value is ``1 / (1 + e)``
+    for ``v >= 0`` and ``e / (1 + e)`` below zero.
+    """
     x = _as_tensor(x)
     v = x.data
-    out_data = np.empty_like(v)
-    pos = v >= 0
-    out_data[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    ex = np.exp(v[~pos])
-    out_data[~pos] = ex / (1.0 + ex)
+    e = np.exp(-np.abs(v))
+    out_data = np.where(v >= 0, 1.0, e)
+    out_data /= 1.0 + e
     np.clip(out_data, _SIG_LO, _SIG_HI, out=out_data)
-    out = Tensor._raw(out_data)
+    tape = _tape((x,))
+    if tape is None:
+        return Tensor._raw(out_data)
 
     def grad_fn(g):
         return (g * out_data * (1.0 - out_data),)
 
-    return _record("sigmoid", (x,), out, grad_fn)
+    return _record(tape, "sigmoid", (x,), out_data, grad_fn)
 
 
 def _exp(x: Tensor) -> Tensor:
     x = _as_tensor(x)
     out_data = np.exp(x.data)
-    out = Tensor._raw(out_data)
+    tape = _tape((x,))
+    if tape is None:
+        return Tensor._raw(out_data)
 
     def grad_fn(g):
         return (g * out_data,)
 
-    return _record("exp", (x,), out, grad_fn)
+    return _record(tape, "exp", (x,), out_data, grad_fn)
 
 
 def _log(x: Tensor) -> Tensor:
     x = _as_tensor(x)
-    if np.any(x.data <= 0.0):
+    if (x.data <= 0.0).any():
         raise ValueError("log: requires strictly positive input")
-    out = Tensor._raw(np.log(x.data))
+    out_data = np.log(x.data)
+    tape = _tape((x,))
+    if tape is None:
+        return Tensor._raw(out_data)
 
     def grad_fn(g):
         return (g / x.data,)
 
-    return _record("log", (x,), out, grad_fn)
+    return _record(tape, "log", (x,), out_data, grad_fn)
 
 
 def _sqrt(x: Tensor) -> Tensor:
     x = _as_tensor(x)
-    if np.any(x.data <= 0.0):
+    if (x.data <= 0.0).any():
         raise ValueError("sqrt: requires strictly positive input")
     out_data = np.sqrt(x.data)
-    out = Tensor._raw(out_data)
+    tape = _tape((x,))
+    if tape is None:
+        return Tensor._raw(out_data)
 
     def grad_fn(g):
         return (g * 0.5 / out_data,)
 
-    return _record("sqrt", (x,), out, grad_fn)
+    return _record(tape, "sqrt", (x,), out_data, grad_fn)
 
 
 def _sum(x: Tensor, axis: Optional[int] = None) -> Tensor:
@@ -399,7 +448,10 @@ def _sum(x: Tensor, axis: Optional[int] = None) -> Tensor:
         raise ValueError(f"sum: axis must be None, 0 or 1, got {axis}")
     if axis is not None and x.ndim != 2:
         raise ShapeError(f"sum over an axis needs rank 2, got {x.shape}")
-    out = Tensor._raw(np.asarray(x.data.sum(axis=axis)))
+    out_data = np.asarray(x.data.sum(axis=axis))
+    tape = _tape((x,))
+    if tape is None:
+        return Tensor._raw(out_data)
 
     def grad_fn(g):
         if axis is None:
@@ -408,7 +460,7 @@ def _sum(x: Tensor, axis: Optional[int] = None) -> Tensor:
             return (np.broadcast_to(g, x.shape).copy(),)
         return (np.broadcast_to(g[:, None], x.shape).copy(),)
 
-    return _record("sum", (x,), out, grad_fn)
+    return _record(tape, "sum", (x,), out_data, grad_fn)
 
 
 def _mean(x: Tensor, axis: Optional[int] = None) -> Tensor:
@@ -420,7 +472,10 @@ def _mean(x: Tensor, axis: Optional[int] = None) -> Tensor:
     n = x.size if axis is None else x.shape[axis]
     if n == 0:
         raise ValueError("mean: empty input")
-    out = Tensor._raw(np.asarray(x.data.mean(axis=axis)))
+    out_data = np.asarray(x.data.mean(axis=axis))
+    tape = _tape((x,))
+    if tape is None:
+        return Tensor._raw(out_data)
 
     def grad_fn(g):
         if axis is None:
@@ -429,7 +484,7 @@ def _mean(x: Tensor, axis: Optional[int] = None) -> Tensor:
             return (np.broadcast_to(g / n, x.shape).copy(),)
         return (np.broadcast_to(g[:, None] / n, x.shape).copy(),)
 
-    return _record("mean", (x,), out, grad_fn)
+    return _record(tape, "mean", (x,), out_data, grad_fn)
 
 
 def mean_pool(x: Tensor) -> Tensor:
@@ -444,7 +499,7 @@ def mean_pool(x: Tensor) -> Tensor:
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     """Concatenate rank-1 or rank-2 tensors along the given axis."""
-    ts = [_as_tensor(t) for t in tensors]
+    ts = tuple(_as_tensor(t) for t in tensors)
     if not ts:
         raise ValueError("concat: empty input list")
     ndim = ts[0].ndim
@@ -457,7 +512,10 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
         raise ShapeError(
             f"concat: non-concat dims differ: {[t.shape for t in ts]}"
         )
-    out = Tensor._raw(np.concatenate([t.data for t in ts], axis=axis))
+    out_data = np.concatenate([t.data for t in ts], axis=axis)
+    tape = _tape(ts)
+    if tape is None:
+        return Tensor._raw(out_data)
     sizes = [t.shape[axis] for t in ts]
 
     def grad_fn(g):
@@ -469,7 +527,7 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
             start += s
         return tuple(grads)
 
-    return _record("concat", tuple(ts), out, grad_fn)
+    return _record(tape, "concat", ts, out_data, grad_fn)
 
 
 def cosine_sim(u, v) -> float:

@@ -14,7 +14,7 @@ schemas only; nothing in this package executes them.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -65,13 +65,33 @@ class SyntheticBatch:
     """Paired synthetic features and text representations.
 
     ``latents[i]`` is the hidden vector that generated both ``feats[i]`` and
-    ``txt_reps`` row i; it is exposed so tests can check the pairing.
+    ``txt_reps`` row i; it is exposed so tests can check the pairing. A
+    batch is read-only once drawn: ``stage1_loss`` builds its constants on
+    first use and reuses them on every later call.
     """
 
     feats: list
     target_tokens: list
     txt_reps: Tensor
     latents: np.ndarray
+    _stage1: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def stage1_constants(self, n_prefix: int) -> tuple:
+        """(stacked features, pooling matrix, tiling matrix, flat targets) of
+        ``stage1_loss`` for a connector with ``n_prefix`` prefix rows."""
+        if n_prefix not in self._stage1:
+            b = len(self.feats)
+            stacked = EncoderFeatures(
+                v_v=Tensor(np.concatenate([f.v_v.data for f in self.feats])),
+                v_c=Tensor(np.concatenate([f.v_c.data for f in self.feats])),
+            )
+            n_tokens = np.array([f.v_v.shape[0] for f in self.feats])
+            pool = np.hstack([np.ones((b, n_prefix)), np.repeat(np.eye(b), n_tokens, axis=1)])
+            pool /= (n_prefix + n_tokens)[:, None]
+            tile = np.repeat(np.eye(b), [len(t) for t in self.target_tokens], axis=0)
+            targets = np.array([t for targets in self.target_tokens for t in targets], dtype=int)
+            self._stage1[n_prefix] = (stacked, Tensor(pool), Tensor(tile), targets)
+        return self._stage1[n_prefix]
 
 
 @dataclass
@@ -194,22 +214,14 @@ def stage1_loss(
     ``pool_map`` and ``readout`` once; a constant one-hot matrix tiles each
     item's logit row over its targets, and one token loss averages over all
     targets, which is the mean of per-item losses as every item carries
-    ``TARGET_LEN`` targets.
+    ``TARGET_LEN`` targets. The stacked streams and both constant matrices
+    are built once per batch (see ``SyntheticBatch.stage1_constants``).
     """
-    b = len(batch.feats)
-    stacked = EncoderFeatures(
-        v_v=Tensor(np.concatenate([f.v_v.data for f in batch.feats])),
-        v_c=Tensor(np.concatenate([f.v_c.data for f in batch.feats])),
-    )
+    stacked, pool, tile, targets = batch.stage1_constants(params.h_p.shape[0])
     h_img0 = forward(stacked, params).h_img0  # (n_prefix + sum n_i) x d_llm
-    n_prefix = params.h_p.shape[0]
-    n_tokens = np.array([f.v_v.shape[0] for f in batch.feats])
-    pool = np.hstack([np.ones((b, n_prefix)), np.repeat(np.eye(b), n_tokens, axis=1)])
-    pool /= (n_prefix + n_tokens)[:, None]
-    img = matmul(matmul(Tensor(pool), h_img0), standins.pool_map)  # b x d_llm
-    tile = Tensor(np.repeat(np.eye(b), [len(t) for t in batch.target_tokens], axis=0))
+    img = matmul(matmul(pool, h_img0), standins.pool_map)  # b x d_llm
     logits = matmul(tile, matmul(img, standins.readout))  # sum T_i x V
-    gen = generation_loss(logits, [t for targets in batch.target_tokens for t in targets])
+    gen = generation_loss(logits, targets)
     creg = creg_loss(similarity_matrix(BatchRepresentations(img=img, txt=batch.txt_reps)))
     return stage1_objective(gen, creg, lam)
 

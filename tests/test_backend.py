@@ -9,12 +9,14 @@ from pathlib import Path
 
 import pytest
 
+from gatemix import backend as backend_module
 from gatemix.backend import (
     BackendError,
     BackendRequest,
     CapabilityError,
     DecodingConfig,
     GenerationTrace,
+    MalformedReplyError,
     MockBackend,
     RemoteBackend,
     RetryableTransportError,
@@ -24,7 +26,8 @@ from gatemix.backend import (
     trace_from_dict,
     trace_to_dict,
 )
-from gatemix.evalharness import BenchmarkInstance, run_eval
+from gatemix.cli import dispatch
+from gatemix.evalharness import BenchmarkInstance, alpha_sweep, run_eval
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -186,12 +189,16 @@ class _StubHandler(BaseHTTPRequestHandler):
     requests: list = []
     missing_bytes: int = 0  # declared in Content-Length but never sent
     statuses: list = []  # status of each next request; 200 once used up
+    extra_headers: dict = {}  # sent with every non-200 reply
 
     def do_POST(self):
         length = int(self.headers["Content-Length"])
         type(self).requests.append(json.loads(self.rfile.read(length)))
         body = json.dumps(type(self).reply).encode()
-        self.send_response(type(self).statuses.pop(0) if type(self).statuses else 200)
+        status = type(self).statuses.pop(0) if type(self).statuses else 200
+        self.send_response(status)
+        for name, value in (type(self).extra_headers.items() if status != 200 else ()):
+            self.send_header(name, value)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body) + type(self).missing_bytes))
         self.end_headers()
@@ -209,9 +216,18 @@ def stub_server():
     _StubHandler.requests = []
     _StubHandler.missing_bytes = 0
     _StubHandler.statuses = []
+    _StubHandler.extra_headers = {}
     yield f"http://127.0.0.1:{server.server_port}", _StubHandler
     server.shutdown()
     thread.join(timeout=5)
+
+
+@pytest.fixture()
+def sleeps(monkeypatch):
+    """The waits between retries, recorded instead of slept."""
+    waits = []
+    monkeypatch.setattr(backend_module.time, "sleep", waits.append)
+    return waits
 
 
 class TestRemoteBackend:
@@ -263,6 +279,44 @@ class TestRemoteBackend:
         with pytest.raises(ValueError):
             RemoteBackend(endpoint).generate(req)
 
+    @pytest.mark.parametrize("reply", [
+        {"text": "B", "logprobs": [None]},
+        {"text": "B", "logprobs": ["-0.1x"]},
+        {"text": "B", "logprobs": [float("nan")]},
+        {"text": 5, "logprobs": [-0.1]},
+        {"text": "B", "logprobs": [-0.1], "embeddings": {"prompt": 1, "completion": [0.0]}},
+        {"text": "B", "logprobs": [-0.1], "embeddings": {"prompt": [1.0, 0.0], "completion": [1.0]}},
+    ])
+    def test_malformed_trace_fields_are_backend_errors(self, stub_server, reply):
+        # the service is at fault, not the caller's input
+        endpoint, handler = stub_server
+        handler.reply = reply
+        req = BackendRequest("img1", QUESTION, "direct", default_decoding("direct"))
+        with pytest.raises(MalformedReplyError, match="not a valid trace") as exc:
+            RemoteBackend(endpoint).generate(req)
+        assert isinstance(exc.value, BackendError)
+        assert len(handler.requests) == 1
+
+    def test_malformed_reply_is_an_instance_error(self, stub_server):
+        endpoint, handler = stub_server
+        handler.reply = {"text": "B", "logprobs": [float("nan")]}
+        inst = BenchmarkInstance(id="i1", image_ref="img1", question=QUESTION,
+                                 options=[("A", "red"), ("B", "blue")], gold_answer="B")
+        report = run_eval(RemoteBackend(endpoint), [inst], "sv")
+        assert [r["branch"] for r in report.records] == ["error"]
+        assert "not a valid trace" in report.records[0]["error"]
+        assert alpha_sweep(RemoteBackend(endpoint), [inst], grid=[0.0, 0.7]) == [(0.0, 0.0), (0.7, 0.0)]
+
+    def test_malformed_reply_exits_2_from_the_cli(self, stub_server, tmp_path, capsys):
+        endpoint, handler = stub_server
+        handler.reply = {"text": "B", "logprobs": [-0.1],
+                         "embeddings": {"prompt": [1.0, 0.0], "completion": [1.0]}}
+        code = dispatch(["verify", "--image-ref", "img1", "--question", QUESTION,
+                         "--option", "red", "--option", "blue",
+                         "--backend", f"remote:{endpoint}", "--out", str(tmp_path)])
+        assert code == 2
+        assert "not a valid trace" in capsys.readouterr().err
+
     def test_missing_embeddings_degrades_to_neutral(self, stub_server, caplog):
         endpoint, handler = stub_server
         handler.reply = {"text": "B", "logprobs": [-0.1]}
@@ -303,6 +357,45 @@ class TestRemoteBackend:
         req = BackendRequest("img1", QUESTION, "direct", default_decoding("direct"))
         assert backend.generate(req).text == "B"
         assert len(handler.requests) == 2
+
+    @pytest.mark.parametrize("status", [429, 503])
+    def test_retry_after_is_honoured(self, stub_server, sleeps, status):
+        endpoint, handler = stub_server
+        handler.reply = {"text": "B", "logprobs": [-0.1]}
+        handler.statuses = [status]
+        handler.extra_headers = {"Retry-After": "2"}
+        backend = RemoteBackend(endpoint, retries=2, retry_wait=0.0)
+        req = BackendRequest("img1", QUESTION, "direct", default_decoding("direct"))
+        assert backend.generate(req).text == "B"
+        assert sleeps == [2.0]
+
+    def test_retry_after_is_capped_at_the_timeout(self, stub_server, sleeps):
+        endpoint, handler = stub_server
+        handler.reply = {"text": "B", "logprobs": [-0.1]}
+        handler.statuses = [503]
+        handler.extra_headers = {"Retry-After": "120"}
+        backend = RemoteBackend(endpoint, retries=2, retry_wait=0.0, timeout=5.0)
+        req = BackendRequest("img1", QUESTION, "direct", default_decoding("direct"))
+        assert backend.generate(req).text == "B"
+        assert sleeps == [5.0]
+
+    @pytest.mark.parametrize("status, headers", [
+        (500, {}),
+        (503, {}),
+        (500, {"Retry-After": "3"}),  # only 429 and 503 carry a usable Retry-After
+        (429, {"Retry-After": "Wed, 21 Oct 2026 07:28:00 GMT"}),  # not delta-seconds
+        (503, {"Retry-After": "-1"}),
+    ])
+    def test_backoff_is_exponential_otherwise(self, stub_server, sleeps, status, headers):
+        endpoint, handler = stub_server
+        handler.reply = {"text": "B", "logprobs": [-0.1]}
+        handler.statuses = [status] * 3
+        handler.extra_headers = headers
+        backend = RemoteBackend(endpoint, retries=4, retry_wait=0.1)
+        req = BackendRequest("img1", QUESTION, "direct", default_decoding("direct"))
+        assert backend.generate(req).text == "B"
+        assert sleeps == [0.1, 0.2, 0.4]
+        assert len(handler.requests) == 4
 
     @pytest.mark.parametrize("status", [400, 404])
     def test_client_error_is_not_retried(self, stub_server, status):

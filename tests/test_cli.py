@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from gatemix import cli
+from gatemix.backend import MalformedReplyError
 from gatemix.cli import dispatch
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -190,6 +192,25 @@ class TestExitCodes:
             ]
         )
         assert code == 1
+
+
+    def test_malformed_service_reply_is_service_failure(self, tmp_path, monkeypatch, capsys):
+        # MalformedReplyError is also a ValueError; the service is still at fault
+        def malformed(*args, **kwargs):
+            raise MalformedReplyError("service reply is not a valid trace: logprobs must be finite")
+
+        monkeypatch.setattr(cli, "dual_generate", malformed)
+        code = dispatch(
+            [
+                "verify",
+                "--image-ref", "img-h1",
+                "--question", "question h1",
+                "--backend", EASY_HARD,
+                "--out", str(tmp_path / "v"),
+            ]
+        )
+        assert code == 2
+        assert "failure: service reply is not a valid trace" in capsys.readouterr().err
 
 
 class TestConfigPrecedence:

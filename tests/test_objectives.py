@@ -23,6 +23,7 @@ from gatemix.tensor import (
     cosine_sim,
     finite_diff_check,
     make_rng,
+    no_grad,
 )
 
 
@@ -76,6 +77,29 @@ class TestSimilarityMatrix:
     def test_bad_tau_rejected(self):
         with pytest.raises(ValueError):
             similarity_matrix(_reps(np.eye(2), np.eye(2)), tau=0.0)
+
+
+class TestGuardsWithoutRecording:
+    """The domain guards fire the same whether or not the tape records."""
+
+    def test_zero_norm_row_rejected_under_no_grad(self):
+        reps = _reps(np.array([[1.0, 0.0], [0.0, 0.0]]), np.eye(2), grad=True)
+        with Graph(), no_grad():
+            with pytest.raises(DegenerateVectorError, match="zero-norm img row"):
+                similarity_matrix(reps)
+
+    def test_non_positive_entries_rejected_under_no_grad(self):
+        sm = SimilarityMatrix(S=Tensor(np.array([[1.0, -0.5], [0.2, 1.0]]), requires_grad=True))
+        with Graph(), no_grad():
+            with pytest.raises(InvalidSimilarityError, match="non-positive"):
+                creg_loss(sm)
+
+    def test_out_of_range_target_rejected_under_no_grad(self):
+        with no_grad():
+            with pytest.raises(ValueError, match="target id -1 out of range for vocab 4"):
+                generation_loss(Tensor(np.zeros((3, 4))), [0, -1, 2])
+            with pytest.raises(ValueError, match="target id 4 out of range for vocab 4"):
+                generation_loss(Tensor(np.zeros((3, 4))), np.array([0, 2, 4]))
 
 
 class TestCregLoss:

@@ -15,6 +15,7 @@ from gatemix.tensor import (
     make_rng,
     matmul,
     mean_pool,
+    no_grad,
     sigmoid,
 )
 
@@ -80,6 +81,22 @@ class TestSigmoid:
         x = rng.uniform(-30, 30, size=1000)
         s = sigmoid(Tensor(x)).data + sigmoid(Tensor(-x)).data
         np.testing.assert_allclose(s, 1.0, atol=1e-12)
+
+    def test_bit_identical_to_masked_two_branch_form(self):
+        def masked(v):
+            # the formula sigmoid used before its single-exp form, kept as reference
+            out = np.empty_like(v)
+            pos = v >= 0
+            out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
+            ex = np.exp(v[~pos])
+            out[~pos] = ex / (1.0 + ex)
+            return np.clip(out, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
+
+        extremes = [800.0, -800.0, 37.5, -37.5, 0.0, -0.0, 1e-300, -1e-300]
+        x = np.concatenate([make_rng(7).standard_normal(200_000), extremes])
+        assert sigmoid(Tensor(x)).data.tobytes() == masked(x).tobytes()
+        for v in extremes:
+            assert sigmoid(Tensor(v)).data.tobytes() == masked(np.array([v])).tobytes()
 
     def test_strictly_inside_unit_interval(self):
         rng = make_rng(42)
@@ -300,6 +317,54 @@ class TestComposedObjectiveGradients:
             )
             worst = max(worst, rel)
         assert worst <= 1e-5, f"worst relative error {worst:.3e}"
+
+
+class TestNoRecordPath:
+    """Ops record only inside a graph, outside ``no_grad``, and when an input
+    requires grad; otherwise they return bare outputs."""
+
+    def test_no_grad_inside_graph_records_nothing(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        with Graph() as g:
+            with no_grad():
+                y = (x * x).sum().log() + 1.0
+            z = x.sum()
+        assert [rec.op for rec in g.records] == ["sum"]
+        assert not y.requires_grad and y.grad is None
+        assert z.requires_grad
+
+    def test_graph_nested_in_no_grad_records_again(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        with no_grad():
+            with Graph() as g:
+                loss = (x * x).sum()
+            backward(g, loss)
+        assert [rec.op for rec in g.records] == ["mul", "sum"]
+        np.testing.assert_array_equal(x.grad, [2.0, 4.0])
+
+    def test_constant_inputs_record_nothing(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        with Graph() as g:
+            c = sigmoid(Tensor([0.5, -0.5]) * 2.0)
+            y = (c * x).sum()
+        assert [rec.op for rec in g.records] == ["mul", "sum"]
+        assert not c.requires_grad and y.requires_grad
+
+    @pytest.mark.parametrize("in_graph", [False, True])
+    @pytest.mark.parametrize("op, match", [
+        (lambda x: x / Tensor([1.0, 0.0]), "zero denominator"),
+        (lambda x: x / 0.0, "zero denominator"),
+        (lambda x: (x - 1.0).log(), "strictly positive"),
+        (lambda x: (x * 0.0).sqrt(), "strictly positive"),
+        (lambda x: x * float("nan"), "finite"),
+        (lambda x: x - float("inf"), "finite"),
+    ])
+    def test_guards_raise_under_no_grad(self, op, match, in_graph):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        with Graph() if in_graph else no_grad():
+            with no_grad():
+                with pytest.raises(ValueError, match=match):
+                    op(x)
 
 
 class TestTensorBasics:

@@ -7,7 +7,7 @@ import pytest
 from conftest import reference_stage1_loss
 from gatemix import training
 from gatemix.connector import ConnectorConfig, init_params
-from gatemix.tensor import Graph, backward
+from gatemix.tensor import Graph, backward, finite_diff_check, no_grad
 from gatemix.training import (
     STAGE2_REFERENCE_CONFIG,
     STAGE3_REFERENCE_CONFIG,
@@ -111,6 +111,60 @@ class TestBatchedObjective:
             tapes.append(_loss_and_grads(stage1_loss, params, synth_batch(0, b, CFG), standins)[2])
         assert calls == [4 * CFG.n_tokens, 16 * CFG.n_tokens]
         assert tapes[0] == tapes[1]
+
+
+    @pytest.mark.parametrize("b", [1, 4, 16])
+    def test_no_grad_pass_inside_graph_records_nothing_and_matches(self, b):
+        params = init_params(CFG, 0)
+        batch = synth_batch(0, b, CFG)
+        standins = FrozenStandins(CFG.d_llm)
+        with Graph() as g:
+            recorded = stage1_loss(params, batch, standins)
+            assert len(g.records) == 50
+            with no_grad():
+                probe = stage1_loss(params, batch, standins)
+            assert len(g.records) == 50
+        assert not probe.requires_grad
+        assert probe.item().hex() == recorded.item().hex()
+
+    def test_batch_constants_are_built_once(self):
+        params = init_params(CFG, 0)
+        batch = synth_batch(0, 4, CFG)
+        first = batch.stage1_constants(CFG.n_prefix)
+        stage1_loss(params, batch, FrozenStandins(CFG.d_llm))
+        assert batch.stage1_constants(CFG.n_prefix) is first
+        assert first[1].shape == (4, CFG.n_prefix + 4 * CFG.n_tokens)
+        assert batch.stage1_constants(CFG.n_prefix + 1)[1].shape == (4, CFG.n_prefix + 1 + 4 * CFG.n_tokens)
+
+
+class TestBitIdentity:
+    """Float bits pinned to the values of the per-op closure tape (every op
+    building its backward closure even when nothing recorded); a speed-up of
+    the tape must leave them unchanged."""
+
+    def test_gradient_check_at_seed_0(self):
+        params = init_params(CFG, 0)
+        batch = synth_batch(0, 4, CFG)
+        standins = FrozenStandins(CFG.d_llm)
+        calls = []
+
+        def objective(ts):
+            calls.append(1)
+            return stage1_loss(params, batch, standins)
+
+        rel = finite_diff_check(objective, params.tensors(), eps=1e-5)
+        assert rel.hex() == "0x1.287d75095e701p-19"
+        assert len(calls) == 2 * sum(t.size for t in params.tensors()) + 1 == 1297
+
+    def test_first_five_losses(self):
+        curve = train_stage1(TrainConfig(steps=5)).loss_curve
+        assert [v.hex() for v in curve] == [
+            "0x1.0f2e50dbfdce2p+2",
+            "0x1.ef6b3387668d5p+1",
+            "0x1.dd6fb177ed411p+1",
+            "0x1.d6b17f379d6c0p+1",
+            "0x1.d279a593d858cp+1",
+        ]
 
 
 class TestTrainStep:
