@@ -204,14 +204,8 @@ def trace_from_dict(payload: dict, prompt_mode: str | None = None) -> Generation
     )
 
 
-def _builtin_default_trace(mode: str) -> GenerationTrace:
-    return GenerationTrace(
-        text="A",
-        token_logprobs=(math.log(0.5),),
-        img_rep=NEUTRAL_IMG_REP,
-        txt_rep=NEUTRAL_TXT_REP,
-        prompt_mode=mode,
-    )
+# Trace of unscripted keys when a script names no default of its own.
+_BUILTIN_DEFAULT = {"text": "A", "token_logprobs": [math.log(0.5)]}
 
 
 class MockBackend:
@@ -230,38 +224,45 @@ class MockBackend:
 
     def __init__(self, entries=None, default=None, completions=None, default_completion=None):
         self._script = dict(entries or {})
-        self._default = default
-        self._completions = list(completions or [])
+        default = _BUILTIN_DEFAULT if default is None else default
+        self._defaults = {m: trace_from_dict(default, prompt_mode=m) for m in PROMPT_MODES}
+        self._completions = [(rule["contains"], rule["reply"]) for rule in completions or []]
         self._default_completion = default_completion
+        texts = [text for rule in self._completions for text in rule]
+        if default_completion is not None:
+            texts.append(default_completion)
+        if not all(isinstance(text, str) for text in texts):
+            raise ValueError("mock completion rules and default_completion must be strings")
 
     @classmethod
     def from_json(cls, path) -> "MockBackend":
+        """Load and validate a script; a malformed one is a ValueError."""
         with open(path, "r", encoding="utf-8") as fh:
             spec = json.load(fh)
-        entries = {}
-        for entry in spec.get("entries", []):
-            key = (entry["image_ref"], entry["question"], entry["prompt_mode"])
-            entries[key] = trace_from_dict(entry["trace"], prompt_mode=entry["prompt_mode"])
-        default = spec.get("default")
-        return cls(
-            entries=entries,
-            default=default,
-            completions=spec.get("completions"),
-            default_completion=spec.get("default_completion"),
-        )
+        if not isinstance(spec, dict):
+            raise ValueError(f"mock script {path} must hold a JSON object")
+        try:
+            entries = {}
+            for entry in spec.get("entries", []):
+                key = (entry["image_ref"], entry["question"], entry["prompt_mode"])
+                entries[key] = trace_from_dict(entry["trace"], prompt_mode=entry["prompt_mode"])
+            return cls(
+                entries=entries,
+                default=spec.get("default"),
+                completions=spec.get("completions"),
+                default_completion=spec.get("default_completion"),
+            )
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ValueError(f"mock script {path} is malformed: {exc!r}") from exc
 
     def generate(self, req: BackendRequest) -> GenerationTrace:
         key = (req.image_ref, req.question, req.prompt_mode)
-        if key in self._script:
-            return self._script[key]
-        if self._default is not None:
-            return trace_from_dict(dict(self._default), prompt_mode=req.prompt_mode)
-        return _builtin_default_trace(req.prompt_mode)
+        return self._script.get(key, self._defaults[req.prompt_mode])
 
     def complete_text(self, prompt: str, decoding: DecodingConfig | None = None) -> str:
-        for rule in self._completions:
-            if rule["contains"] in prompt:
-                return rule["reply"]
+        for contains, reply in self._completions:
+            if contains in prompt:
+                return reply
         if self._default_completion is not None:
             return self._default_completion
         raise CapabilityError("mock backend has no completion script for this prompt")
@@ -288,8 +289,10 @@ class RemoteBackend:
         retry_wait: float = 0.1,
         max_in_flight: int = 4,
     ):
-        if retries < 1:
-            raise ValueError("retries must be >= 1")
+        if retries < 1 or max_in_flight < 1 or not timeout > 0:
+            # no request slot would make every call wait forever
+            raise ValueError(f"need retries >= 1, max_in_flight >= 1 and timeout > 0, "
+                             f"got {retries}, {max_in_flight} and {timeout}")
         self.endpoint = endpoint
         self.model = model
         self.api_key = api_key
@@ -382,9 +385,10 @@ class RemoteBackend:
     def complete_text(self, prompt: str, decoding: DecodingConfig | None = None) -> str:
         decoding = decoding or DecodingConfig()
         reply = self._post(self._payload(prompt, decoding, image_ref=None))
-        if "text" not in reply:
-            raise BackendError("service reply lacks 'text'")
-        return reply["text"]
+        text = reply.get("text")
+        if not isinstance(text, str):
+            raise MalformedReplyError(f"service reply lacks a string 'text': {text!r}")
+        return text
 
 
 def dual_generate(

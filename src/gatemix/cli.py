@@ -22,6 +22,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .backend import BackendError, MockBackend, RemoteBackend, dual_generate
@@ -76,17 +77,28 @@ def _load_config(path) -> dict:
     return config
 
 
+_JSON_TYPES = {int: "an integer", float: "a number", str: "a string", dict: "an object"}
+
+
 def _setting(flag_value, config: dict, key: str, default):
+    """The flag, else the config value, else the default. A config value
+    must have the default's JSON type (a string where the default is None)."""
     if flag_value is not None:
         return flag_value
-    if key in config:
-        return config[key]
-    return default
+    if key not in config:
+        return default
+    value, kind = config[key], str if default is None else type(default)
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+        raise _ValidationError(f"config key {key!r} must be {_JSON_TYPES[kind]}, got {value!r}")
+    return value
 
 
 def _connector_config(config: dict) -> ConnectorConfig:
-    dims = config.get("dims", {})
-    return ConnectorConfig(**dims)
+    dims = _setting(None, config, "dims", {})
+    unknown = sorted(set(dims) - {f.name for f in fields(ConnectorConfig)})
+    if unknown:
+        raise _ValidationError(f"config key 'dims' has unknown fields {unknown}")
+    return ConnectorConfig(**{name: _setting(None, dims, name, 1) for name in dims})
 
 
 def _make_backend(spec, config: dict):
@@ -96,14 +108,14 @@ def _make_backend(spec, config: dict):
     if spec.startswith("mock:"):
         return MockBackend.from_json(spec[len("mock:"):])
     if spec.startswith("remote:"):
-        remote = config.get("remote", {})
+        remote = _setting(None, config, "remote", {})
         return RemoteBackend(
             endpoint=spec[len("remote:"):],
-            model=remote.get("model", "default"),
-            api_key=os.environ.get(config.get("api_key_env", API_KEY_ENV)),
-            timeout=remote.get("timeout", 30.0),
-            retries=remote.get("retries", 3),
-            max_in_flight=remote.get("max_in_flight", 4),
+            model=_setting(None, remote, "model", "default"),
+            api_key=os.environ.get(_setting(None, config, "api_key_env", API_KEY_ENV)),
+            timeout=_setting(None, remote, "timeout", 30.0),
+            retries=_setting(None, remote, "retries", 3),
+            max_in_flight=_setting(None, remote, "max_in_flight", 4),
         )
     raise _ValidationError(f"backend spec must start with 'mock:' or 'remote:', got {spec!r}")
 

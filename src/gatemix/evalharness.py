@@ -38,7 +38,6 @@ __all__ = [
     "alpha_sweep",
     "default_alpha_grid",
     "emit_report",
-    "load_report",
 ]
 
 STRATEGIES = ("direct", "cot", "sv")
@@ -122,10 +121,6 @@ class EvalReport:
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "EvalReport":
-        return cls(**payload)
 
 
 class TraceCache:
@@ -311,7 +306,3 @@ def emit_report(report: EvalReport, path) -> None:
         fh.write("\n")
     text_path = path.with_suffix(".txt") if path.suffix == ".json" else Path(str(path) + ".txt")
     text_path.write_text(_format_table(report), encoding="utf-8")
-
-
-def load_report(path) -> EvalReport:
-    return EvalReport.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))

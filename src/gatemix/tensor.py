@@ -110,9 +110,6 @@ class Tensor:
         if self.grad is not None:
             self.grad.fill(0.0)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
@@ -207,11 +204,6 @@ class Graph:
     def __exit__(self, *exc) -> bool:
         _graph_stack().pop()
         return False
-
-    @staticmethod
-    def current() -> Optional["Graph"]:
-        stack = _graph_stack()
-        return stack[-1] if stack else None
 
 
 class no_grad:

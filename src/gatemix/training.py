@@ -6,9 +6,6 @@ produces token logits over a tiny vocabulary, and synthetic feature/text
 pairs share a per-item latent so that alignment is actually learnable. The
 optimizer is plain gradient descent, which keeps the update rule exactly
 testable (params - lr * grad).
-
-Configs for the later supervised stages are accepted and validated here as
-schemas only; nothing in this package executes them.
 """
 
 from __future__ import annotations
@@ -39,9 +36,6 @@ __all__ = [
     "stage1_loss",
     "train_step",
     "train_stage1",
-    "validate_stage_config",
-    "STAGE2_REFERENCE_CONFIG",
-    "STAGE3_REFERENCE_CONFIG",
 ]
 
 VOCAB_SIZE = 16
@@ -101,7 +95,6 @@ class TrainConfig:
     lr: float = 0.5
     lam: float = 1.0
     seed: int = 0
-    frozen: tuple = ("encoders", "decoder", "readout")
 
     def __post_init__(self):
         if self.steps < 0:
@@ -110,13 +103,6 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.lr < 0:
             raise ValueError("lr must be >= 0")
-        frozen = tuple(self.frozen)
-        if "gatemixer" in frozen:
-            raise ValueError("the connector is the trainable module; it cannot be frozen")
-        for required in ("encoders", "decoder", "readout"):
-            if required not in frozen:
-                raise ValueError(f"stage-1 runs with {required!r} frozen; add it to frozen")
-        object.__setattr__(self, "frozen", frozen)
 
 
 @dataclass
@@ -310,94 +296,3 @@ def train_stage1(
         grad_check_rel_err=rel_err,
         wall_time_s=time.perf_counter() - start,
     )
-
-
-# ---------------------------------------------------------------------------
-# Validation-only schemas for the later (not executable here) training stages.
-
-_STAGE_FIELDS = {
-    "stage": int,
-    "batch_size": int,
-    "peak_learning_rate": float,
-    "lr_schedule": str,
-    "warmup_ratio": float,
-    "weight_decay": float,
-    "epochs": int,
-    "optimizer": str,
-    "precision": str,
-    "training_modules": list,
-    "data_size": int,
-}
-
-_KNOWN_MODULES = {"connector", "llm"}
-
-STAGE2_REFERENCE_CONFIG = {
-    "stage": 2,
-    "batch_size": 256,
-    "peak_learning_rate": 2e-5,
-    "lr_schedule": "cosine",
-    "warmup_ratio": 0.03,
-    "weight_decay": 0.0,
-    "epochs": 1,
-    "optimizer": "adamw",
-    "precision": "bfloat16",
-    "training_modules": ["connector", "llm"],
-    "data_size": 1_000_000,
-}
-
-STAGE3_REFERENCE_CONFIG = {
-    "stage": 3,
-    "batch_size": 128,
-    "peak_learning_rate": 2e-6,
-    "lr_schedule": "cosine",
-    "warmup_ratio": 0.03,
-    "weight_decay": 0.0,
-    "epochs": 3,
-    "optimizer": "adamw",
-    "precision": "bfloat16",
-    "training_modules": ["llm"],
-    "data_size": 320_000,
-}
-
-
-def validate_stage_config(mapping: dict) -> dict:
-    """Check a stage-2/3 config against the schema and return it normalized.
-
-    These configs are declarative only; there is deliberately no way to run
-    them from this package.
-    """
-    out = {}
-    for name, typ in _STAGE_FIELDS.items():
-        if name not in mapping:
-            raise ValueError(f"stage config missing field {name!r}")
-        value = mapping[name]
-        if typ is float and isinstance(value, int):
-            value = float(value)
-        if not isinstance(value, typ):
-            raise ValueError(f"stage config field {name!r} must be {typ.__name__}")
-        out[name] = value
-    extra = set(mapping) - set(_STAGE_FIELDS)
-    if extra:
-        raise ValueError(f"stage config has unknown fields: {sorted(extra)}")
-    if out["stage"] not in (2, 3):
-        raise ValueError("stage must be 2 or 3 (stage 1 is executable, not a schema)")
-    if out["batch_size"] < 1 or out["epochs"] < 1 or out["data_size"] < 1:
-        raise ValueError("batch_size, epochs and data_size must be >= 1")
-    if out["peak_learning_rate"] <= 0:
-        raise ValueError("peak_learning_rate must be positive")
-    if not (0.0 <= out["warmup_ratio"] <= 1.0):
-        raise ValueError("warmup_ratio must be in [0, 1]")
-    if out["weight_decay"] < 0:
-        raise ValueError("weight_decay must be >= 0")
-    if out["lr_schedule"] != "cosine":
-        raise ValueError("lr_schedule must be 'cosine'")
-    if out["optimizer"] != "adamw":
-        raise ValueError("optimizer must be 'adamw'")
-    if out["precision"] not in ("bfloat16", "float32"):
-        raise ValueError("precision must be 'bfloat16' or 'float32'")
-    modules = set(out["training_modules"])
-    if not modules or not modules <= _KNOWN_MODULES:
-        raise ValueError(f"training_modules must be a non-empty subset of {sorted(_KNOWN_MODULES)}")
-    if out["stage"] == 3 and modules != {"llm"}:
-        raise ValueError("stage 3 trains the llm only")
-    return out

@@ -328,6 +328,11 @@ class TestRemoteBackend:
         assert trace.txt_rep == (0.0, 1.0)
         assert any("embeddings" in rec.message for rec in caplog.records)
 
+    @pytest.mark.parametrize("setting", [{"retries": 0}, {"max_in_flight": 0}, {"timeout": 0.0}])
+    def test_settings_that_cannot_serve_are_rejected(self, setting):
+        with pytest.raises(ValueError, match=">= 1"):
+            RemoteBackend("http://127.0.0.1:9", **setting)
+
     def test_transport_failure_carries_attempts(self):
         backend = RemoteBackend("http://127.0.0.1:1", retries=2, retry_wait=0.0, timeout=0.5)
         req = BackendRequest("img1", QUESTION, "direct", default_decoding("direct"))
@@ -411,6 +416,17 @@ class TestRemoteBackend:
         endpoint, handler = stub_server
         handler.reply = {"text": "Scoring: 0.8"}
         assert RemoteBackend(endpoint).complete_text("score this") == "Scoring: 0.8"
+
+    def test_non_string_completion_is_malformed_reply(self, stub_server, tmp_path, capsys):
+        endpoint, handler = stub_server
+        handler.reply = {"text": 5}
+        with pytest.raises(MalformedReplyError, match="string 'text'"):
+            RemoteBackend(endpoint).complete_text("score this")
+        records = Path(__file__).parent / "fixtures" / "curation_records.jsonl"
+        code = dispatch(["curate", "--records", str(records),
+                         "--backend", f"remote:{endpoint}", "--out", str(tmp_path)])
+        assert code == 2
+        assert "string 'text'" in capsys.readouterr().err
 
 
 class TestDualGenerate:

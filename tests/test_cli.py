@@ -213,6 +213,44 @@ class TestExitCodes:
         assert "failure: service reply is not a valid trace" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("script, message", [
+        ({"default": {"text": "A", "token_logprobs": [0.5]}}, "logprobs must all be <= 0"),
+        ({"entries": [{"image_ref": "i", "question": "q", "trace": {"text": "A"}}]},
+         "KeyError('prompt_mode')"),
+        ([{"text": "A"}], "must hold a JSON object"),
+        ({"completions": [{"reply": "x"}]}, "KeyError('contains')"),
+        ({"default_completion": 0}, "must be strings"),
+    ], ids=["positive-logprob-default", "entry-without-prompt-mode", "list-script",
+            "rule-without-contains", "zero-default-completion"])
+    def test_malformed_mock_script_is_validation_error(self, tmp_path, capsys, script, message):
+        path = tmp_path / "script.json"
+        path.write_text(json.dumps(script))
+        code = dispatch(["eval", "--benchmark", str(FIXTURES / "easy_hard_benchmark.jsonl"),
+                         "--backend", f"mock:{path}", "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config, command, key", [
+        ({"dims": {"foo": 1}}, ["gradcheck"], "'dims'"),
+        ({"dims": {"d": "8"}}, ["gradcheck"], "'d'"),
+        ({"remote": [1]}, ["eval", "--backend", "remote:http://127.0.0.1:9"], "'remote'"),
+        ({"remote": {"retries": "3"}}, ["eval", "--backend", "remote:http://127.0.0.1:9"],
+         "'retries'"),
+        ({"alpha": "0.7"}, ["eval", "--backend", EASY_HARD], "'alpha'"),
+        ({"backend": 5}, ["eval"], "'backend'"),
+    ], ids=["unknown-dim", "string-dim", "list-remote", "string-retries", "string-alpha",
+            "int-backend"])
+    def test_config_value_of_wrong_shape_is_validation_error(self, tmp_path, capsys, config,
+                                                             command, key):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        if command[0] == "eval":
+            command = command + ["--benchmark", str(FIXTURES / "easy_hard_benchmark.jsonl"),
+                                 "--out", str(tmp_path / "x")]
+        assert dispatch(["--config", str(path)] + command) == 1
+        assert f"config key {key}" in capsys.readouterr().err
+
+
 class TestConfigPrecedence:
     def test_config_supplies_backend_and_alpha(self, tmp_path):
         out = tmp_path / "cfg"

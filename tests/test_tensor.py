@@ -379,7 +379,6 @@ class TestTensorBasics:
     def test_grad_buffer_matches_shape(self):
         t = Tensor(np.zeros((3, 2)), requires_grad=True)
         assert t.grad.shape == (3, 2)
-        assert not t.detach().requires_grad
 
     def test_div_by_zero_rejected(self):
         with pytest.raises(ValueError):

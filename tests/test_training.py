@@ -1,5 +1,5 @@
 """Alignment-trainer tests: synthetic pairing, the update rule, freezing,
-determinism, and the stage-2/3 config schema."""
+and determinism."""
 
 import numpy as np
 import pytest
@@ -9,8 +9,6 @@ from gatemix import training
 from gatemix.connector import ConnectorConfig, init_params
 from gatemix.tensor import Graph, backward, finite_diff_check, no_grad
 from gatemix.training import (
-    STAGE2_REFERENCE_CONFIG,
-    STAGE3_REFERENCE_CONFIG,
     DivergenceError,
     FrozenStandins,
     GDState,
@@ -19,7 +17,6 @@ from gatemix.training import (
     synth_batch,
     train_stage1,
     train_step,
-    validate_stage_config,
 )
 
 CFG = ConnectorConfig()
@@ -275,43 +272,6 @@ class TestTrainStage1:
 
 
 class TestTrainConfigValidation:
-    def test_connector_cannot_be_frozen(self):
-        with pytest.raises(ValueError):
-            TrainConfig(frozen=("encoders", "decoder", "readout", "gatemixer"))
-
-    def test_standins_must_stay_frozen(self):
-        with pytest.raises(ValueError):
-            TrainConfig(frozen=("encoders", "decoder"))
-
     def test_negative_lr_rejected(self):
         with pytest.raises(ValueError):
             TrainConfig(lr=-0.1)
-
-
-class TestStageConfigSchema:
-    def test_reference_configs_validate(self):
-        assert validate_stage_config(STAGE2_REFERENCE_CONFIG)["stage"] == 2
-        assert validate_stage_config(STAGE3_REFERENCE_CONFIG)["stage"] == 3
-
-    def test_missing_field_rejected(self):
-        broken = dict(STAGE2_REFERENCE_CONFIG)
-        del broken["optimizer"]
-        with pytest.raises(ValueError, match="optimizer"):
-            validate_stage_config(broken)
-
-    def test_unknown_field_rejected(self):
-        with pytest.raises(ValueError, match="unknown"):
-            validate_stage_config({**STAGE2_REFERENCE_CONFIG, "gpu_count": 8})
-
-    def test_stage_one_is_not_a_schema(self):
-        with pytest.raises(ValueError, match="stage"):
-            validate_stage_config({**STAGE2_REFERENCE_CONFIG, "stage": 1})
-
-    def test_stage3_trains_llm_only(self):
-        broken = {**STAGE3_REFERENCE_CONFIG, "training_modules": ["connector", "llm"]}
-        with pytest.raises(ValueError, match="llm"):
-            validate_stage_config(broken)
-
-    def test_int_accepted_where_float_expected(self):
-        ok = {**STAGE2_REFERENCE_CONFIG, "weight_decay": 0}
-        assert validate_stage_config(ok)["weight_decay"] == 0.0
