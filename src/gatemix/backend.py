@@ -42,6 +42,7 @@ __all__ = [
     "default_decoding",
     "MockBackend",
     "RemoteBackend",
+    "dual_requests",
     "dual_generate",
     "trace_to_dict",
     "trace_from_dict",
@@ -391,25 +392,26 @@ class RemoteBackend:
         return text
 
 
+def dual_requests(image_ref: str, question: str, max_tokens: int = DEFAULT_MAX_TOKENS) -> tuple:
+    """The (direct, cot) requests for one instance. They share image,
+    question and token budget and differ only in the prompt mode and the
+    mode decoding defaults."""
+    return tuple(BackendRequest(image_ref=image_ref, question=question, prompt_mode=mode,
+                                decoding=default_decoding(mode, max_tokens=max_tokens))
+                 for mode in PROMPT_MODES)
+
+
 def dual_generate(
     backend, image_ref: str, question: str, max_tokens: int = DEFAULT_MAX_TOKENS
 ) -> tuple:
-    """Run both task prompts for one instance; returns (direct, cot) traces.
-
-    The two requests share image, question and token budget and differ only
-    in the task prompt and the mode decoding defaults. A failing branch
-    raises a BackendError naming the mode.
+    """Run both task prompts for one instance; returns (direct, cot) traces
+    of the ``dual_requests``. A failing branch raises a BackendError naming
+    the mode.
     """
     traces = []
-    for mode in PROMPT_MODES:
-        req = BackendRequest(
-            image_ref=image_ref,
-            question=question,
-            prompt_mode=mode,
-            decoding=default_decoding(mode, max_tokens=max_tokens),
-        )
+    for req in dual_requests(image_ref, question, max_tokens):
         try:
             traces.append(backend.generate(req))
         except BackendError as exc:
-            raise BackendError(f"{mode} branch failed: {exc}") from exc
+            raise BackendError(f"{req.prompt_mode} branch failed: {exc}") from exc
     return tuple(traces)

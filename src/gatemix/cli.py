@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import fields
@@ -131,8 +132,9 @@ def _parse_grid(text: str) -> list:
         start, stop, step = (float(x) for x in text.split(":"))
     except ValueError as exc:
         raise _ValidationError(f"grid must look like start:stop:step, got {text!r}") from exc
-    if step <= 0 or stop < start:
-        raise _ValidationError(f"bad grid bounds {text!r}")
+    if not (0.0 <= start <= stop <= 1.0 and 0.0 < step < math.inf):  # NaN fails every comparison
+        raise _ValidationError(
+            f"bad grid {text!r}: need 0 <= start <= stop <= 1 and a finite step > 0")
     n = int(round((stop - start) / step)) + 1
     return [round(start + i * step, 10) for i in range(n)]
 

@@ -7,14 +7,21 @@ records. Backend, trace and cache I/O failures are contained per instance
 (recorded as incorrect-with-error); any other exception propagates.
 
 Each instance is generated and scored once; the alpha sweep re-runs only
-the decision rule per grid point. Traces can be cached on disk, as one file
-per instance id holding both branches' traces.
+the decision rule per grid point. Traces can be cached on disk, as one
+compact JSON file per instance id holding both branches' traces, with each
+trace's float fields packed as base64 text of their little-endian float64
+bytes. An entry that is unreadable, malformed, packed wrongly, not a valid
+trace, or made for other requests than the instance's is a miss and is
+regenerated.
 """
 
 from __future__ import annotations
 
+import base64
+import hashlib
 import json
 import os
+import struct
 import threading
 import urllib.parse
 from concurrent.futures import ThreadPoolExecutor
@@ -22,7 +29,8 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional
 
-from .backend import BackendError, GenerationTrace, dual_generate, trace_from_dict, trace_to_dict
+from .backend import (PROMPT_MODES, BackendError, GenerationTrace, build_prompt, dual_generate,
+                      dual_requests, trace_from_dict, trace_to_dict)
 from .verify import (BRANCHES, DEFAULT_ALPHA, answers_equal, branch_record, score_response,
                      self_verify)
 
@@ -123,12 +131,47 @@ class EvalReport:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
+# Trace fields stored as packed float64 in a cache entry.
+_PACKED_FIELDS = ("token_logprobs", "img_rep", "txt_rep")
+
+
+def _pack(values) -> str:
+    """Base64 text of the values' little-endian float64 bytes; exact for
+    every float, -0.0 and subnormals included."""
+    return base64.b64encode(struct.pack(f"<{len(values)}d", *values)).decode("ascii")
+
+
+def _unpack(text) -> tuple:
+    """The floats ``_pack`` wrote. Text that is not strict base64, or whose
+    byte length is not a multiple of 8, is a ValueError; a value that is not
+    a string is a TypeError."""
+    raw = base64.b64decode(text, validate=True)
+    if len(raw) % 8:
+        raise ValueError(f"packed floats hold {len(raw)} bytes, not a multiple of 8")
+    return struct.unpack(f"<{len(raw) // 8}d", raw)
+
+
+def _request_digest(image_ref: str, question: str) -> str:
+    """Digest of what ``dual_generate`` sends for an instance: each
+    branch's built prompt and decoding config."""
+    sent = [(build_prompt(req.question, req.prompt_mode), req.decoding)
+            for req in dual_requests(image_ref, question)]
+    return hashlib.sha256(repr(sent).encode("utf-8")).hexdigest()
+
+
 class TraceCache:
     """Trace store on disk: one compact JSON file per instance id holding
-    its (direct, cot) traces and the image ref and question they were
-    generated from. Files are replaced whole; one that cannot be read or
-    parsed, or that was generated from another image ref or question, is a
-    miss."""
+    its (direct, cot) traces, the image ref and question they were
+    generated from, and a digest of both branches' built prompts and
+    decoding configs.
+    Each trace's ``token_logprobs``, ``img_rep`` and ``txt_rep`` are stored
+    as base64 text of their little-endian float64 bytes, so floats round-trip
+    exactly and a rewrite of the same pair gives the same bytes. Files are
+    replaced whole. A miss is an entry that cannot be read or parsed, a
+    float field that is not a string, not strict base64 or not a whole
+    number of float64s, a trace that ``GenerationTrace`` rejects, or an
+    entry made for another image ref, question, prompt template or decoding
+    config."""
 
     def __init__(self, cache_dir):
         self._dir = Path(cache_dir)
@@ -141,16 +184,27 @@ class TraceCache:
         """The cached ``(direct, cot)`` pair, or None."""
         try:
             entry = json.loads(self._path(instance_id).read_text(encoding="utf-8"))
-            if entry["image_ref"] != image_ref or entry["question"] != question:
+            if (entry["image_ref"] != image_ref or entry["question"] != question
+                    or entry["request_digest"] != _request_digest(image_ref, question)):
                 return None
-            return trace_from_dict(entry["direct"]), trace_from_dict(entry["cot"])
-        except (OSError, ValueError, KeyError, TypeError, AttributeError):
+            pair = []
+            for mode in PROMPT_MODES:
+                payload = entry[mode]
+                for name in _PACKED_FIELDS:
+                    payload[name] = _unpack(payload[name])
+                pair.append(trace_from_dict(payload))
+            return tuple(pair)
+        except (OSError, ValueError, KeyError, TypeError):
             return None
 
     def put(self, instance_id: str, image_ref: str, question: str,
             direct: GenerationTrace, cot: GenerationTrace) -> None:
         entry = {"image_ref": image_ref, "question": question,
-                 "direct": trace_to_dict(direct), "cot": trace_to_dict(cot)}
+                 "request_digest": _request_digest(image_ref, question)}
+        for mode, trace in zip(PROMPT_MODES, (direct, cot)):
+            payload = entry[mode] = trace_to_dict(trace)
+            for name in _PACKED_FIELDS:
+                payload[name] = _pack(payload[name])
         text = json.dumps(entry, sort_keys=True, separators=(",", ":"))
         path = self._path(instance_id)
         tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")

@@ -121,6 +121,21 @@ class TestSweep:
         best = max(results, key=lambda r: r["accuracy"])
         assert best["alpha"] == 0.7
 
+    # Very small steps are not run here: they would allocate huge grids.
+    @pytest.mark.parametrize("grid", ["0:inf:0.1", "nan:1:0.1", "0:1:inf", "0:1.5:0.1"])
+    def test_bad_grid_is_validation_error(self, grid, tmp_path, capsys):
+        code = dispatch(
+            [
+                "sweep",
+                "--benchmark", str(FIXTURES / "sweep_benchmark.jsonl"),
+                "--grid", grid,
+                "--backend", SWEEP,
+                "--out", str(tmp_path / "s"),
+            ]
+        )
+        assert code == 1
+        assert repr(grid) in capsys.readouterr().err
+
 
 class TestCurate:
     def test_pipeline_outputs(self, tmp_path, capsys):

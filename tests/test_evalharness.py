@@ -1,14 +1,19 @@
 """Eval harness tests: loading, the three strategies, error containment,
 the alpha sweep with trace caching, and report emission."""
 
+import base64
 import json
+import math
 import random
+import struct
 from pathlib import Path
 
 import pytest
 
+from gatemix import backend as backend_module
 from gatemix import evalharness
-from gatemix.backend import BackendError, BackendRequest, MockBackend, dual_generate
+from gatemix.backend import (BackendError, BackendRequest, GenerationTrace, MockBackend,
+                             dual_generate, trace_from_dict, trace_to_dict)
 from gatemix.evalharness import (
     BenchmarkInstance,
     BenchmarkValidationError,
@@ -22,6 +27,13 @@ from gatemix.evalharness import (
 )
 
 from conftest import make_trace
+
+FLOAT_FIELDS = ("token_logprobs", "img_rep", "txt_rep")
+
+
+def _packed(values) -> str:
+    """A cache entry's float field: base64 of little-endian float64 bytes."""
+    return base64.b64encode(struct.pack(f"<{len(values)}d", *values)).decode("ascii")
 
 
 class _FailingFor:
@@ -245,7 +257,12 @@ class TestAlphaSweep:
         files = sorted(p.name for p in cache_dir.iterdir())
         assert files == sorted(f"{inst.id}.json" for inst in sweep_instances)
         entry = json.loads((cache_dir / files[0]).read_text())
-        assert sorted(entry) == ["cot", "direct", "image_ref", "question"]
+        assert sorted(entry) == ["cot", "direct", "image_ref", "question", "request_digest"]
+        inst = next(i for i in sweep_instances if f"{i.id}.json" == files[0])
+        for branch, trace in zip(("direct", "cot"),
+                                 dual_generate(sweep_backend, inst.image_ref, inst.question)):
+            for name in FLOAT_FIELDS:
+                assert entry[branch][name] == _packed(getattr(trace, name))
 
     def test_disk_cache_reused_across_sweeps(self, sweep_backend, sweep_instances, tmp_path):
         cache_dir = tmp_path / "traces"
@@ -370,20 +387,91 @@ class TestTraceCache:
         ("direct", []),
         ("cot", "The answer is A."),
         ("question", None),
-        ("img_rep", [1.0, 0.0, 0.0]),
-        ("img_rep", [0.0, 0.0]),
-        ("txt_rep", []),
+        ("img_rep", [1.0, 0.0, 0.0]),  # unequal rep lengths
+        ("img_rep", [0.0, 0.0]),  # all-zero rep
+        ("txt_rep", []),  # empty rep
+        ("token_logprobs", [math.nan]),
+        ("token_logprobs", [0.5]),
+        pytest.param("token_logprobs", base64.b64encode(struct.pack("<d", -0.5) + bytes(4)).decode(),
+                     id="token_logprobs-12-bytes"),
+        pytest.param("token_logprobs", "!" + _packed([-0.5]), id="token_logprobs-not-base64"),
+        pytest.param("request_digest", "0" * 64, id="request_digest-other"),
     ])
     def test_invalid_entry_is_a_miss(self, tmp_path, key, value):
-        TraceCache(tmp_path).put("i1", "img", "q?", make_trace("A", 0.5, 0.5, "direct"),
-                                 make_trace("A", 0.5, 0.5, "cot"))
+        """A float list given for a trace field is written packed, so the
+        entry is well formed and misses on the trace rule the values break;
+        a string is written as it is."""
+        direct = make_trace("A", 0.5, 0.5, "direct")
+        TraceCache(tmp_path).put("i1", "img", "q?", direct, make_trace("A", 0.5, 0.5, "cot"))
         path = tmp_path / "i1.json"
         entry = json.loads(path.read_text())
         if key in entry:
             entry[key] = value
+        elif isinstance(value, list):
+            with pytest.raises(ValueError):
+                trace_from_dict({**trace_to_dict(direct), key: value})
+            entry["direct"][key] = _packed(value)
         else:
             entry["direct"][key] = value
         path.write_text(json.dumps(entry))
+        assert TraceCache(tmp_path).get("i1", "img", "q?") is None
+
+    def test_number_list_entry_is_overwritten(self, sweep_backend, sweep_instances, tmp_path):
+        """An entry holding its floats as JSON number lists, the format
+        before packing, is a miss: the next sweep regenerates and rewrites
+        it."""
+        fresh = alpha_sweep(sweep_backend, sweep_instances, cache_dir=tmp_path)
+        inst = sweep_instances[0]
+        path = tmp_path / f"{inst.id}.json"
+        packed = path.read_bytes()
+        entry = json.loads(packed)
+        direct, cot = dual_generate(sweep_backend, inst.image_ref, inst.question)
+        entry.update(direct=trace_to_dict(direct), cot=trace_to_dict(cot))
+        path.write_text(json.dumps(entry, sort_keys=True, separators=(",", ":")))
+        assert TraceCache(tmp_path).get(inst.id, inst.image_ref, inst.question) is None
+        assert alpha_sweep(sweep_backend, sweep_instances, cache_dir=tmp_path) == fresh
+        assert path.read_bytes() == packed
+
+    def test_floats_round_trip_exactly(self, tmp_path):
+        rng = random.Random(11)
+        edge = GenerationTrace(text="A", token_logprobs=(-0.0, -5e-324), img_rep=(-0.0, 5e-324),
+                               txt_rep=(5e-324, -0.0), prompt_mode="direct")
+        long = GenerationTrace(text="The answer is B.",
+                               token_logprobs=[-rng.expovariate(0.5) for _ in range(200)],
+                               img_rep=(rng.gauss(0, 1), -0.0, 1e-310),
+                               txt_rep=(rng.gauss(0, 1), 5e-324, -1.7976931348623157e308),
+                               prompt_mode="cot")
+        TraceCache(tmp_path).put("i1", "img", "q?", edge, long)
+        got = TraceCache(tmp_path).get("i1", "img", "q?")
+        assert got == (edge, long)
+        for want, have in zip((edge, long), got):
+            for name in FLOAT_FIELDS:
+                assert [x.hex() for x in getattr(have, name)] == [x.hex() for x in getattr(want, name)]
+
+    def test_rewrite_is_byte_identical(self, tmp_path):
+        pair = (make_trace("A", 0.3, 0.9, "direct"), make_trace("The answer is C.", 0.8, 0.2, "cot"))
+        TraceCache(tmp_path / "a").put("i1", "img", "q?", *pair)
+        first = (tmp_path / "a" / "i1.json").read_bytes()
+        TraceCache(tmp_path / "a").put("i1", "img", "q?", *pair)
+        TraceCache(tmp_path / "b").put("i1", "img", "q?", *pair)
+        assert (tmp_path / "a" / "i1.json").read_bytes() == first
+        assert (tmp_path / "b" / "i1.json").read_bytes() == first
+
+    @pytest.mark.parametrize("change", ["template", "max_tokens"])
+    def test_entry_made_for_other_requests_is_a_miss(self, change, tmp_path, monkeypatch):
+        """An entry written while a prompt template or a decoding config
+        differed from today's must not be served."""
+        pair = (make_trace("A", 0.5, 0.5, "direct"), make_trace("The answer is B.", 0.5, 0.5, "cot"))
+        with monkeypatch.context() as patched:
+            if change == "template":
+                patched.setattr(backend_module, "COT_PROMPT",
+                                backend_module.COT_PROMPT.replace("step by step", "carefully"))
+            else:
+                default_decoding = backend_module.default_decoding
+                patched.setattr(backend_module, "default_decoding",
+                                lambda mode, max_tokens=None: default_decoding(mode, max_tokens=77))
+            TraceCache(tmp_path).put("i1", "img", "q?", *pair)
+            assert TraceCache(tmp_path).get("i1", "img", "q?") == pair
         assert TraceCache(tmp_path).get("i1", "img", "q?") is None
 
 
