@@ -157,7 +157,7 @@ class GenerationTrace:
             raise ValueError(f"trace text must be a string, got {type(self.text).__name__}")
         try:
             for name in ("token_logprobs", "img_rep", "txt_rep"):
-                object.__setattr__(self, name, tuple(float(x) for x in getattr(self, name)))
+                object.__setattr__(self, name, tuple(map(float, getattr(self, name))))
         except TypeError as exc:
             raise ValueError(f"trace values must be sequences of numbers: {exc}") from exc
         if self.prompt_mode not in PROMPT_MODES:
@@ -169,7 +169,7 @@ class GenerationTrace:
                              f"{len(self.img_rep)} vs {len(self.txt_rep)}")
         if not any(self.img_rep) or not any(self.txt_rep):
             raise ValueError("img_rep and txt_rep must each have a non-zero entry")
-        if any(lp > 0.0 for lp in self.token_logprobs):
+        if max(self.token_logprobs, default=0.0) > 0.0:
             raise ValueError("token logprobs must all be <= 0")
         if self.text and not self.token_logprobs:
             raise ValueError("non-empty generation must carry token logprobs")

@@ -127,6 +127,9 @@ def _out_dir(args) -> Path:
     return out
 
 
+_MAX_GRID_POINTS = 10001
+
+
 def _parse_grid(text: str) -> list:
     try:
         start, stop, step = (float(x) for x in text.split(":"))
@@ -135,8 +138,12 @@ def _parse_grid(text: str) -> list:
     if not (0.0 <= start <= stop <= 1.0 and 0.0 < step < math.inf):  # NaN fails every comparison
         raise _ValidationError(
             f"bad grid {text!r}: need 0 <= start <= stop <= 1 and a finite step > 0")
-    n = int(round((stop - start) / step)) + 1
-    return [round(start + i * step, 10) for i in range(n)]
+    # the slack lets float rounding still reach stop (0:1:0.1 ends at 1.0);
+    # the grid is sized before it is built
+    steps = (stop - start) / step + 1e-9
+    if steps >= _MAX_GRID_POINTS:
+        raise _ValidationError(f"bad grid {text!r}: more than {_MAX_GRID_POINTS} points")
+    return [min(round(start + i * step, 10), stop) for i in range(int(steps) + 1)]
 
 
 def _cmd_gradcheck(args, config) -> int:
@@ -280,7 +287,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("sweep", help="alpha sweep of self-verification accuracy")
     p.add_argument("--benchmark", required=True)
-    p.add_argument("--grid", default=None, help="start:stop:step, default 0:1:0.1")
+    p.add_argument("--grid", default=None, help="start:stop:step, at most 10001 points, default 0:1:0.1")
     p.add_argument("--backend", default=None)
     p.add_argument("--workers", type=int, default=None)
     p.add_argument("--out", default="out")

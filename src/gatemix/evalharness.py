@@ -71,6 +71,8 @@ class BenchmarkInstance:
     split: str = "test"
 
     def __post_init__(self):
+        if not all(isinstance(o, (list, tuple)) and len(o) == 2 for o in self.options):
+            raise ValueError(f"each option must be a [letter, text] pair, got {self.options!r}")
         self.options = [(str(l), str(t)) for l, t in self.options]
         if self.options:
             letters = {l.upper() for l, _ in self.options}

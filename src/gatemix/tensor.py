@@ -10,11 +10,13 @@ Conventions:
   * leaves built with ``requires_grad=True`` allocate a zero grad buffer at
     construction; op outputs only propagate the flag, so ``backward``
     deposits gradients exclusively into leaves;
-  * ops record onto the innermost active ``Graph`` when an input requires
-    grad; otherwise (no graph active, ``no_grad`` innermost, or only
-    constant inputs) an op reads the graph stack once and returns a bare
-    output: no backward closure, no tape record, no grad flag. Both paths
-    run the same numpy arithmetic, so their values agree bit for bit;
+  * every op computes its output and hands it to ``_op``, the one place
+    that decides whether to record. An op records onto the innermost
+    active ``Graph`` when an input requires grad, keeping a module-level
+    grad rule and the context it needs; otherwise (no graph active,
+    ``no_grad`` innermost, or only constant inputs) it returns a bare
+    output: no tape record, no grad flag. Both paths run the same numpy
+    arithmetic, so their values agree bit for bit;
   * Python number constants in arithmetic (``1.0 - t``, ``t * lam``) are
     checked with ``math.isfinite`` and wrapped without a validating copy;
   * random initialisation goes through ``make_rng`` (numpy's PCG64), so
@@ -116,56 +118,67 @@ class Tensor:
 
     # Arithmetic sugar; every operator routes through the recorded op set.
     def __add__(self, other):
-        return _add(self, other)
+        return _binary("add", self, other, np.add, _add_grad)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return _sub(self, other)
+        return _binary("sub", self, other, np.subtract, _sub_grad)
 
     def __rsub__(self, other):
-        return _sub(other, self)
+        return _binary("sub", other, self, np.subtract, _sub_grad)
 
     def __mul__(self, other):
-        return _mul(self, other)
+        return _binary("mul", self, other, np.multiply, _mul_grad)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return _div(self, other)
+        return _binary("div", self, other, np.divide, _div_grad)
 
     def __rtruediv__(self, other):
-        return _div(other, self)
+        return _binary("div", other, self, np.divide, _div_grad)
 
     def __matmul__(self, other):
         return matmul(self, other)
 
     def __neg__(self):
-        return _mul(self, -1.0)
+        return self * -1.0
 
     def sum(self, axis: Optional[int] = None) -> "Tensor":
-        return _sum(self, axis)
+        return _reduce("sum", self, axis)
 
     def mean(self, axis: Optional[int] = None) -> "Tensor":
-        return _mean(self, axis)
+        return _reduce("mean", self, axis)
 
     def exp(self) -> "Tensor":
-        return _exp(self)
+        out_data = np.exp(self.data)
+        return _op("exp", (self,), out_data, _exp_grad, out_data)
 
     def log(self) -> "Tensor":
-        return _log(self)
+        if (self.data <= 0.0).any():
+            raise ValueError("log: requires strictly positive input")
+        return _op("log", (self,), np.log(self.data), _log_grad, self.data)
 
     def sqrt(self) -> "Tensor":
-        return _sqrt(self)
+        if (self.data <= 0.0).any():
+            raise ValueError("sqrt: requires strictly positive input")
+        out_data = np.sqrt(self.data)
+        return _op("sqrt", (self,), out_data, _sqrt_grad, out_data)
 
     def sigmoid(self) -> "Tensor":
         return sigmoid(self)
 
     def transpose(self) -> "Tensor":
-        return _transpose(self)
+        if self.ndim != 2:
+            raise ShapeError(f"transpose: needs rank 2, got {self.shape}")
+        return _op("transpose", (self,), np.ascontiguousarray(self.data.T), _transpose_grad)
 
     def reshape(self, shape) -> "Tensor":
-        return _reshape(self, shape)
+        shape = tuple(int(s) for s in shape)
+        if int(np.prod(shape, dtype=np.int64)) != self.size:
+            raise ShapeError(f"reshape: cannot view {self.shape} as {shape}")
+        return _op("reshape", (self,), self.data.reshape(shape).copy(), _reshape_grad, self.shape)
 
 
 @dataclass
@@ -173,7 +186,8 @@ class _OpRecord:
     op: str
     inputs: tuple
     out: Tensor
-    grad_fn: Callable[[np.ndarray], tuple]
+    grad_rule: Callable[..., tuple]
+    ctx: tuple
 
 
 _graph_state = threading.local()
@@ -218,6 +232,23 @@ class no_grad:
         return False
 
 
+def _op(op: str, inputs: tuple, out_data: np.ndarray, grad_rule, *ctx) -> Tensor:
+    """Return an op's output as a tensor, recorded onto a tape if one records.
+
+    The only code that reads the graph stack to decide whether to record,
+    and the only code that appends to a tape. The op records onto the
+    innermost active graph when an input requires grad; ``backward`` then
+    calls ``grad_rule(*ctx, g)``, which returns one gradient per input.
+    Otherwise the output is returned bare.
+    """
+    stack = getattr(_graph_state, "stack", None)
+    out = Tensor._raw(out_data)
+    if stack and stack[-1] is not None and any(t.requires_grad for t in inputs):
+        out.requires_grad = True
+        stack[-1].records.append(_OpRecord(op, inputs, out, grad_rule, ctx))
+    return out
+
+
 def _as_tensor(x) -> Tensor:
     if isinstance(x, Tensor):
         return x
@@ -226,23 +257,6 @@ def _as_tensor(x) -> Tensor:
             raise ValueError("tensor data must be finite")
         return Tensor._raw(np.array(x, dtype=np.float64))
     return Tensor(x)
-
-
-def _tape(inputs: tuple) -> Optional[Graph]:
-    """The graph an op over ``inputs`` records onto, or None when nothing
-    records (no graph, ``no_grad`` innermost, or no input requires grad)."""
-    stack = getattr(_graph_state, "stack", None)
-    tape = stack[-1] if stack else None
-    if tape is not None and any(t.requires_grad for t in inputs):
-        return tape
-    return None
-
-
-def _record(tape: Graph, op: str, inputs: tuple, out_data: np.ndarray, grad_fn) -> Tensor:
-    out = Tensor._raw(out_data)
-    out.requires_grad = True
-    tape.records.append(_OpRecord(op, inputs, out, grad_fn))
-    return out
 
 
 def _reduce_to(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -255,68 +269,35 @@ def _reduce_to(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad.reshape(shape)
 
 
-def _binary(op: str, a, b, fn, grad_fn_builder) -> Tensor:
+def _binary(op: str, a, b, fn, grad_rule) -> Tensor:
     a = _as_tensor(a)
     b = _as_tensor(b)
+    if op == "div" and (b.data == 0.0).any():
+        raise ValueError("div: zero denominator")
     try:
         out_data = fn(a.data, b.data)
     except ValueError as exc:
         raise ShapeError(f"{op}: incompatible shapes {a.shape} and {b.shape}") from exc
     # np.asarray keeps 0-d results 0-d (ascontiguousarray would promote to 1-d)
-    out_data = np.asarray(out_data)
-    tape = _tape((a, b))
-    if tape is None:
-        return Tensor._raw(out_data)
-    return _record(tape, op, (a, b), out_data, grad_fn_builder(a, b))
+    return _op(op, (a, b), np.asarray(out_data), grad_rule, a, b)
 
 
-def _add_grad(a, b):
-    def grad_fn(g):
-        return _reduce_to(g, a.shape), _reduce_to(g, b.shape)
-
-    return grad_fn
+def _add_grad(a, b, g):
+    return _reduce_to(g, a.shape), _reduce_to(g, b.shape)
 
 
-def _add(a, b) -> Tensor:
-    return _binary("add", a, b, np.add, _add_grad)
+def _sub_grad(a, b, g):
+    return _reduce_to(g, a.shape), _reduce_to(-g, b.shape)
 
 
-def _sub_grad(a, b):
-    def grad_fn(g):
-        return _reduce_to(g, a.shape), _reduce_to(-g, b.shape)
-
-    return grad_fn
+def _mul_grad(a, b, g):
+    return _reduce_to(g * b.data, a.shape), _reduce_to(g * a.data, b.shape)
 
 
-def _sub(a, b) -> Tensor:
-    return _binary("sub", a, b, np.subtract, _sub_grad)
-
-
-def _mul_grad(a, b):
-    def grad_fn(g):
-        return _reduce_to(g * b.data, a.shape), _reduce_to(g * a.data, b.shape)
-
-    return grad_fn
-
-
-def _mul(a, b) -> Tensor:
-    return _binary("mul", a, b, np.multiply, _mul_grad)
-
-
-def _div_grad(a, b):
-    def grad_fn(g):
-        ga = _reduce_to(g / b.data, a.shape)
-        gb = _reduce_to(-g * a.data / (b.data * b.data), b.shape)
-        return ga, gb
-
-    return grad_fn
-
-
-def _div(a, b) -> Tensor:
-    b = _as_tensor(b)
-    if (b.data == 0.0).any():
-        raise ValueError("div: zero denominator")
-    return _binary("div", a, b, np.divide, _div_grad)
+def _div_grad(a, b, g):
+    ga = _reduce_to(g / b.data, a.shape)
+    gb = _reduce_to(-g * a.data / (b.data * b.data), b.shape)
+    return ga, gb
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -327,46 +308,19 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul: needs rank-2 operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: inner dims disagree for {a.shape} x {b.shape}")
-    out_data = a.data @ b.data
-    tape = _tape((a, b))
-    if tape is None:
-        return Tensor._raw(out_data)
-
-    def grad_fn(g):
-        return g @ b.data.T, a.data.T @ g
-
-    return _record(tape, "matmul", (a, b), out_data, grad_fn)
+    return _op("matmul", (a, b), a.data @ b.data, _matmul_grad, a, b)
 
 
-def _transpose(x: Tensor) -> Tensor:
-    x = _as_tensor(x)
-    if x.ndim != 2:
-        raise ShapeError(f"transpose: needs rank 2, got {x.shape}")
-    out_data = np.ascontiguousarray(x.data.T)
-    tape = _tape((x,))
-    if tape is None:
-        return Tensor._raw(out_data)
-
-    def grad_fn(g):
-        return (np.ascontiguousarray(g.T),)
-
-    return _record(tape, "transpose", (x,), out_data, grad_fn)
+def _matmul_grad(a, b, g):
+    return g @ b.data.T, a.data.T @ g
 
 
-def _reshape(x: Tensor, shape) -> Tensor:
-    x = _as_tensor(x)
-    shape = tuple(int(s) for s in shape)
-    if int(np.prod(shape, dtype=np.int64)) != x.size:
-        raise ShapeError(f"reshape: cannot view {x.shape} as {shape}")
-    out_data = x.data.reshape(shape).copy()
-    tape = _tape((x,))
-    if tape is None:
-        return Tensor._raw(out_data)
+def _transpose_grad(g):
+    return (np.ascontiguousarray(g.T),)
 
-    def grad_fn(g):
-        return (g.reshape(x.shape),)
 
-    return _record(tape, "reshape", (x,), out_data, grad_fn)
+def _reshape_grad(shape, g):
+    return (g.reshape(shape),)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -381,102 +335,48 @@ def sigmoid(x: Tensor) -> Tensor:
     out_data = np.where(v >= 0, 1.0, e)
     out_data /= 1.0 + e
     np.clip(out_data, _SIG_LO, _SIG_HI, out=out_data)
-    tape = _tape((x,))
-    if tape is None:
-        return Tensor._raw(out_data)
-
-    def grad_fn(g):
-        return (g * out_data * (1.0 - out_data),)
-
-    return _record(tape, "sigmoid", (x,), out_data, grad_fn)
+    return _op("sigmoid", (x,), out_data, _sigmoid_grad, out_data)
 
 
-def _exp(x: Tensor) -> Tensor:
-    x = _as_tensor(x)
-    out_data = np.exp(x.data)
-    tape = _tape((x,))
-    if tape is None:
-        return Tensor._raw(out_data)
-
-    def grad_fn(g):
-        return (g * out_data,)
-
-    return _record(tape, "exp", (x,), out_data, grad_fn)
+def _sigmoid_grad(out, g):
+    return (g * out * (1.0 - out),)
 
 
-def _log(x: Tensor) -> Tensor:
-    x = _as_tensor(x)
-    if (x.data <= 0.0).any():
-        raise ValueError("log: requires strictly positive input")
-    out_data = np.log(x.data)
-    tape = _tape((x,))
-    if tape is None:
-        return Tensor._raw(out_data)
-
-    def grad_fn(g):
-        return (g / x.data,)
-
-    return _record(tape, "log", (x,), out_data, grad_fn)
+def _exp_grad(out, g):
+    return (g * out,)
 
 
-def _sqrt(x: Tensor) -> Tensor:
-    x = _as_tensor(x)
-    if (x.data <= 0.0).any():
-        raise ValueError("sqrt: requires strictly positive input")
-    out_data = np.sqrt(x.data)
-    tape = _tape((x,))
-    if tape is None:
-        return Tensor._raw(out_data)
-
-    def grad_fn(g):
-        return (g * 0.5 / out_data,)
-
-    return _record(tape, "sqrt", (x,), out_data, grad_fn)
+def _log_grad(x, g):
+    return (g / x,)
 
 
-def _sum(x: Tensor, axis: Optional[int] = None) -> Tensor:
-    x = _as_tensor(x)
+def _sqrt_grad(out, g):
+    return (g * 0.5 / out,)
+
+
+def _reduce(op: str, x: Tensor, axis: Optional[int]) -> Tensor:
+    """``sum`` or ``mean`` over every element (axis None) or one axis of a
+    rank-2 tensor. A sum is a mean over n = 1: numpy's float64 mean is the
+    same sum divided by the count, so both agree with numpy bit for bit."""
     if axis not in (None, 0, 1):
-        raise ValueError(f"sum: axis must be None, 0 or 1, got {axis}")
+        raise ValueError(f"{op}: axis must be None, 0 or 1, got {axis}")
     if axis is not None and x.ndim != 2:
-        raise ShapeError(f"sum over an axis needs rank 2, got {x.shape}")
-    out_data = np.asarray(x.data.sum(axis=axis))
-    tape = _tape((x,))
-    if tape is None:
-        return Tensor._raw(out_data)
-
-    def grad_fn(g):
-        if axis is None:
-            return (np.full_like(x.data, float(g)),)
-        if axis == 0:
-            return (np.broadcast_to(g, x.shape).copy(),)
-        return (np.broadcast_to(g[:, None], x.shape).copy(),)
-
-    return _record(tape, "sum", (x,), out_data, grad_fn)
+        raise ShapeError(f"{op} over an axis needs rank 2, got {x.shape}")
+    n = 1
+    if op == "mean":
+        n = x.size if axis is None else x.shape[axis]
+        if n == 0:
+            raise ValueError("mean: empty input")
+    out_data = np.asarray(x.data.sum(axis=axis) / n)
+    return _op(op, (x,), out_data, _reduce_grad, x.shape, axis, n)
 
 
-def _mean(x: Tensor, axis: Optional[int] = None) -> Tensor:
-    x = _as_tensor(x)
-    if axis not in (None, 0, 1):
-        raise ValueError(f"mean: axis must be None, 0 or 1, got {axis}")
-    if axis is not None and x.ndim != 2:
-        raise ShapeError(f"mean over an axis needs rank 2, got {x.shape}")
-    n = x.size if axis is None else x.shape[axis]
-    if n == 0:
-        raise ValueError("mean: empty input")
-    out_data = np.asarray(x.data.mean(axis=axis))
-    tape = _tape((x,))
-    if tape is None:
-        return Tensor._raw(out_data)
-
-    def grad_fn(g):
-        if axis is None:
-            return (np.full_like(x.data, float(g) / n),)
-        if axis == 0:
-            return (np.broadcast_to(g / n, x.shape).copy(),)
-        return (np.broadcast_to(g[:, None] / n, x.shape).copy(),)
-
-    return _record(tape, "mean", (x,), out_data, grad_fn)
+def _reduce_grad(shape, axis, n, g):
+    if axis is None:
+        return (np.full(shape, float(g) / n),)
+    if axis == 0:
+        return (np.broadcast_to(g / n, shape).copy(),)
+    return (np.broadcast_to(g[:, None] / n, shape).copy(),)
 
 
 def mean_pool(x: Tensor) -> Tensor:
@@ -486,7 +386,7 @@ def mean_pool(x: Tensor) -> Tensor:
         raise ShapeError(f"mean_pool: needs rank 2, got {x.shape}")
     if x.shape[0] < 1:
         raise ValueError("mean_pool: empty sequence")
-    return _mean(x, axis=0)
+    return _reduce("mean", x, 0)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -505,21 +405,17 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
             f"concat: non-concat dims differ: {[t.shape for t in ts]}"
         )
     out_data = np.concatenate([t.data for t in ts], axis=axis)
-    tape = _tape(ts)
-    if tape is None:
-        return Tensor._raw(out_data)
-    sizes = [t.shape[axis] for t in ts]
+    return _op("concat", ts, out_data, _concat_grad, axis, ts)
 
-    def grad_fn(g):
-        grads = []
-        start = 0
-        for s in sizes:
-            sl = slice(start, start + s)
-            grads.append(np.ascontiguousarray(g[sl] if axis == 0 else g[:, sl]))
-            start += s
-        return tuple(grads)
 
-    return _record(tape, "concat", ts, out_data, grad_fn)
+def _concat_grad(axis, ts, g):
+    grads = []
+    start = 0
+    for t in ts:
+        sl = slice(start, start + t.shape[axis])
+        grads.append(np.ascontiguousarray(g[sl] if axis == 0 else g[:, sl]))
+        start = sl.stop
+    return tuple(grads)
 
 
 def cosine_sim(u, v) -> float:
@@ -556,8 +452,8 @@ def backward(graph: Graph, loss: Tensor) -> None:
         out_g = grads.get(id(rec.out))
         if out_g is None:
             continue
-        for t, contrib in zip(rec.inputs, rec.grad_fn(out_g)):
-            if contrib is None or not t.requires_grad:
+        for t, contrib in zip(rec.inputs, rec.grad_rule(*rec.ctx, out_g)):
+            if not t.requires_grad:
                 continue
             key = id(t)
             if key in grads:

@@ -121,8 +121,22 @@ class TestSweep:
         best = max(results, key=lambda r: r["accuracy"])
         assert best["alpha"] == 0.7
 
-    # Very small steps are not run here: they would allocate huge grids.
-    @pytest.mark.parametrize("grid", ["0:inf:0.1", "nan:1:0.1", "0:1:inf", "0:1.5:0.1"])
+    def test_grid_stops_at_stop(self, tmp_path):
+        out = tmp_path / "s"
+        code = dispatch(
+            [
+                "sweep",
+                "--benchmark", str(FIXTURES / "sweep_benchmark.jsonl"),
+                "--grid", "0:1:0.6",
+                "--backend", SWEEP,
+                "--out", str(out),
+            ]
+        )
+        assert code == 0
+        assert [r["alpha"] for r in json.loads((out / "sweep.json").read_text())] == [0.0, 0.6]
+
+    # 0:1:1e-12 would be about 1e12 points: it is rejected before any is built.
+    @pytest.mark.parametrize("grid", ["0:inf:0.1", "nan:1:0.1", "0:1:inf", "0:1.5:0.1", "0:1:1e-12"])
     def test_bad_grid_is_validation_error(self, grid, tmp_path, capsys):
         code = dispatch(
             [

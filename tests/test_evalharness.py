@@ -106,6 +106,19 @@ class TestLoadBenchmark:
         with pytest.raises(EmptyBenchmarkError):
             load_benchmark(path)
 
+    # a string is not a pair: "AB" must not load as option A with text "B"
+    @pytest.mark.parametrize("options", [["AB", "CD"], [["A", "x"], "BC"], [["A", "x", "extra"]]],
+                             ids=["strings", "pair-and-string", "triple"])
+    def test_option_must_be_a_pair(self, tmp_path, options):
+        path = tmp_path / "bench.jsonl"
+        good = {"id": "ok", "image_ref": "img", "question": "q?",
+                "options": [["A", "x"], ["B", "y"]], "gold_answer": "A"}
+        path.write_text(json.dumps(good) + "\n" + json.dumps({**good, "id": "bad", "options": options}) + "\n")
+        instances, errors = load_benchmark(path)
+        assert [i.id for i in instances] == ["ok"]
+        assert instances[0].options == [("A", "x"), ("B", "y")]
+        assert len(errors) == 1 and "line 2" in errors[0] and "pair" in errors[0]
+
     def test_gold_must_be_an_option_letter(self, tmp_path):
         path = tmp_path / "bench.jsonl"
         row = {"id": "x", "image_ref": "img", "question": "q?",

@@ -1,5 +1,7 @@
 """Numeric-core tests: op semantics, the tape, and the gradient checker."""
 
+import operator
+
 import numpy as np
 import pytest
 
@@ -146,6 +148,13 @@ class TestMeanPool:
         x = rng.standard_normal((7, 5))
         oracle = x.sum(axis=0) / 7.0
         np.testing.assert_allclose(mean_pool(Tensor(x)).data, oracle, atol=1e-12)
+
+    @pytest.mark.parametrize("axis", [None, 0, 1])
+    def test_mean_is_numpys_mean_bit_for_bit(self, axis):
+        # Tensor.mean divides the sum by the count, which is what numpy's
+        # float64 mean does; the tape's values rely on the two agreeing
+        x = make_rng(5).standard_normal((7, 13)) * 1e3
+        assert Tensor(x).mean(axis).data.tobytes() == np.asarray(x.mean(axis=axis)).tobytes()
 
     def test_empty_raises(self):
         with pytest.raises(ValueError):
@@ -319,6 +328,35 @@ class TestComposedObjectiveGradients:
         assert worst <= 1e-5, f"worst relative error {worst:.3e}"
 
 
+def _op_cases() -> dict:
+    """Every op, as (record name, operand shapes, function of the operands)."""
+    cases = {}
+    for name, fn in [("add", operator.add), ("sub", operator.sub),
+                     ("mul", operator.mul), ("div", operator.truediv)]:
+        cases[f"{name}-row"] = (name, [(3, 4), (4,)], fn)
+        cases[f"{name}-number-right"] = (name, [(3, 4)], lambda a, fn=fn: fn(a, 2.5))
+        cases[f"{name}-number-left"] = (name, [(3, 4)], lambda a, fn=fn: fn(2.5, a))
+    for axis in (None, 0, 1):
+        cases[f"sum-{axis}"] = ("sum", [(3, 4)], lambda a, axis=axis: a.sum(axis))
+        cases[f"mean-{axis}"] = ("mean", [(3, 4)], lambda a, axis=axis: a.mean(axis))
+    cases.update({
+        "matmul": ("matmul", [(3, 4), (4, 2)], matmul),
+        "transpose": ("transpose", [(3, 4)], lambda a: a.transpose()),
+        "reshape": ("reshape", [(3, 4)], lambda a: a.reshape((2, 6))),
+        "sigmoid": ("sigmoid", [(3, 4)], sigmoid),
+        "exp": ("exp", [(3, 4)], lambda a: a.exp()),
+        "log": ("log", [(3, 4)], lambda a: a.log()),
+        "sqrt": ("sqrt", [(3, 4)], lambda a: a.sqrt()),
+        "concat-0": ("concat", [(2, 4), (3, 4)], lambda a, b: concat([a, b], axis=0)),
+        "concat-1": ("concat", [(3, 2), (3, 4)], lambda a, b: concat([a, b], axis=1)),
+        "mean_pool": ("mean", [(3, 4)], mean_pool),
+    })
+    return cases
+
+
+_OP_CASES = _op_cases()
+
+
 class TestNoRecordPath:
     """Ops record only inside a graph, outside ``no_grad``, and when an input
     requires grad; otherwise they return bare outputs."""
@@ -349,6 +387,27 @@ class TestNoRecordPath:
             y = (c * x).sum()
         assert [rec.op for rec in g.records] == ["mul", "sum"]
         assert not c.requires_grad and y.requires_grad
+
+    @pytest.mark.parametrize("case", list(_OP_CASES))
+    def test_every_op_records_or_returns_bare(self, case):
+        # operands in [0.5, 2] keep log, sqrt and div in their domains, and
+        # positive weights keep every gradient coordinate away from zero
+        name, shapes, fn = _OP_CASES[case]
+        rng = make_rng(len(case))
+        params = [Tensor(rng.uniform(0.5, 2.0, size=s), requires_grad=True) for s in shapes]
+        with Graph() as g:
+            recorded = fn(*params)
+        assert [rec.op for rec in g.records] == [name]
+        assert recorded.requires_grad
+        with Graph() as g:
+            with no_grad():
+                bare = fn(*params)
+        assert g.records == []
+        assert not bare.requires_grad and bare.grad is None
+        assert bare.shape == recorded.shape
+        assert bare.data.tobytes() == recorded.data.tobytes()
+        weights = Tensor(rng.uniform(0.5, 1.5, size=recorded.shape))
+        assert finite_diff_check(lambda ps: (fn(*ps) * weights).sum(), params) <= 1e-6
 
     @pytest.mark.parametrize("in_graph", [False, True])
     @pytest.mark.parametrize("op, match", [
