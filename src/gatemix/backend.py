@@ -23,10 +23,10 @@ import http.client
 import json
 import logging
 import math
+import socket
 import threading
 import time
-import urllib.error
-import urllib.request
+import urllib.parse
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -268,6 +268,16 @@ class MockBackend:
             return self._default_completion
         raise CapabilityError("mock backend has no completion script for this prompt")
 
+    def close(self) -> None:
+        """Nothing to release; present so that any backend can be closed."""
+
+
+# Asks the kernel to acknowledge the reply at once instead of delaying the
+# ACK. A server that writes headers and body in two sends with Nagle on
+# holds the body until the headers are acknowledged, so on a kept-alive
+# connection a delayed ACK stalls every reply by tens of milliseconds.
+_QUICKACK = getattr(socket, "TCP_QUICKACK", None)
+
 
 class RemoteBackend:
     """Client for a logprob-capable HTTP inference service.
@@ -276,8 +286,13 @@ class RemoteBackend:
     replies and bounds the number of in-flight requests, so one instance
     can be shared across eval workers. Before attempt k+1 it waits
     ``retry_wait * 2**(k-1)`` seconds, or what a 429 or 503 reply's
-    delta-seconds ``Retry-After`` asks, capped at ``timeout``. Logprobs are
+    delta-seconds ``Retry-After`` asks, capped at ``timeout``. Any other
+    non-2xx reply, a redirect included, is a ``BackendError``. Logprobs are
     never fabricated: a reply without them raises ``CapabilityError``.
+
+    Connections are kept alive and reused: at most ``max_in_flight`` of
+    them, idle ones in a pool that ``close()`` empties. The endpoint must
+    be an http or https URL with a host; proxy settings are not read.
     """
 
     def __init__(
@@ -294,6 +309,13 @@ class RemoteBackend:
             # no request slot would make every call wait forever
             raise ValueError(f"need retries >= 1, max_in_flight >= 1 and timeout > 0, "
                              f"got {retries}, {max_in_flight} and {timeout}")
+        url = urllib.parse.urlsplit(endpoint)
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise ValueError(f"endpoint must be an http:// or https:// URL with a host, got {endpoint!r}")
+        self._connection_class = (http.client.HTTPSConnection if url.scheme == "https"
+                                  else http.client.HTTPConnection)
+        self._address = (url.hostname, url.port)  # a bad port is a ValueError here
+        self._path = (url.path or "/") + (f"?{url.query}" if url.query else "")
         self.endpoint = endpoint
         self.model = model
         self.api_key = api_key
@@ -301,6 +323,56 @@ class RemoteBackend:
         self.retries = retries
         self.retry_wait = retry_wait
         self._slots = threading.Semaphore(max_in_flight)
+        # Idle kept-alive connections, last used first. A connection is made
+        # only when none is idle, and only by a holder of a slot, so there
+        # are never more than max_in_flight of them.
+        self._idle = []
+        self._idle_lock = threading.Lock()
+
+    def close(self) -> None:
+        """Close the idle connections. The backend stays usable: a later
+        request opens a new connection."""
+        with self._idle_lock:
+            idle, self._idle = self._idle, []
+        for conn in idle:
+            conn.close()
+
+    def _exchange(self, conn: http.client.HTTPConnection, body: bytes, headers: dict):
+        """POST ``body`` on ``conn`` and read the whole reply: the response
+        and its body. ``conn`` goes back to the idle pool after a
+        2xx reply the server keeps it open for; otherwise, and on any
+        failure, it is closed."""
+        keep = False
+        try:
+            conn.request("POST", self._path, body, headers)
+            if _QUICKACK is not None:
+                # the kernel leaves quick-ACK mode on its own, so set it per request
+                conn.sock.setsockopt(socket.IPPROTO_TCP, _QUICKACK, 1)
+            resp = conn.getresponse()
+            raw = resp.read()
+            keep = 200 <= resp.status < 300 and not resp.will_close
+        finally:
+            if keep:
+                with self._idle_lock:
+                    self._idle.append(conn)
+            else:
+                conn.close()
+        return resp, raw
+
+    def _round_trip(self, body: bytes, headers: dict):
+        """One request on an idle connection if there is one, else on a new
+        one. A ``ConnectionError`` on an idle connection means the server
+        closed it while it sat in the pool, so the request goes once more on
+        a new connection; any failure on a new connection is the caller's."""
+        with self._idle_lock:
+            conn = self._idle.pop() if self._idle else None
+        if conn is not None:
+            try:
+                return self._exchange(conn, body, headers)
+            except ConnectionError:
+                pass
+        return self._exchange(self._connection_class(*self._address, timeout=self.timeout),
+                              body, headers)
 
     def _post(self, payload: dict) -> dict:
         body = json.dumps(payload).encode("utf-8")
@@ -309,22 +381,21 @@ class RemoteBackend:
             headers["Authorization"] = f"Bearer {self.api_key}"
         last_error = None
         for attempt in range(1, self.retries + 1):
-            request = urllib.request.Request(self.endpoint, data=body, headers=headers)
             wait = self.retry_wait * 2 ** (attempt - 1)
             try:
                 with self._slots:
-                    with urllib.request.urlopen(request, timeout=self.timeout) as resp:
-                        raw = resp.read()
-                break
-            except urllib.error.HTTPError as exc:
-                if exc.code < 500 and exc.code != 429:
-                    raise BackendError(f"service rejected request: HTTP {exc.code}") from exc
-                retry_after = (exc.headers.get("Retry-After") or "").strip()
-                if exc.code in (429, 503) and retry_after.isascii() and retry_after.isdigit():
+                    resp, raw = self._round_trip(body, headers)
+            except (OSError, http.client.HTTPException) as exc:
+                last_error = exc
+            else:
+                if 200 <= resp.status < 300:
+                    break
+                if resp.status < 500 and resp.status != 429:
+                    raise BackendError(f"service rejected request: HTTP {resp.status} {resp.reason}")
+                retry_after = (resp.headers.get("Retry-After") or "").strip()
+                if resp.status in (429, 503) and retry_after.isascii() and retry_after.isdigit():
                     wait = min(float(retry_after), self.timeout)
-                last_error = exc
-            except (urllib.error.URLError, OSError, http.client.HTTPException) as exc:
-                last_error = exc
+                last_error = f"HTTP {resp.status} {resp.reason}"
             if attempt < self.retries:
                 time.sleep(wait)
         else:

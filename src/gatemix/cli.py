@@ -23,6 +23,7 @@ import json
 import math
 import os
 import sys
+from contextlib import closing
 from dataclasses import fields
 from pathlib import Path
 
@@ -103,6 +104,7 @@ def _connector_config(config: dict) -> ConnectorConfig:
 
 
 def _make_backend(spec, config: dict):
+    """The configured backend; callers close it when done."""
     spec = _setting(spec, config, "backend", None)
     if spec is None:
         raise _ValidationError("no backend configured (use --backend or the config file)")
@@ -185,10 +187,10 @@ def _cmd_train_align(args, config) -> int:
 
 def _cmd_verify(args, config) -> int:
     out = _out_dir(args)
-    backend = _make_backend(args.backend, config)
-    alpha = _setting(args.alpha, config, "alpha", DEFAULT_ALPHA)
-    options = letter_options(args.option or [])
-    direct_trace, cot_trace = dual_generate(backend, args.image_ref, args.question)
+    with closing(_make_backend(args.backend, config)) as backend:
+        alpha = _setting(args.alpha, config, "alpha", DEFAULT_ALPHA)
+        options = letter_options(args.option or [])
+        direct_trace, cot_trace = dual_generate(backend, args.image_ref, args.question)
     decision = self_verify(
         score_response(direct_trace, options), score_response(cot_trace, options), alpha
     )
@@ -202,13 +204,13 @@ def _cmd_verify(args, config) -> int:
 
 def _cmd_eval(args, config) -> int:
     out = _out_dir(args)
-    backend = _make_backend(args.backend, config)
-    alpha = _setting(args.alpha, config, "alpha", DEFAULT_ALPHA)
-    workers = _setting(args.workers, config, "workers", 1)
-    instances, errors = load_benchmark(args.benchmark)
-    for err in errors:
-        print(f"warning: skipped {err}", file=sys.stderr)
-    report = run_eval(backend, instances, args.strategy, alpha=alpha, max_workers=workers)
+    with closing(_make_backend(args.backend, config)) as backend:
+        alpha = _setting(args.alpha, config, "alpha", DEFAULT_ALPHA)
+        workers = _setting(args.workers, config, "workers", 1)
+        instances, errors = load_benchmark(args.benchmark)
+        for err in errors:
+            print(f"warning: skipped {err}", file=sys.stderr)
+        report = run_eval(backend, instances, args.strategy, alpha=alpha, max_workers=workers)
     emit_report(report, out / "report.json")
     print(f"{args.strategy} accuracy: {report.accuracy:.4f} on {report.n_instances} instances")
     return 0
@@ -216,13 +218,13 @@ def _cmd_eval(args, config) -> int:
 
 def _cmd_sweep(args, config) -> int:
     out = _out_dir(args)
-    backend = _make_backend(args.backend, config)
-    workers = _setting(args.workers, config, "workers", 1)
-    grid = _parse_grid(args.grid) if args.grid else default_alpha_grid()
-    instances, errors = load_benchmark(args.benchmark)
-    for err in errors:
-        print(f"warning: skipped {err}", file=sys.stderr)
-    results = alpha_sweep(backend, instances, grid=grid, max_workers=workers)
+    with closing(_make_backend(args.backend, config)) as backend:
+        workers = _setting(args.workers, config, "workers", 1)
+        grid = _parse_grid(args.grid) if args.grid else default_alpha_grid()
+        instances, errors = load_benchmark(args.benchmark)
+        for err in errors:
+            print(f"warning: skipped {err}", file=sys.stderr)
+        results = alpha_sweep(backend, instances, grid=grid, max_workers=workers)
     lines = ["alpha  accuracy"] + [f"{a:<5.2f}  {acc:.4f}" for a, acc in results]
     table = "\n".join(lines) + "\n"
     print(table, end="")
@@ -236,10 +238,10 @@ def _cmd_sweep(args, config) -> int:
 
 def _cmd_curate(args, config) -> int:
     out = _out_dir(args)
-    backend = _make_backend(args.backend, config)
-    threshold = _setting(args.threshold, config, "threshold", 0.6)
-    records = load_records(args.records)
-    instances, stats = run_pipeline(records, backend.complete_text, threshold=threshold)
+    with closing(_make_backend(args.backend, config)) as backend:
+        threshold = _setting(args.threshold, config, "threshold", 0.6)
+        records = load_records(args.records)
+        instances, stats = run_pipeline(records, backend.complete_text, threshold=threshold)
     write_instances(instances, out / "curated.jsonl")
     write_stats(stats, out / "curation_stats.json")
     print(f"kept {stats.kept}, dropped {stats.dropped}")

@@ -3,8 +3,12 @@ prompt templates, and the dual-generation contract."""
 
 import json
 import math
+import socket
+import struct
+import sys
 import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
+from concurrent.futures import ThreadPoolExecutor
+from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
@@ -28,6 +32,10 @@ from gatemix.backend import (
 )
 from gatemix.cli import dispatch
 from gatemix.evalharness import BenchmarkInstance, alpha_sweep, run_eval
+
+# A socket left open (a leaked server or pooled connection) fails the test.
+pytestmark = pytest.mark.filterwarnings(
+    "error::ResourceWarning", "error::pytest.PytestUnraisableExceptionWarning")
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -219,7 +227,57 @@ def stub_server():
     _StubHandler.extra_headers = {}
     yield f"http://127.0.0.1:{server.server_port}", _StubHandler
     server.shutdown()
+    server.server_close()
     thread.join(timeout=5)
+
+
+@pytest.fixture()
+def keepalive_server():
+    """An HTTP/1.1 server that counts the connections and requests it
+    receives. ``counts["mode"]`` says what it does with each request:
+    "keep" replies and keeps the connection open, "drop" replies and then
+    closes the connection without announcing it, "reset" resets the
+    connection instead of replying."""
+    counts = {"connections": 0, "requests": 0, "mode": "keep"}
+    lock = threading.Lock()
+
+    class Handler(BaseHTTPRequestHandler):
+        protocol_version = "HTTP/1.1"
+        timeout = 5  # an idle connection left open ends its thread
+
+        def setup(self):
+            super().setup()
+            with lock:
+                counts["connections"] += 1
+
+        def do_POST(self):
+            self.rfile.read(int(self.headers["Content-Length"]))
+            with lock:
+                counts["requests"] += 1
+            if counts["mode"] == "reset":
+                self.connection.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+                self.close_connection = True
+                return
+            body = b'{"text": "B", "logprobs": [-0.1]}'
+            self.send_response(200)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+            self.close_connection = counts["mode"] == "drop"
+
+        def log_message(self, *args):
+            pass
+
+    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    server.daemon_threads = False  # so server_close joins the connection threads
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield f"http://127.0.0.1:{server.server_port}/v1", counts
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
 
 
 @pytest.fixture()
@@ -412,6 +470,17 @@ class TestRemoteBackend:
             RemoteBackend(endpoint, retries=2, retry_wait=0.0).generate(req)
         assert len(handler.requests) == 1
 
+    @pytest.mark.parametrize("status", [301, 302, 303, 307, 308])
+    def test_redirect_is_neither_followed_nor_retried(self, stub_server, status):
+        endpoint, handler = stub_server
+        handler.reply = {"text": "B", "logprobs": [-0.1]}
+        handler.statuses = [status]
+        handler.extra_headers = {"Location": f"{endpoint}/elsewhere"}
+        req = BackendRequest("img1", QUESTION, "direct", default_decoding("direct"))
+        with pytest.raises(BackendError, match=f"HTTP {status}"):
+            RemoteBackend(endpoint, retries=2, retry_wait=0.0).generate(req)
+        assert len(handler.requests) == 1
+
     def test_complete_text(self, stub_server):
         endpoint, handler = stub_server
         handler.reply = {"text": "Scoring: 0.8"}
@@ -427,6 +496,56 @@ class TestRemoteBackend:
                          "--backend", f"remote:{endpoint}", "--out", str(tmp_path)])
         assert code == 2
         assert "string 'text'" in capsys.readouterr().err
+
+
+class TestConnectionReuse:
+    def test_sequential_calls_share_one_connection(self, keepalive_server):
+        endpoint, counts = keepalive_server
+        backend = RemoteBackend(endpoint)
+        try:
+            for _ in range(5):
+                assert backend.complete_text("score this") == "B"
+        finally:
+            backend.close()
+        assert (counts["connections"], counts["requests"]) == (1, 5)
+
+    def test_idle_connection_closed_by_the_server_costs_one_reconnect(self, keepalive_server):
+        endpoint, counts = keepalive_server
+        counts["mode"] = "drop"
+        backend = RemoteBackend(endpoint, retries=1)
+        try:
+            for _ in range(3):
+                assert backend.complete_text("score this") == "B"
+        finally:
+            backend.close()
+        assert (counts["connections"], counts["requests"]) == (3, 3)
+
+    def test_failure_on_a_new_connection_spends_an_attempt(self, keepalive_server, sleeps):
+        endpoint, counts = keepalive_server
+        counts["mode"] = "reset"
+        backend = RemoteBackend(endpoint, retries=3)
+        with pytest.raises(RetryableTransportError) as exc:
+            backend.complete_text("score this")
+        backend.close()
+        assert exc.value.attempts == 3
+        assert counts["requests"] == 3
+        assert len(sleeps) == 2
+
+    def test_shared_backend_opens_at_most_max_in_flight_connections(self, keepalive_server):
+        endpoint, counts = keepalive_server
+        backend = RemoteBackend(endpoint, max_in_flight=3)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                texts = list(pool.map(lambda i: backend.complete_text(f"prompt {i}"), range(200),
+                                      timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+            backend.close()
+        assert texts == ["B"] * 200
+        assert counts["requests"] == 200
+        assert 1 <= counts["connections"] <= 3
 
 
 class TestDualGenerate:

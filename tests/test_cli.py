@@ -222,6 +222,16 @@ class TestExitCodes:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("endpoint", [
+        "localhost:9/v1", "ftp://127.0.0.1:9/v1", "http:///v1", "http://127.0.0.1:99999/v1"])
+    def test_malformed_endpoint_is_validation_error(self, tmp_path, endpoint):
+        # not a report of instances that all failed, as if the service were down
+        out = tmp_path / "x"
+        code = dispatch(["eval", "--benchmark", str(FIXTURES / "easy_hard_benchmark.jsonl"),
+                         "--backend", f"remote:{endpoint}", "--out", str(out)])
+        assert code == 1
+        assert not (out / "report.json").exists()
+
 
     def test_malformed_service_reply_is_service_failure(self, tmp_path, monkeypatch, capsys):
         # MalformedReplyError is also a ValueError; the service is still at fault
