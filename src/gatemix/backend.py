@@ -111,13 +111,13 @@ class DecodingConfig:
             raise ValueError(f"top_p must be in (0, 1], got {self.top_p}")
 
 
-def default_decoding(mode: str, max_tokens: int = DEFAULT_MAX_TOKENS) -> DecodingConfig:
+def default_decoding(mode: str) -> DecodingConfig:
     """Mode defaults: direct samples at temperature 1.0, the step-by-step
     mode at temperature 0.4 with top_p 0.9."""
     if mode == "direct":
-        return DecodingConfig(temperature=1.0, top_p=1.0, max_tokens=max_tokens)
+        return DecodingConfig(temperature=1.0, top_p=1.0)
     if mode == "cot":
-        return DecodingConfig(temperature=0.4, top_p=0.9, max_tokens=max_tokens)
+        return DecodingConfig(temperature=0.4, top_p=0.9)
     raise ValueError(f"prompt mode must be one of {PROMPT_MODES}, got {mode!r}")
 
 
@@ -260,7 +260,7 @@ class MockBackend:
         key = (req.image_ref, req.question, req.prompt_mode)
         return self._script.get(key, self._defaults[req.prompt_mode])
 
-    def complete_text(self, prompt: str, decoding: DecodingConfig | None = None) -> str:
+    def complete_text(self, prompt: str) -> str:
         for contains, reply in self._completions:
             if contains in prompt:
                 return reply
@@ -454,33 +454,30 @@ class RemoteBackend:
         except ValueError as exc:
             raise MalformedReplyError(f"service reply is not a valid trace: {exc}") from exc
 
-    def complete_text(self, prompt: str, decoding: DecodingConfig | None = None) -> str:
-        decoding = decoding or DecodingConfig()
-        reply = self._post(self._payload(prompt, decoding, image_ref=None))
+    def complete_text(self, prompt: str) -> str:
+        reply = self._post(self._payload(prompt, DecodingConfig(), image_ref=None))
         text = reply.get("text")
         if not isinstance(text, str):
             raise MalformedReplyError(f"service reply lacks a string 'text': {text!r}")
         return text
 
 
-def dual_requests(image_ref: str, question: str, max_tokens: int = DEFAULT_MAX_TOKENS) -> tuple:
+def dual_requests(image_ref: str, question: str) -> tuple:
     """The (direct, cot) requests for one instance. They share image,
     question and token budget and differ only in the prompt mode and the
     mode decoding defaults."""
     return tuple(BackendRequest(image_ref=image_ref, question=question, prompt_mode=mode,
-                                decoding=default_decoding(mode, max_tokens=max_tokens))
+                                decoding=default_decoding(mode))
                  for mode in PROMPT_MODES)
 
 
-def dual_generate(
-    backend, image_ref: str, question: str, max_tokens: int = DEFAULT_MAX_TOKENS
-) -> tuple:
+def dual_generate(backend, image_ref: str, question: str) -> tuple:
     """Run both task prompts for one instance; returns (direct, cot) traces
     of the ``dual_requests``. A failing branch raises a BackendError naming
     the mode.
     """
     traces = []
-    for req in dual_requests(image_ref, question, max_tokens):
+    for req in dual_requests(image_ref, question):
         try:
             traces.append(backend.generate(req))
         except BackendError as exc:

@@ -69,6 +69,18 @@ class _Parser(argparse.ArgumentParser):
         raise _ValidationError(message)
 
 
+# every top-level key some subcommand reads
+_CONFIG_KEYS = frozenset({"backend", "remote", "api_key_env", "dims", "seed", "steps",
+                          "batch_size", "lr", "lambda", "alpha", "workers", "threshold"})
+_REMOTE_DEFAULTS = {"model": "default", "timeout": 30.0, "retries": 3, "max_in_flight": 4}
+
+
+def _reject_unknown(config: dict, known, where: str = "") -> None:
+    for key in config:
+        if key not in known:
+            raise _ValidationError(f"config key {key!r}{where} is not a setting")
+
+
 def _load_config(path) -> dict:
     if path is None:
         return {}
@@ -76,6 +88,7 @@ def _load_config(path) -> dict:
         config = json.load(fh)
     if not isinstance(config, dict):
         raise _ValidationError("config file must hold a JSON object")
+    _reject_unknown(config, _CONFIG_KEYS)
     return config
 
 
@@ -112,13 +125,12 @@ def _make_backend(spec, config: dict):
         return MockBackend.from_json(spec[len("mock:"):])
     if spec.startswith("remote:"):
         remote = _setting(None, config, "remote", {})
+        _reject_unknown(remote, _REMOTE_DEFAULTS, " in 'remote'")
         return RemoteBackend(
             endpoint=spec[len("remote:"):],
-            model=_setting(None, remote, "model", "default"),
             api_key=os.environ.get(_setting(None, config, "api_key_env", API_KEY_ENV)),
-            timeout=_setting(None, remote, "timeout", 30.0),
-            retries=_setting(None, remote, "retries", 3),
-            max_in_flight=_setting(None, remote, "max_in_flight", 4),
+            **{key: _setting(None, remote, key, default)
+               for key, default in _REMOTE_DEFAULTS.items()},
         )
     raise _ValidationError(f"backend spec must start with 'mock:' or 'remote:', got {spec!r}")
 

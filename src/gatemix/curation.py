@@ -1,11 +1,12 @@
 """CoT data curation: rewrite, score, keep the better CoT, filter, emit.
 
-Manually written reasoning traces get rewritten into a standardized form
-before scoring; AI-generated ones are scored as-is. Each candidate CoT is
-scored by an LLM against a faithfulness/relevance/completeness rubric, the
-higher-scoring CoT wins (ties prefer the rewrite), and records whose chosen
-score falls below the threshold (default 0.6) are dropped. Survivors become
-single-turn instruction instances.
+Each record is curated on its own and is never modified. Manually written
+reasoning traces get rewritten into a standardized form; AI-generated ones
+are taken as-is. Each candidate CoT is scored by an LLM against a
+faithfulness/relevance/completeness rubric, the higher-scoring CoT wins
+(ties prefer the rewrite), and records whose chosen score falls below the
+threshold (default 0.6) are dropped. Survivors become single-turn
+instruction instances.
 
 Records arrive as JSONL; instances and a stats summary leave as JSONL/JSON.
 Records tagged with a held-out split are rejected at ingestion so no
@@ -27,7 +28,6 @@ __all__ = [
     "HELD_OUT_SPLITS",
     "SOURCE_KINDS",
     "ScoreParseError",
-    "PipelineOrderError",
     "HeldOutSplitError",
     "CurationRecord",
     "CuratedInstance",
@@ -36,7 +36,7 @@ __all__ = [
     "build_rewrite_prompt",
     "build_score_prompt",
     "parse_overall_score",
-    "select_and_filter",
+    "score_candidates",
     "run_pipeline",
     "write_instances",
     "write_stats",
@@ -57,10 +57,6 @@ class ScoreParseError(ValueError):
         self.reply = reply
 
 
-class PipelineOrderError(RuntimeError):
-    """A record reached a stage before its prerequisites ran."""
-
-
 class HeldOutSplitError(ValueError):
     """A record from a held-out evaluation split tried to enter the pipeline."""
 
@@ -73,8 +69,6 @@ class CurationRecord:
     options: list
     raw_cot: str
     rewritten_cot: Optional[str] = None
-    raw_score: Optional[float] = None
-    rewritten_score: Optional[float] = None
     source_kind: str = "manual"
     image_description: Optional[str] = None
     split: str = "train"
@@ -165,39 +159,22 @@ def parse_overall_score(reply: str) -> float:
     return value
 
 
-def select_and_filter(
-    rec: CurationRecord, threshold: float = SCORE_THRESHOLD
-) -> Optional[CuratedInstance]:
-    """Pick the better-scoring CoT and drop the record if it scores below
-    the threshold. Ties go to the rewritten CoT (the standardized form)."""
-    if rec.source_kind == "manual":
-        if rec.rewritten_cot is None:
-            raise PipelineOrderError(
-                f"record {rec.id}: manual records must be rewritten before selection"
-            )
-        if rec.raw_score is None or rec.rewritten_score is None:
-            raise PipelineOrderError(
-                f"record {rec.id}: both CoTs must be scored before selection"
-            )
-        if rec.rewritten_score >= rec.raw_score:
-            chosen_cot, chosen_score = rec.rewritten_cot, rec.rewritten_score
-        else:
-            chosen_cot, chosen_score = rec.raw_cot, rec.raw_score
-    else:
-        if rec.raw_score is None:
-            raise PipelineOrderError(
-                f"record {rec.id}: raw CoT must be scored before selection"
-            )
-        chosen_cot, chosen_score = rec.raw_cot, rec.raw_score
-    if chosen_score < threshold:
-        return None
-    return CuratedInstance(
-        id=rec.id,
-        image_ref=rec.image_ref,
-        instruction=_question_block(rec),
-        cot_response=chosen_cot,
-        overall_score=chosen_score,
-    )
+def _score(rec: CurationRecord, cot: str, llm: Callable[[str], str]) -> float:
+    return parse_overall_score(llm(build_score_prompt(rec, cot)))
+
+
+def score_candidates(rec: CurationRecord, llm: Callable[[str], str]) -> list:
+    """The record's scored candidates as (cot, score) pairs, preferred
+    first: a manual record's rewrite (made by ``llm`` unless the record
+    carries one), then the raw CoT. ``llm`` is called in the order rewrite,
+    score raw, score rewrite."""
+    if rec.source_kind != "manual":
+        return [(rec.raw_cot, _score(rec, rec.raw_cot, llm))]
+    rewritten = rec.rewritten_cot
+    if rewritten is None:
+        rewritten = llm(build_rewrite_prompt(rec)).strip()
+    raw = (rec.raw_cot, _score(rec, rec.raw_cot, llm))
+    return [(rewritten, _score(rec, rewritten, llm)), raw]
 
 
 def _score_bin(score: float) -> int:
@@ -209,40 +186,35 @@ def run_pipeline(
     llm: Callable[[str], str],
     threshold: float = SCORE_THRESHOLD,
 ) -> tuple:
-    """Run rewrite -> score -> select -> filter over records, in order.
+    """Score each record's candidates, keep the winner, filter by score.
 
     ``llm`` maps a prompt string to a reply string (scripted mock in tests,
-    a remote backend's ``complete_text`` in production). Returns
-    (instances, stats); emission order is input order.
+    a remote backend's ``complete_text`` in production). The same winner
+    feeds the histogram and the threshold. Returns (instances, stats);
+    emission order is input order.
     """
     instances = []
-    kept = 0
-    dropped = 0
     histogram = [0] * 10
     for rec in records:
         if rec.split in HELD_OUT_SPLITS:
             raise HeldOutSplitError(
                 f"record {rec.id} is tagged with held-out split {rec.split!r}"
             )
-        if rec.source_kind == "manual":
-            if rec.rewritten_cot is None:
-                rec.rewritten_cot = llm(build_rewrite_prompt(rec)).strip()
-            rec.raw_score = parse_overall_score(llm(build_score_prompt(rec, rec.raw_cot)))
-            rec.rewritten_score = parse_overall_score(
-                llm(build_score_prompt(rec, rec.rewritten_cot))
-            )
-            chosen = max(rec.raw_score, rec.rewritten_score)
-        else:
-            rec.raw_score = parse_overall_score(llm(build_score_prompt(rec, rec.raw_cot)))
-            chosen = rec.raw_score
-        histogram[_score_bin(chosen)] += 1
-        instance = select_and_filter(rec, threshold)
-        if instance is None:
-            dropped += 1
-        else:
-            kept += 1
-            instances.append(instance)
-    return instances, PipelineStats(kept=kept, dropped=dropped, score_histogram=histogram)
+        # max keeps the first of equal scores: the preferred candidate
+        cot, score = max(score_candidates(rec, llm), key=lambda c: c[1])
+        histogram[_score_bin(score)] += 1
+        if score >= threshold:
+            instances.append(CuratedInstance(
+                id=rec.id,
+                image_ref=rec.image_ref,
+                instruction=_question_block(rec),
+                cot_response=cot,
+                overall_score=score,
+            ))
+    kept = len(instances)
+    return instances, PipelineStats(
+        kept=kept, dropped=len(records) - kept, score_histogram=histogram
+    )
 
 
 def load_records(path) -> list:

@@ -7,8 +7,7 @@ regulariser over batch-pooled image/text representations,
 
 where S holds pairwise similarities between pooled image rows and pooled
 text rows. Raw cosine can be negative or zero, which leaves the logs
-undefined, so the default similarity is exp(cos/tau) (always positive);
-raw cosine stays available behind an explicit mode flag.
+undefined, so the similarity is exp(cos/tau), which is always positive.
 """
 
 from __future__ import annotations
@@ -33,9 +32,6 @@ __all__ = [
     "generation_loss",
     "stage1_objective",
 ]
-
-MODES = ("exp-cosine", "raw-cosine")
-
 
 class InvalidSimilarityError(ValueError):
     """Similarity entries unusable for the contrastive loss."""
@@ -63,27 +59,19 @@ class BatchRepresentations:
 
 @dataclass
 class SimilarityMatrix:
-    """b x b similarity values plus the mode/temperature that produced them."""
+    """b x b similarity values."""
 
     S: Tensor
-    mode: str = "exp-cosine"
-    tau: float = 1.0
 
 
 def _row_norms(x: Tensor) -> Tensor:
     return (x * x).sum(axis=1).sqrt()
 
 
-def similarity_matrix(
-    reps: BatchRepresentations, mode: str = "exp-cosine", tau: float = 1.0
-) -> SimilarityMatrix:
-    """Pairwise similarities S_ij between img row i and txt row j.
-
-    exp-cosine (default): S_ij = exp(cos(img_i, txt_j) / tau), strictly
-    positive. raw-cosine: the cosines themselves. Differentiable end to end.
+def similarity_matrix(reps: BatchRepresentations, tau: float = 1.0) -> SimilarityMatrix:
+    """Pairwise similarities S_ij = exp(cos(img_i, txt_j) / tau) between img
+    row i and txt row j, strictly positive. Differentiable end to end.
     """
-    if mode not in MODES:
-        raise ValueError(f"similarity mode must be one of {MODES}, got {mode!r}")
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
     for name, t in (("img", reps.img), ("txt", reps.txt)):
@@ -96,9 +84,7 @@ def similarity_matrix(
         _row_norms(reps.txt).reshape((1, b)),
     )
     cos = dots / denom
-    if mode == "raw-cosine":
-        return SimilarityMatrix(S=cos, mode=mode, tau=tau)
-    return SimilarityMatrix(S=(cos / tau).exp(), mode=mode, tau=tau)
+    return SimilarityMatrix(S=(cos / tau).exp())
 
 
 def creg_loss(sm: SimilarityMatrix) -> Tensor:
@@ -112,7 +98,7 @@ def creg_loss(sm: SimilarityMatrix) -> Tensor:
         raise ShapeError(f"creg_loss: similarity matrix must be square, got {S.shape}")
     if (S.data <= 0.0).any():
         raise InvalidSimilarityError(
-            "creg_loss: non-positive similarity entries; use the exp-cosine mode"
+            "creg_loss: non-positive similarity entries leave the log terms undefined"
         )
     b = S.shape[0]
     eye = Tensor._raw(np.eye(b))

@@ -137,11 +137,10 @@ class FrozenStandins:
     logits. Both are constants drawn once from a fixed seed.
     """
 
-    def __init__(self, d_llm: int, vocab_size: int = VOCAB_SIZE):
+    def __init__(self, d_llm: int):
         rng = make_rng(_STANDIN_SEED)
         self.pool_map = Tensor(rng.standard_normal((d_llm, d_llm)) / np.sqrt(d_llm))
-        self.readout = Tensor(rng.standard_normal((d_llm, vocab_size)) / np.sqrt(d_llm))
-        self.vocab_size = vocab_size
+        self.readout = Tensor(rng.standard_normal((d_llm, VOCAB_SIZE)) / np.sqrt(d_llm))
 
 
 def _feature_maps(cfg: ConnectorConfig) -> tuple:
@@ -278,11 +277,8 @@ def train_stage1(
     initial_loss = stage1_loss(params, batch, standins, lam=cfg.lam).item()
     curve = []
     state = GDState()
-    for step in range(cfg.steps):
-        try:
-            value, params, state = train_step(params, batch, state, cfg, standins)
-        except DivergenceError as exc:
-            raise DivergenceError(f"diverged at step {step}: {exc}") from exc
+    for _ in range(cfg.steps):
+        value, params, state = train_step(params, batch, state, cfg, standins)
         curve.append(value)
     final_loss = stage1_loss(params, batch, standins, lam=cfg.lam).item()
     if checkpoint_path is not None:

@@ -574,9 +574,9 @@ class TestDualGenerate:
             "logprobs": [-0.1],
             "embeddings": {"prompt": [1, 0], "completion": [0, 1]},
         }
-        dual_generate(RemoteBackend(endpoint), "img1", QUESTION, max_tokens=77)
+        dual_generate(RemoteBackend(endpoint), "img1", QUESTION)
         direct_req, cot_req = handler.requests[-2:]
-        assert direct_req["max_tokens"] == cot_req["max_tokens"] == 77
+        assert direct_req["max_tokens"] == cot_req["max_tokens"] == 1024
         assert (direct_req["temperature"], direct_req["top_p"]) == (1.0, 1.0)
         assert (cot_req["temperature"], cot_req["top_p"]) == (0.4, 0.9)
         assert direct_req["image_ref"] == cot_req["image_ref"] == "img1"

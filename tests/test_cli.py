@@ -277,8 +277,11 @@ class TestExitCodes:
          "'retries'"),
         ({"alpha": "0.7"}, ["eval", "--backend", EASY_HARD], "'alpha'"),
         ({"backend": 5}, ["eval"], "'backend'"),
+        ({"alhpa": 0.1}, ["eval", "--backend", EASY_HARD], "'alhpa'"),
+        ({"remote": {"retires": 9, "max_inflight": 0}},
+         ["eval", "--backend", "remote:http://127.0.0.1:9"], "'retires' in 'remote'"),
     ], ids=["unknown-dim", "string-dim", "list-remote", "string-retries", "string-alpha",
-            "int-backend"])
+            "int-backend", "unknown-key", "unknown-remote-key"])
     def test_config_value_of_wrong_shape_is_validation_error(self, tmp_path, capsys, config,
                                                              command, key):
         path = tmp_path / "config.json"

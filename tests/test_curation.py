@@ -1,6 +1,7 @@
 """Curation pipeline tests: prompt builders against golden files, score
 parsing, selection/filtering semantics, and end-to-end determinism."""
 
+import copy
 import json
 from pathlib import Path
 
@@ -9,14 +10,13 @@ import pytest
 from gatemix.curation import (
     CurationRecord,
     HeldOutSplitError,
-    PipelineOrderError,
     ScoreParseError,
     build_rewrite_prompt,
     build_score_prompt,
     load_records,
     parse_overall_score,
     run_pipeline,
-    select_and_filter,
+    score_candidates,
     write_instances,
     write_stats,
 )
@@ -118,48 +118,87 @@ class TestParseOverallScore:
         assert parse_overall_score("Scoring: 0") == 0.0
 
 
+REWRITE_CUE = "Now you can start to rewrite the given CoT."
+RAW_COT = _record().raw_cot
+
+
+def _scoring_llm(scores: dict, prompts: list | None = None):
+    """An llm that rewrites any CoT to "rewritten by llm" and scores the one
+    CoT of ``scores`` that a score prompt holds; it appends every prompt to
+    ``prompts`` when given."""
+    def llm(prompt: str) -> str:
+        if prompts is not None:
+            prompts.append(prompt)
+        if REWRITE_CUE in prompt:
+            return "rewritten by llm"
+        (score,) = [s for cot, s in scores.items() if cot in prompt]
+        return f"Scoring: {score}\nExplanation: scripted."
+    return llm
+
+
+def _curate_one(rec: CurationRecord, scores: dict):
+    instances, stats = run_pipeline([rec], _scoring_llm(scores))
+    return (instances[0] if instances else None), stats
+
+
 class TestSelectAndFilter:
+    """The winner that ``run_pipeline`` keeps or drops."""
+
     def test_higher_score_wins(self):
-        rec = _record(rewritten_cot="better cot", raw_score=0.7, rewritten_score=0.9)
-        inst = select_and_filter(rec)
+        inst, _ = _curate_one(_record(rewritten_cot="better cot"),
+                              {RAW_COT: 0.7, "better cot": 0.9})
         assert inst.cot_response == "better cot"
         assert inst.overall_score == 0.9
 
     def test_raw_can_win(self):
-        rec = _record(rewritten_cot="worse cot", raw_score=0.95, rewritten_score=0.7)
-        inst = select_and_filter(rec)
-        assert inst.cot_response == rec.raw_cot
+        inst, _ = _curate_one(_record(rewritten_cot="worse cot"),
+                              {RAW_COT: 0.95, "worse cot": 0.7})
+        assert inst.cot_response == RAW_COT
         assert inst.overall_score == 0.95
 
     def test_both_below_threshold_dropped(self):
-        rec = _record(rewritten_cot="x", raw_score=0.55, rewritten_score=0.55)
-        assert select_and_filter(rec) is None
+        inst, stats = _curate_one(_record(rewritten_cot="x cot"), {RAW_COT: 0.55, "x cot": 0.55})
+        assert inst is None
+        assert (stats.kept, stats.dropped) == (0, 1)
+        assert stats.score_histogram == [0, 0, 0, 0, 0, 1, 0, 0, 0, 0]
 
     def test_boundary_score_kept(self):
-        rec = _record(source_kind="ai-generated", raw_score=0.6)
-        inst = select_and_filter(rec)
+        inst, _ = _curate_one(_record(source_kind="ai-generated"), {RAW_COT: 0.6})
         assert inst is not None
         assert inst.overall_score == 0.6
 
     def test_tie_prefers_rewritten(self):
-        rec = _record(rewritten_cot="rewritten", raw_score=0.8, rewritten_score=0.8)
-        assert select_and_filter(rec).cot_response == "rewritten"
-
-    def test_manual_without_rewrite_is_order_error(self):
-        with pytest.raises(PipelineOrderError):
-            select_and_filter(_record(raw_score=0.9))
-
-    def test_missing_score_is_order_error(self):
-        with pytest.raises(PipelineOrderError):
-            select_and_filter(_record(rewritten_cot="x", raw_score=0.9))
-        with pytest.raises(PipelineOrderError):
-            select_and_filter(_record(source_kind="ai-generated"))
+        inst, _ = _curate_one(_record(rewritten_cot="rewritten"), {RAW_COT: 0.8, "rewritten": 0.8})
+        assert inst.cot_response == "rewritten"
 
     def test_instruction_is_question_block(self):
-        rec = _record(source_kind="ai-generated", raw_score=0.9)
-        inst = select_and_filter(rec)
+        inst, _ = _curate_one(_record(source_kind="ai-generated"), {RAW_COT: 0.9})
         assert inst.instruction.startswith("What shape is drawn on the board?")
         assert "A. a circle" in inst.instruction
+
+
+class TestScoreCandidates:
+    @pytest.mark.parametrize("kind", ["manual", "manual-with-rewrite", "ai-generated"])
+    def test_llm_call_sequence(self, kind):
+        """Rewrite if needed, then score raw, then score the rewrite; the
+        preferred candidate comes first."""
+        if kind == "ai-generated":
+            rec = _record(source_kind="ai-generated")
+        else:
+            rec = _record(rewritten_cot="given rewrite" if kind == "manual-with-rewrite" else None)
+        rewrite = rec.rewritten_cot or "rewritten by llm"
+        prompts = []
+        candidates = score_candidates(
+            rec, _scoring_llm({RAW_COT: 0.7, rewrite: 0.9}, prompts))
+        if kind == "ai-generated":
+            assert prompts == [build_score_prompt(rec, RAW_COT)]
+            assert candidates == [(RAW_COT, 0.7)]
+            return
+        expected = [build_score_prompt(rec, RAW_COT), build_score_prompt(rec, rewrite)]
+        if kind == "manual":
+            expected.insert(0, build_rewrite_prompt(rec))
+        assert prompts == expected
+        assert candidates == [(rewrite, 0.9), (RAW_COT, 0.7)]
 
 
 def _scripted_llm(prompt: str) -> str:
@@ -217,6 +256,16 @@ class TestRunPipeline:
         with pytest.raises(HeldOutSplitError):
             run_pipeline([_record(split="test")], _scripted_llm)
 
+    def test_input_records_unchanged(self):
+        records = [
+            _record(id="manual"),
+            _record(id="given", rewritten_cot="A given rewrite. The answer is C."),
+            _record(id="ai", source_kind="ai-generated"),
+        ]
+        before = copy.deepcopy(records)
+        run_pipeline(records, _scripted_llm)
+        assert records == before
+
 
 class TestRecordsIO:
     def test_jsonl_roundtrip(self, tmp_path):
@@ -261,6 +310,16 @@ class TestRecordsIO:
         path = tmp_path / "records.jsonl"
         path.write_text('{"id": "r1"}\n')
         with pytest.raises(ValueError, match=":1"):
+            load_records(path)
+
+    @pytest.mark.parametrize("key", ["raw_score", "rewritten_score"])
+    def test_pipeline_state_key_rejected_with_location(self, tmp_path, key):
+        row = {"id": "r2", "image_ref": "img/2.jpg", "question": "Q?", "options": [],
+               "raw_cot": "cot", key: 0.9}
+        path = tmp_path / "records.jsonl"
+        path.write_text('{"id": "r1", "image_ref": "i", "question": "Q?", "options": [], '
+                        '"raw_cot": "cot"}\n' + json.dumps(row) + "\n")
+        with pytest.raises(ValueError, match=f"records.jsonl:2: .*{key}"):
             load_records(path)
 
     def test_write_outputs(self, tmp_path):

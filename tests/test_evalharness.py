@@ -2,6 +2,7 @@
 the alpha sweep with trace caching, and report emission."""
 
 import base64
+import dataclasses
 import json
 import math
 import random
@@ -482,7 +483,7 @@ class TestTraceCache:
             else:
                 default_decoding = backend_module.default_decoding
                 patched.setattr(backend_module, "default_decoding",
-                                lambda mode, max_tokens=None: default_decoding(mode, max_tokens=77))
+                                lambda mode: dataclasses.replace(default_decoding(mode), max_tokens=77))
             TraceCache(tmp_path).put("i1", "img", "q?", *pair)
             assert TraceCache(tmp_path).get("i1", "img", "q?") == pair
         assert TraceCache(tmp_path).get("i1", "img", "q?") is None

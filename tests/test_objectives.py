@@ -61,13 +61,6 @@ class TestSimilarityMatrix:
         )
         np.testing.assert_allclose(sm.S.data, oracle, atol=1e-12)
 
-    def test_raw_mode_returns_cosines(self):
-        rng = make_rng(1)
-        img = rng.standard_normal((3, 4))
-        txt = rng.standard_normal((3, 4))
-        sm = similarity_matrix(_reps(img, txt), mode="raw-cosine")
-        assert sm.S.data[1, 2] == pytest.approx(cosine_sim(img[1], txt[2]), abs=1e-12)
-
     def test_zero_norm_row_rejected(self):
         img = np.array([[1.0, 0.0], [0.0, 0.0]])
         txt = np.eye(2)
@@ -124,10 +117,10 @@ class TestCregLoss:
             permuted = creg_loss(SimilarityMatrix(S=Tensor(S[np.ix_(perm, perm)]))).item()
             assert permuted == pytest.approx(base, abs=1e-9)
 
-    def test_non_positive_entries_demand_exp_mode(self):
+    def test_non_positive_entries_rejected(self):
         S = Tensor(np.array([[1.0, -0.2], [0.3, 1.0]]))
-        with pytest.raises(InvalidSimilarityError, match="exp-cosine"):
-            creg_loss(SimilarityMatrix(S=S, mode="raw-cosine"))
+        with pytest.raises(InvalidSimilarityError, match="non-positive"):
+            creg_loss(SimilarityMatrix(S=S))
 
     def test_non_negative_in_exp_mode(self):
         rng = make_rng(7)

@@ -212,6 +212,12 @@ class TestTrainStep:
 
 
 class TestTrainStage1:
+    def test_divergence_names_its_step_once(self):
+        with np.errstate(all="ignore"):
+            with pytest.raises(DivergenceError) as exc:
+                train_stage1(TrainConfig(steps=20, lr=1e12))
+        assert str(exc.value).count("step") == 1
+
     def test_zero_steps(self):
         report = train_stage1(TrainConfig(steps=0))
         assert report.loss_curve == []
