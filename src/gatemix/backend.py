@@ -305,9 +305,11 @@ class RemoteBackend:
         retry_wait: float = 0.1,
         max_in_flight: int = 4,
     ):
-        if retries < 1 or max_in_flight < 1 or not timeout > 0:
-            # no request slot would make every call wait forever
-            raise ValueError(f"need retries >= 1, max_in_flight >= 1 and timeout > 0, "
+        # no request slot would make every call wait forever; a socket
+        # cannot hold a timeout past TIMEOUT_MAX (it overflows time_t)
+        if retries < 1 or max_in_flight < 1 or not 0 < timeout <= threading.TIMEOUT_MAX:
+            raise ValueError(f"need retries >= 1, max_in_flight >= 1 and "
+                             f"0 < timeout <= {threading.TIMEOUT_MAX:.0f}, "
                              f"got {retries}, {max_in_flight} and {timeout}")
         url = urllib.parse.urlsplit(endpoint)
         if url.scheme not in ("http", "https") or not url.hostname:

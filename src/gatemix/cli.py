@@ -9,16 +9,17 @@ Subcommands:
   curate       the CoT curation pipeline
 
 Settings resolve as: flags override the optional JSON config file, which
-overrides built-in defaults (alpha 0.7, 24 prefix rows, 1024 max tokens).
-Backends are selected with "mock:<script.json>" or "remote:<url>"; remote
-credentials come from the GATEMIX_API_KEY environment variable. All
-artifacts land under the --out directory. Exit codes: 0 success, 1
-validation error, 2 runtime failure.
+overrides built-in defaults (alpha 0.7, 24 prefix rows). Backends are
+selected with "mock:<script.json>" or "remote:<url>"; remote credentials
+come from the GATEMIX_API_KEY environment variable. All artifacts land
+under the --out directory. Exit codes: 0 success, 1 validation error, 2
+runtime failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import os
@@ -26,10 +27,11 @@ import sys
 from contextlib import closing
 from dataclasses import fields
 from pathlib import Path
+from typing import NamedTuple
 
 from .backend import BackendError, MockBackend, RemoteBackend, dual_generate
 from .connector import ConnectorConfig
-from .curation import load_records, run_pipeline, write_instances, write_stats
+from .curation import SCORE_THRESHOLD, load_records, run_pipeline, write_instances, write_stats
 from .evalharness import (
     alpha_sweep,
     default_alpha_grid,
@@ -37,16 +39,7 @@ from .evalharness import (
     load_benchmark,
     run_eval,
 )
-from .tensor import finite_diff_check
-from .training import (
-    GRAD_CHECK_TOL,
-    DivergenceError,
-    FrozenStandins,
-    TrainConfig,
-    stage1_loss,
-    synth_batch,
-    train_stage1,
-)
+from .training import GRAD_CHECK_TOL, DivergenceError, TrainConfig, grad_check, train_stage1
 from .verify import (
     DEFAULT_ALPHA,
     ConfigError,
@@ -69,68 +62,90 @@ class _Parser(argparse.ArgumentParser):
         raise _ValidationError(message)
 
 
-# every top-level key some subcommand reads
-_CONFIG_KEYS = frozenset({"backend", "remote", "api_key_env", "dims", "seed", "steps",
-                          "batch_size", "lr", "lambda", "alpha", "workers", "threshold"})
-_REMOTE_DEFAULTS = {"model": "default", "timeout": 30.0, "retries": 3, "max_in_flight": 4}
+def _default(fn, name: str):
+    return inspect.signature(fn).parameters[name].default
 
 
-def _reject_unknown(config: dict, known, where: str = "") -> None:
-    for key in config:
-        if key not in known:
+class _Setting(NamedTuple):
+    default: object  # None: a string with no default; a dict: an object of nested settings
+    commands: tuple = ()  # the subcommands that take a --flag for it
+
+
+_TRAIN = ("gradcheck", "train-align")
+_BACKEND = ("verify", "eval", "sweep", "curate")
+
+# The one table of settings, each default taken from the code that owns it.
+_SETTINGS = {
+    "backend": _Setting(None, _BACKEND),
+    "api_key_env": _Setting(API_KEY_ENV),
+    "remote": _Setting({name: _default(RemoteBackend, name)
+                        for name in ("model", "timeout", "retries", "max_in_flight")}),
+    "dims": _Setting({f.name: f.default for f in fields(ConnectorConfig)}),
+    "seed": _Setting(TrainConfig.seed, _TRAIN),
+    "steps": _Setting(TrainConfig.steps, ("train-align",)),
+    "batch_size": _Setting(TrainConfig.batch_size, _TRAIN),
+    "lr": _Setting(TrainConfig.lr, ("train-align",)),
+    "lambda": _Setting(TrainConfig.lam, _TRAIN),
+    "alpha": _Setting(DEFAULT_ALPHA, ("verify", "eval")),
+    "workers": _Setting(_default(run_eval, "max_workers"), ("eval", "sweep")),
+    "threshold": _Setting(SCORE_THRESHOLD, ("curate",)),
+}
+
+_JSON_TYPES = {int: "an integer", float: "a number", str: "a string", dict: "an object"}
+
+
+def _check_config(config: dict, defaults: dict, where: str = "") -> None:
+    """Every key must be a setting, and every value must have its default's
+    JSON type (a string where the default is None); objects recursively."""
+    for key, value in config.items():
+        if key not in defaults:
             raise _ValidationError(f"config key {key!r}{where} is not a setting")
+        kind = str if defaults[key] is None else type(defaults[key])
+        if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+            raise _ValidationError(
+                f"config key {key!r}{where} must be {_JSON_TYPES[kind]}, got {value!r}")
+        if kind is dict:
+            _check_config(value, defaults[key], f" in {key!r}")
 
 
 def _load_config(path) -> dict:
+    """The config file, checked whole whichever subcommand runs."""
     if path is None:
         return {}
     with open(path, "r", encoding="utf-8") as fh:
         config = json.load(fh)
     if not isinstance(config, dict):
         raise _ValidationError("config file must hold a JSON object")
-    _reject_unknown(config, _CONFIG_KEYS)
+    _check_config(config, {key: s.default for key, s in _SETTINGS.items()})
     return config
 
 
-_JSON_TYPES = {int: "an integer", float: "a number", str: "a string", dict: "an object"}
+def _resolve(args, config: dict) -> dict:
+    """Every setting: the flag, else the config value, else the default (an
+    object's fields one by one)."""
+    settings = {}
+    for key, s in _SETTINGS.items():
+        value = getattr(args, key, None)
+        if value is None:
+            value = config.get(key, s.default)
+            if isinstance(s.default, dict):
+                value = {**s.default, **value}
+        settings[key] = value
+    return settings
 
 
-def _setting(flag_value, config: dict, key: str, default):
-    """The flag, else the config value, else the default. A config value
-    must have the default's JSON type (a string where the default is None)."""
-    if flag_value is not None:
-        return flag_value
-    if key not in config:
-        return default
-    value, kind = config[key], str if default is None else type(default)
-    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
-        raise _ValidationError(f"config key {key!r} must be {_JSON_TYPES[kind]}, got {value!r}")
-    return value
-
-
-def _connector_config(config: dict) -> ConnectorConfig:
-    dims = _setting(None, config, "dims", {})
-    unknown = sorted(set(dims) - {f.name for f in fields(ConnectorConfig)})
-    if unknown:
-        raise _ValidationError(f"config key 'dims' has unknown fields {unknown}")
-    return ConnectorConfig(**{name: _setting(None, dims, name, 1) for name in dims})
-
-
-def _make_backend(spec, config: dict):
+def _make_backend(settings: dict):
     """The configured backend; callers close it when done."""
-    spec = _setting(spec, config, "backend", None)
+    spec = settings["backend"]
     if spec is None:
         raise _ValidationError("no backend configured (use --backend or the config file)")
     if spec.startswith("mock:"):
         return MockBackend.from_json(spec[len("mock:"):])
     if spec.startswith("remote:"):
-        remote = _setting(None, config, "remote", {})
-        _reject_unknown(remote, _REMOTE_DEFAULTS, " in 'remote'")
         return RemoteBackend(
             endpoint=spec[len("remote:"):],
-            api_key=os.environ.get(_setting(None, config, "api_key_env", API_KEY_ENV)),
-            **{key: _setting(None, remote, key, default)
-               for key, default in _REMOTE_DEFAULTS.items()},
+            api_key=os.environ.get(settings["api_key_env"]),
+            **settings["remote"],
         )
     raise _ValidationError(f"backend spec must start with 'mock:' or 'remote:', got {spec!r}")
 
@@ -160,32 +175,20 @@ def _parse_grid(text: str) -> list:
     return [min(round(start + i * step, 10), stop) for i in range(int(steps) + 1)]
 
 
-def _cmd_gradcheck(args, config) -> int:
-    seed = _setting(args.seed, config, "seed", 0)
-    ccfg = _connector_config(config)
-    from .connector import init_params
-
-    params = init_params(ccfg, seed)
-    batch = synth_batch(seed, args.batch_size, ccfg)
-    standins = FrozenStandins(ccfg.d_llm)
-    rel_err = finite_diff_check(
-        lambda ts: stage1_loss(params, batch, standins), params.tensors(), eps=args.eps
-    )
-    print(f"max relative error: {rel_err:.3e} (tolerance {args.tol:.0e})")
-    return 0 if rel_err <= args.tol else 2
+def _cmd_gradcheck(args, settings) -> int:
+    cfg = TrainConfig(seed=settings["seed"], batch_size=settings["batch_size"],
+                      lam=settings["lambda"])
+    rel_err = grad_check(cfg, ConnectorConfig(**settings["dims"]))
+    print(f"max relative error: {rel_err:.3e} (tolerance {GRAD_CHECK_TOL:.0e})")
+    return 0 if rel_err <= GRAD_CHECK_TOL else 2
 
 
-def _cmd_train_align(args, config) -> int:
+def _cmd_train_align(args, settings) -> int:
     out = _out_dir(args)
-    cfg = TrainConfig(
-        steps=_setting(args.steps, config, "steps", 300),
-        batch_size=_setting(args.batch_size, config, "batch_size", 4),
-        lr=_setting(args.lr, config, "lr", 0.5),
-        lam=_setting(args.lam, config, "lambda", 1.0),
-        seed=_setting(args.seed, config, "seed", 0),
-    )
+    cfg = TrainConfig(steps=settings["steps"], batch_size=settings["batch_size"],
+                      lr=settings["lr"], lam=settings["lambda"], seed=settings["seed"])
     report = train_stage1(
-        cfg, _connector_config(config), checkpoint_path=out / "gatemixer.ckpt"
+        cfg, ConnectorConfig(**settings["dims"]), checkpoint_path=out / "gatemixer.ckpt"
     )
     with open(out / "training_report.json", "w", encoding="utf-8") as fh:
         json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
@@ -197,10 +200,10 @@ def _cmd_train_align(args, config) -> int:
     return 0
 
 
-def _cmd_verify(args, config) -> int:
+def _cmd_verify(args, settings) -> int:
     out = _out_dir(args)
-    with closing(_make_backend(args.backend, config)) as backend:
-        alpha = _setting(args.alpha, config, "alpha", DEFAULT_ALPHA)
+    with closing(_make_backend(settings)) as backend:
+        alpha = settings["alpha"]
         options = letter_options(args.option or [])
         direct_trace, cot_trace = dual_generate(backend, args.image_ref, args.question)
     decision = self_verify(
@@ -214,29 +217,30 @@ def _cmd_verify(args, config) -> int:
     return 0
 
 
-def _cmd_eval(args, config) -> int:
+def _load_benchmark(path) -> list:
+    """The benchmark's instances; each skipped line is a warning on stderr."""
+    instances, errors = load_benchmark(path)
+    for err in errors:
+        print(f"warning: skipped {err}", file=sys.stderr)
+    return instances
+
+
+def _cmd_eval(args, settings) -> int:
     out = _out_dir(args)
-    with closing(_make_backend(args.backend, config)) as backend:
-        alpha = _setting(args.alpha, config, "alpha", DEFAULT_ALPHA)
-        workers = _setting(args.workers, config, "workers", 1)
-        instances, errors = load_benchmark(args.benchmark)
-        for err in errors:
-            print(f"warning: skipped {err}", file=sys.stderr)
-        report = run_eval(backend, instances, args.strategy, alpha=alpha, max_workers=workers)
+    with closing(_make_backend(settings)) as backend:
+        report = run_eval(backend, _load_benchmark(args.benchmark), args.strategy,
+                          alpha=settings["alpha"], max_workers=settings["workers"])
     emit_report(report, out / "report.json")
     print(f"{args.strategy} accuracy: {report.accuracy:.4f} on {report.n_instances} instances")
     return 0
 
 
-def _cmd_sweep(args, config) -> int:
+def _cmd_sweep(args, settings) -> int:
     out = _out_dir(args)
-    with closing(_make_backend(args.backend, config)) as backend:
-        workers = _setting(args.workers, config, "workers", 1)
+    with closing(_make_backend(settings)) as backend:
         grid = _parse_grid(args.grid) if args.grid else default_alpha_grid()
-        instances, errors = load_benchmark(args.benchmark)
-        for err in errors:
-            print(f"warning: skipped {err}", file=sys.stderr)
-        results = alpha_sweep(backend, instances, grid=grid, max_workers=workers)
+        results = alpha_sweep(backend, _load_benchmark(args.benchmark), grid=grid,
+                              max_workers=settings["workers"])
     lines = ["alpha  accuracy"] + [f"{a:<5.2f}  {acc:.4f}" for a, acc in results]
     table = "\n".join(lines) + "\n"
     print(table, end="")
@@ -248,12 +252,12 @@ def _cmd_sweep(args, config) -> int:
     return 0
 
 
-def _cmd_curate(args, config) -> int:
+def _cmd_curate(args, settings) -> int:
     out = _out_dir(args)
-    with closing(_make_backend(args.backend, config)) as backend:
-        threshold = _setting(args.threshold, config, "threshold", 0.6)
+    with closing(_make_backend(settings)) as backend:
         records = load_records(args.records)
-        instances, stats = run_pipeline(records, backend.complete_text, threshold=threshold)
+        instances, stats = run_pipeline(records, backend.complete_text,
+                                        threshold=settings["threshold"])
     write_instances(instances, out / "curated.jsonl")
     write_stats(stats, out / "curation_stats.json")
     print(f"kept {stats.kept}, dropped {stats.dropped}")
@@ -264,56 +268,35 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="gatemix", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--config", help="JSON config file", default=None)
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
+    for name, func, help_text in [
+        ("gradcheck", _cmd_gradcheck, "finite-difference check of the alignment objective"),
+        ("train-align", _cmd_train_align, "desk-scale alignment training"),
+        ("verify", _cmd_verify, "self-verify one instance"),
+        ("eval", _cmd_eval, "benchmark evaluation"),
+        ("sweep", _cmd_sweep, "alpha sweep of self-verification accuracy"),
+        ("curate", _cmd_curate, "CoT curation pipeline"),
+    ]:
+        commands[name] = sub.add_parser(name, help=help_text)
+        commands[name].set_defaults(func=func)
+        if name != "gradcheck":
+            commands[name].add_argument("--out", default="out")
+    for key, s in _SETTINGS.items():
+        for name in s.commands:
+            commands[name].add_argument("--" + key.replace("_", "-"), default=None,
+                                        type=str if s.default is None else type(s.default))
 
-    p = sub.add_parser("gradcheck", help="finite-difference check of the alignment objective")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--batch-size", type=int, default=4)
-    p.add_argument("--eps", type=float, default=1e-5)
-    p.add_argument("--tol", type=float, default=GRAD_CHECK_TOL)
-    p.set_defaults(func=_cmd_gradcheck)
-
-    p = sub.add_parser("train-align", help="desk-scale alignment training")
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", default="out")
-    p.set_defaults(func=_cmd_train_align)
-
-    p = sub.add_parser("verify", help="self-verify one instance")
+    p = commands["verify"]
     p.add_argument("--image-ref", required=True)
     p.add_argument("--question", required=True)
     p.add_argument("--option", action="append", help="option text; repeat per option")
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--backend", default=None)
-    p.add_argument("--out", default="out")
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("eval", help="benchmark evaluation")
+    p = commands["eval"]
     p.add_argument("--benchmark", required=True)
     p.add_argument("--strategy", choices=["direct", "cot", "sv"], default="sv")
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--backend", default=None)
-    p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--out", default="out")
-    p.set_defaults(func=_cmd_eval)
-
-    p = sub.add_parser("sweep", help="alpha sweep of self-verification accuracy")
+    p = commands["sweep"]
     p.add_argument("--benchmark", required=True)
     p.add_argument("--grid", default=None, help="start:stop:step, at most 10001 points, default 0:1:0.1")
-    p.add_argument("--backend", default=None)
-    p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--out", default="out")
-    p.set_defaults(func=_cmd_sweep)
-
-    p = sub.add_parser("curate", help="CoT curation pipeline")
-    p.add_argument("--records", required=True)
-    p.add_argument("--threshold", type=float, default=None)
-    p.add_argument("--backend", default=None)
-    p.add_argument("--out", default="out")
-    p.set_defaults(func=_cmd_curate)
-
+    commands["curate"].add_argument("--records", required=True)
     return parser
 
 
@@ -322,8 +305,7 @@ def dispatch(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        config = _load_config(args.config)
-        return args.func(args, config)
+        return args.func(args, _resolve(args, _load_config(args.config)))
     except _ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

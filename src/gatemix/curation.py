@@ -5,8 +5,8 @@ reasoning traces get rewritten into a standardized form; AI-generated ones
 are taken as-is. Each candidate CoT is scored by an LLM against a
 faithfulness/relevance/completeness rubric, the higher-scoring CoT wins
 (ties prefer the rewrite), and records whose chosen score falls below the
-threshold (default 0.6) are dropped. Survivors become single-turn
-instruction instances.
+threshold (default ``SCORE_THRESHOLD``) are dropped. Survivors become
+single-turn instruction instances.
 
 Records arrive as JSONL; instances and a stats summary leave as JSONL/JSON.
 Records tagged with a held-out split are rejected at ingestion so no
@@ -191,8 +191,10 @@ def run_pipeline(
     ``llm`` maps a prompt string to a reply string (scripted mock in tests,
     a remote backend's ``complete_text`` in production). The same winner
     feeds the histogram and the threshold. Returns (instances, stats);
-    emission order is input order.
+    emission order is input order. ``threshold`` must lie in [0, 1].
     """
+    if not 0.0 <= threshold <= 1.0:  # NaN fails too
+        raise ValueError(f"threshold must be in [0, 1], got {threshold}")
     instances = []
     histogram = [0] * 10
     for rec in records:

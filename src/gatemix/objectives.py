@@ -137,9 +137,9 @@ def generation_loss(logits: Tensor, targets) -> Tensor:
     return (lse - picked).mean()
 
 
-def stage1_objective(gen: Tensor, creg: Tensor, lam: float = 1.0) -> Tensor:
+def stage1_objective(gen: Tensor, creg: Tensor, lam: float) -> Tensor:
     """Combined alignment loss: generation term plus lam times the
-    contrastive term. The combination weight defaults to 1."""
+    contrastive term."""
     if lam < 0:
         raise ValueError(f"stage1_objective: lambda must be >= 0, got {lam}")
     return gen + creg * lam

@@ -34,6 +34,7 @@ __all__ = [
     "FrozenStandins",
     "synth_batch",
     "stage1_loss",
+    "grad_check",
     "train_step",
     "train_stage1",
 ]
@@ -101,8 +102,8 @@ class TrainConfig:
             raise ValueError("steps must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.lr < 0:
-            raise ValueError("lr must be >= 0")
+        if not (np.isfinite(self.lr) and self.lr >= 0):
+            raise ValueError(f"lr must be finite and >= 0, got {self.lr}")
 
 
 @dataclass
@@ -185,7 +186,7 @@ def stage1_loss(
     params: GateMixerParams,
     batch: SyntheticBatch,
     standins: FrozenStandins,
-    lam: float = 1.0,
+    lam: float = TrainConfig.lam,
 ) -> Tensor:
     """Full alignment objective for one batch: mean token loss plus the
     contrastive term over pooled image/text representations.
@@ -246,6 +247,22 @@ def train_step(
     return value, params, GDState(step=opt_state.step + 1)
 
 
+def _stage1_setup(cfg: TrainConfig, ccfg: ConnectorConfig) -> tuple:
+    """(initial params, batch, stand-ins) of a stage-1 run under ``cfg.seed``."""
+    return (init_params(ccfg, cfg.seed), synth_batch(cfg.seed, cfg.batch_size, ccfg),
+            FrozenStandins(ccfg.d_llm))
+
+
+def grad_check(cfg: TrainConfig, connector_cfg: ConnectorConfig | None = None) -> float:
+    """Max relative error of the finite-difference check of the stage-1
+    objective at initialization, for ``cfg``'s seed, batch size and lambda.
+    ``train_stage1`` requires it to be at most ``GRAD_CHECK_TOL``."""
+    params, batch, standins = _stage1_setup(cfg, connector_cfg or ConnectorConfig())
+    return finite_diff_check(
+        lambda ts: stage1_loss(params, batch, standins, lam=cfg.lam), params.tensors()
+    )
+
+
 def train_stage1(
     cfg: TrainConfig,
     connector_cfg: ConnectorConfig | None = None,
@@ -254,26 +271,19 @@ def train_stage1(
     """Run the alignment stage at desk scale.
 
     Deterministic under ``cfg.seed``: the same seed reproduces the whole
-    loss curve bit for bit. A finite-difference check of the composed
-    objective runs at step 0 and must pass before any update. When
-    ``checkpoint_path`` is given, the trained connector is saved there in
-    the binary checkpoint format.
+    loss curve bit for bit. ``grad_check`` runs at step 0 and must pass
+    before any update. When ``checkpoint_path`` is given, the trained
+    connector is saved there in the binary checkpoint format.
     """
     ccfg = connector_cfg or ConnectorConfig()
-    params = init_params(ccfg, cfg.seed)
-    standins = FrozenStandins(ccfg.d_llm)
-    batch = synth_batch(cfg.seed, cfg.batch_size, ccfg)
-
-    def objective(ts) -> Tensor:
-        return stage1_loss(params, batch, standins, lam=cfg.lam)
-
     start = time.perf_counter()
-    rel_err = finite_diff_check(objective, params.tensors(), eps=1e-5)
+    rel_err = grad_check(cfg, ccfg)
     if rel_err > GRAD_CHECK_TOL:
         raise RuntimeError(
             f"gradient check failed at initialization: {rel_err:.3e} > {GRAD_CHECK_TOL:.0e}"
         )
 
+    params, batch, standins = _stage1_setup(cfg, ccfg)
     initial_loss = stage1_loss(params, batch, standins, lam=cfg.lam).item()
     curve = []
     state = GDState()

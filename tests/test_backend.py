@@ -386,10 +386,17 @@ class TestRemoteBackend:
         assert trace.txt_rep == (0.0, 1.0)
         assert any("embeddings" in rec.message for rec in caplog.records)
 
-    @pytest.mark.parametrize("setting", [{"retries": 0}, {"max_in_flight": 0}, {"timeout": 0.0}])
+    # 1e400 parses to inf; 1e12 s overflows a socket's time_t timeout
+    @pytest.mark.parametrize("setting", [{"retries": 0}, {"max_in_flight": 0}, {"timeout": 0.0},
+                                         {"timeout": 1e400}, {"timeout": 1e12}])
     def test_settings_that_cannot_serve_are_rejected(self, setting):
         with pytest.raises(ValueError, match=">= 1"):
             RemoteBackend("http://127.0.0.1:9", **setting)
+
+    def test_largest_timeout_a_socket_holds_is_accepted(self):
+        assert RemoteBackend("http://127.0.0.1:9", timeout=9.2e9).timeout == 9.2e9
+        with socket.socket() as sock:
+            sock.settimeout(threading.TIMEOUT_MAX)
 
     def test_transport_failure_carries_attempts(self):
         backend = RemoteBackend("http://127.0.0.1:1", retries=2, retry_wait=0.0, timeout=0.5)

@@ -2,12 +2,13 @@
 semantics, and config-file precedence."""
 
 import json
+import shlex
 from pathlib import Path
 
 import pytest
 
 from gatemix import cli
-from gatemix.backend import MalformedReplyError
+from gatemix.backend import MalformedReplyError, MockBackend
 from gatemix.cli import dispatch
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -15,6 +16,7 @@ FIXTURES = Path(__file__).parent / "fixtures"
 EASY_HARD = f"mock:{FIXTURES / 'easy_hard_script.json'}"
 SWEEP = f"mock:{FIXTURES / 'sweep_script.json'}"
 CURATION = f"mock:{FIXTURES / 'curation_mock.json'}"
+README = Path(__file__).parent.parent / "README.md"
 
 
 class TestGradcheck:
@@ -24,7 +26,16 @@ class TestGradcheck:
         assert "max relative error" in out
 
     def test_impossible_tolerance_fails(self, capsys):
-        assert dispatch(["gradcheck", "--seed", "0", "--tol", "1e-18"]) == 2
+        # seed 35 is the one seed in 0-39 whose check misses the 1e-4 gate
+        assert dispatch(["gradcheck", "--seed", "35"]) == 2
+        assert "max relative error: 2.58" in capsys.readouterr().out
+
+    def test_reads_batch_size_from_config(self, tmp_path, capsys):
+        # the batch train-align checks under the same config, not the default 4
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"batch_size": 2, "seed": 1}))
+        assert dispatch(["--config", str(path), "gradcheck"]) == 0
+        assert capsys.readouterr().out == "max relative error: 5.977e-06 (tolerance 1e-04)\n"
 
 
 class TestTrainAlign:
@@ -270,7 +281,7 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("config, command, key", [
-        ({"dims": {"foo": 1}}, ["gradcheck"], "'dims'"),
+        ({"dims": {"foo": 1}}, ["gradcheck"], "'foo' in 'dims' is not a setting"),
         ({"dims": {"d": "8"}}, ["gradcheck"], "'d'"),
         ({"remote": [1]}, ["eval", "--backend", "remote:http://127.0.0.1:9"], "'remote'"),
         ({"remote": {"retries": "3"}}, ["eval", "--backend", "remote:http://127.0.0.1:9"],
@@ -280,8 +291,13 @@ class TestExitCodes:
         ({"alhpa": 0.1}, ["eval", "--backend", EASY_HARD], "'alhpa'"),
         ({"remote": {"retires": 9, "max_inflight": 0}},
          ["eval", "--backend", "remote:http://127.0.0.1:9"], "'retires' in 'remote'"),
+        # the whole file is checked, whichever subcommand runs and whatever it reads
+        ({"alpha": "0.7"}, ["gradcheck"], "'alpha'"),
+        ({"remote": {"retires": 9}}, ["eval", "--backend", EASY_HARD], "'retires' in 'remote'"),
+        ({"dims": [8]}, ["eval", "--backend", EASY_HARD], "'dims'"),
     ], ids=["unknown-dim", "string-dim", "list-remote", "string-retries", "string-alpha",
-            "int-backend", "unknown-key", "unknown-remote-key"])
+            "int-backend", "unknown-key", "unknown-remote-key", "unread-string-alpha",
+            "unread-unknown-remote-key", "unread-list-dims"])
     def test_config_value_of_wrong_shape_is_validation_error(self, tmp_path, capsys, config,
                                                              command, key):
         path = tmp_path / "config.json"
@@ -291,6 +307,104 @@ class TestExitCodes:
                                  "--out", str(tmp_path / "x")]
         assert dispatch(["--config", str(path)] + command) == 1
         assert f"config key {key}" in capsys.readouterr().err
+
+
+class _Reads(dict):
+    """Resolved settings that record which keys a subcommand reads."""
+
+    def __init__(self, settings):
+        super().__init__(settings)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+def _unlike(default, k: int):
+    """The k-th value of a setting's JSON type that differs from its default."""
+    if isinstance(default, dict):
+        name, value = next(iter(default.items()))
+        return {name: _unlike(value, k)}
+    if default is None or isinstance(default, str):
+        return f"mock:script-{k}.json"
+    if isinstance(default, int):
+        return default + k
+    return round(default + k / 16, 4)
+
+
+class TestSettingsTable:
+    """Walks ``cli._SETTINGS``: every key is read by some subcommand, each
+    subcommand takes a flag for each key it reads that has one, and
+    resolves each key it reads from its flag, the config file and the
+    default."""
+
+    # each subcommand's required arguments; "remote:" backends read every
+    # backend setting, and here the "endpoint" names a mock script
+    REQUIRED = {
+        "gradcheck": [],
+        "train-align": [],
+        "verify": ["--image-ref", "img-h1", "--question", "question h1"],
+        "eval": ["--benchmark", str(FIXTURES / "easy_hard_benchmark.jsonl")],
+        "sweep": ["--benchmark", str(FIXTURES / "sweep_benchmark.jsonl")],
+        "curate": ["--records", str(FIXTURES / "curation_records.jsonl")],
+    }
+    RUN = {
+        "train-align": ["--steps", "0"],
+        "verify": ["--backend", f"remote:{FIXTURES / 'easy_hard_script.json'}"],
+        "eval": ["--backend", f"remote:{FIXTURES / 'easy_hard_script.json'}"],
+        "sweep": ["--backend", f"remote:{FIXTURES / 'sweep_script.json'}"],
+        "curate": ["--backend", f"remote:{FIXTURES / 'curation_mock.json'}"],
+    }
+
+    def _reads(self, tmp_path, monkeypatch) -> dict:
+        reads, resolve = {}, cli._resolve
+
+        def recording(args, config):
+            reads[args.command] = _Reads(resolve(args, config))
+            return reads[args.command]
+
+        monkeypatch.setattr(cli, "_resolve", recording)
+        monkeypatch.setattr(cli, "RemoteBackend",
+                            lambda endpoint, api_key, **remote: MockBackend.from_json(endpoint))
+        for command, required in self.REQUIRED.items():
+            out = [] if command == "gradcheck" else ["--out", str(tmp_path / command)]
+            assert dispatch([command] + required + self.RUN.get(command, []) + out) == 0
+        return {command: settings.read for command, settings in reads.items()}
+
+    def test_walk(self, tmp_path, monkeypatch, capsys):
+        reads = self._reads(tmp_path, monkeypatch)
+        assert set().union(*reads.values()) == set(cli._SETTINGS)
+        parser = cli._build_parser()
+        for key, setting in cli._SETTINGS.items():
+            for command in setting.commands:
+                assert key in reads[command], f"{command} takes --{key} but never reads it"
+        for command, keys in reads.items():
+            for key in keys:
+                setting = cli._SETTINGS[key]
+                assert command in setting.commands or not setting.commands, (
+                    f"{command} reads {key} but takes no flag for it")
+                default, v1, v2 = setting.default, _unlike(setting.default, 1), _unlike(setting.default, 2)
+                argv = [command] + self.REQUIRED[command]
+                args = parser.parse_args(argv)
+                assert cli._resolve(args, {})[key] == default
+                assert cli._resolve(args, {key: v1})[key] == (
+                    {**default, **v1} if isinstance(default, dict) else v1)
+                if command in setting.commands:
+                    args = parser.parse_args(argv + ["--" + key.replace("_", "-"), str(v2)])
+                    assert cli._resolve(args, {key: v1})[key] == v2
+
+
+def test_readme_cli_commands_parse():
+    """Every ``gatemix`` command in the README's CLI block parses, so a
+    deleted or renamed flag cannot leave the README stale."""
+    block = README.read_text(encoding="utf-8").split("## CLI\n", 1)[1]
+    block = block.split("```bash\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()]
+    assert [argv[0] for argv in commands] == ["gatemix"] * 6
+    parser = cli._build_parser()
+    for argv in commands:
+        parser.parse_args(argv[1:])
 
 
 class TestConfigPrecedence:

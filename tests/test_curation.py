@@ -256,6 +256,14 @@ class TestRunPipeline:
         with pytest.raises(HeldOutSplitError):
             run_pipeline([_record(split="test")], _scripted_llm)
 
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), 1.5, -3.0])
+    def test_threshold_outside_unit_interval_rejected(self, threshold):
+        def llm(prompt):
+            raise AssertionError("no record is curated under a bad threshold")
+
+        with pytest.raises(ValueError, match="threshold"):
+            run_pipeline([_record()], llm, threshold=threshold)
+
     def test_input_records_unchanged(self):
         records = [
             _record(id="manual"),

@@ -281,3 +281,8 @@ class TestTrainConfigValidation:
     def test_negative_lr_rejected(self):
         with pytest.raises(ValueError):
             TrainConfig(lr=-0.1)
+
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf")])
+    def test_non_finite_lr_rejected(self, lr):
+        with pytest.raises(ValueError, match="lr must be finite"):
+            TrainConfig(lr=lr)
