@@ -1,8 +1,11 @@
 """Model backends.
 
-A backend turns (image ref, question, prompt mode) into a generation trace:
-the text, per-token log-probabilities of the generated tokens, and pooled
-image/text representation vectors. Two implementations ship here: a
+A backend turns a request (image ref, question, prompt mode) into a
+generation trace: the text, per-token log-probabilities of the generated
+tokens, and pooled image/text representation vectors. ``MODES`` defines
+each prompt mode once: its task template and decoding config. A trace
+carries no mode, and as a dict it holds only ``text``, ``token_logprobs``,
+``img_rep`` and ``txt_rep``. Two implementations ship here: a
 bit-deterministic scripted mock for tests and offline runs, and a client
 for an HTTP inference service that exposes logprobs and embeddings.
 
@@ -27,7 +30,7 @@ import socket
 import threading
 import time
 import urllib.parse
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = [
     "BackendError",
@@ -37,9 +40,9 @@ __all__ = [
     "DecodingConfig",
     "BackendRequest",
     "GenerationTrace",
+    "MODES",
     "PROMPT_MODES",
     "build_prompt",
-    "default_decoding",
     "MockBackend",
     "RemoteBackend",
     "dual_requests",
@@ -49,26 +52,6 @@ __all__ = [
 ]
 
 log = logging.getLogger(__name__)
-
-PROMPT_MODES = ("direct", "cot")
-
-DIRECT_PROMPT = (
-    "You are answering a visual question.\n"
-    "Question: {question}\n"
-    "Answer with only the final answer. Do not include any reasoning."
-)
-
-COT_PROMPT = (
-    "You are answering a visual question.\n"
-    "Question: {question}\n"
-    "Reason through the problem step by step, then state your conclusion on "
-    'a new line in the form "The answer is <answer>."'
-)
-
-# Representation vectors used when a service cannot return embeddings:
-# orthogonal unit vectors, so the similarity score is exactly the neutral 0.5.
-NEUTRAL_IMG_REP = (1.0, 0.0)
-NEUTRAL_TXT_REP = (0.0, 1.0)
 
 DEFAULT_MAX_TOKENS = 1024
 
@@ -111,28 +94,48 @@ class DecodingConfig:
             raise ValueError(f"top_p must be in (0, 1], got {self.top_p}")
 
 
-def default_decoding(mode: str) -> DecodingConfig:
-    """Mode defaults: direct samples at temperature 1.0, the step-by-step
-    mode at temperature 0.4 with top_p 0.9."""
-    if mode == "direct":
-        return DecodingConfig(temperature=1.0, top_p=1.0)
-    if mode == "cot":
-        return DecodingConfig(temperature=0.4, top_p=0.9)
-    raise ValueError(f"prompt mode must be one of {PROMPT_MODES}, got {mode!r}")
+MODES = {
+    "direct": (
+        "You are answering a visual question.\n"
+        "Question: {question}\n"
+        "Answer with only the final answer. Do not include any reasoning.",
+        DecodingConfig(temperature=1.0, top_p=1.0),
+    ),
+    "cot": (
+        "You are answering a visual question.\n"
+        "Question: {question}\n"
+        "Reason through the problem step by step, then state your conclusion on "
+        'a new line in the form "The answer is <answer>."',
+        DecodingConfig(temperature=0.4, top_p=0.9),
+    ),
+}
+PROMPT_MODES = tuple(MODES)
+
+
+def build_prompt(question: str, mode: str) -> str:
+    """Expand the mode's task template for one question."""
+    return MODES[mode][0].format(question=question)
 
 
 @dataclass(frozen=True)
 class BackendRequest:
+    """One generation request; its prompt and decoding are its mode's."""
+
     image_ref: str
     question: str
     prompt_mode: str
-    decoding: DecodingConfig = field(default_factory=DecodingConfig)
 
     def __post_init__(self):
         if self.prompt_mode not in PROMPT_MODES:
-            raise ValueError(
-                f"prompt mode must be one of {PROMPT_MODES}, got {self.prompt_mode!r}"
-            )
+            raise ValueError(f"prompt mode must be one of {PROMPT_MODES}, got {self.prompt_mode!r}")
+
+    @property
+    def prompt(self) -> str:
+        return build_prompt(self.question, self.prompt_mode)
+
+    @property
+    def decoding(self) -> DecodingConfig:
+        return MODES[self.prompt_mode][1]
 
 
 @dataclass(frozen=True)
@@ -150,7 +153,6 @@ class GenerationTrace:
     token_logprobs: tuple
     img_rep: tuple
     txt_rep: tuple
-    prompt_mode: str = "direct"
 
     def __post_init__(self):
         if not isinstance(self.text, str):
@@ -160,8 +162,6 @@ class GenerationTrace:
                 object.__setattr__(self, name, tuple(map(float, getattr(self, name))))
         except TypeError as exc:
             raise ValueError(f"trace values must be sequences of numbers: {exc}") from exc
-        if self.prompt_mode not in PROMPT_MODES:
-            raise ValueError(f"bad prompt mode {self.prompt_mode!r}")
         if not all(map(math.isfinite, self.token_logprobs + self.img_rep + self.txt_rep)):
             raise ValueError("token logprobs and representations must be finite")
         if len(self.img_rep) != len(self.txt_rep):
@@ -175,33 +175,30 @@ class GenerationTrace:
             raise ValueError("non-empty generation must carry token logprobs")
 
 
-def build_prompt(question: str, mode: str) -> str:
-    """Expand the fixed task template for one question."""
-    if mode == "direct":
-        return DIRECT_PROMPT.format(question=question)
-    if mode == "cot":
-        return COT_PROMPT.format(question=question)
-    raise ValueError(f"prompt mode must be one of {PROMPT_MODES}, got {mode!r}")
-
-
 def trace_to_dict(trace: GenerationTrace) -> dict:
     return {
         "text": trace.text,
         "token_logprobs": list(trace.token_logprobs),
         "img_rep": list(trace.img_rep),
         "txt_rep": list(trace.txt_rep),
-        "prompt_mode": trace.prompt_mode,
     }
 
 
-def trace_from_dict(payload: dict, prompt_mode: str | None = None) -> GenerationTrace:
-    mode = prompt_mode or payload.get("prompt_mode", "direct")
+def trace_from_dict(payload: dict) -> GenerationTrace:
+    """The trace a dict of its fields holds. ``token_logprobs`` defaults to
+    none, and neither representation (no embeddings) to orthogonal unit
+    vectors, whose similarity score is exactly the neutral 0.5. One without
+    the other, or any other key, is a ValueError."""
+    for key in payload:
+        if key not in GenerationTrace.__dataclass_fields__:
+            raise ValueError(f"unknown trace key {key!r}")
+    if ("img_rep" in payload) != ("txt_rep" in payload):
+        raise ValueError("a trace holds both img_rep and txt_rep or neither")
     return GenerationTrace(
         text=payload["text"],
         token_logprobs=payload.get("token_logprobs", ()),
-        img_rep=payload.get("img_rep", NEUTRAL_IMG_REP),
-        txt_rep=payload.get("txt_rep", NEUTRAL_TXT_REP),
-        prompt_mode=mode,
+        img_rep=payload.get("img_rep", (1.0, 0.0)),
+        txt_rep=payload.get("txt_rep", (0.0, 1.0)),
     )
 
 
@@ -211,7 +208,7 @@ _BUILTIN_DEFAULT = {"text": "A", "token_logprobs": [math.log(0.5)]}
 
 class MockBackend:
     """Scripted backend: a total map from (image_ref, question, prompt_mode)
-    to a fixed trace, falling back to a default trace for unscripted keys.
+    to a fixed trace, falling back to one default trace for unscripted keys.
 
     Scripts load from JSON:
       {"default": {trace...}?,
@@ -225,8 +222,7 @@ class MockBackend:
 
     def __init__(self, entries=None, default=None, completions=None, default_completion=None):
         self._script = dict(entries or {})
-        default = _BUILTIN_DEFAULT if default is None else default
-        self._defaults = {m: trace_from_dict(default, prompt_mode=m) for m in PROMPT_MODES}
+        self._default = trace_from_dict(_BUILTIN_DEFAULT if default is None else default)
         self._completions = [(rule["contains"], rule["reply"]) for rule in completions or []]
         self._default_completion = default_completion
         texts = [text for rule in self._completions for text in rule]
@@ -244,9 +240,13 @@ class MockBackend:
             raise ValueError(f"mock script {path} must hold a JSON object")
         try:
             entries = {}
-            for entry in spec.get("entries", []):
+            for n, entry in enumerate(spec.get("entries", [])):
                 key = (entry["image_ref"], entry["question"], entry["prompt_mode"])
-                entries[key] = trace_from_dict(entry["trace"], prompt_mode=entry["prompt_mode"])
+                try:
+                    BackendRequest(*key)
+                    entries[key] = trace_from_dict(entry["trace"])
+                except ValueError as exc:
+                    raise ValueError(f"mock script {path} entry {n}: {exc}") from exc
             return cls(
                 entries=entries,
                 default=spec.get("default"),
@@ -258,7 +258,7 @@ class MockBackend:
 
     def generate(self, req: BackendRequest) -> GenerationTrace:
         key = (req.image_ref, req.question, req.prompt_mode)
-        return self._script.get(key, self._defaults[req.prompt_mode])
+        return self._script.get(key, self._default)
 
     def complete_text(self, prompt: str) -> str:
         for contains, reply in self._completions:
@@ -428,31 +428,23 @@ class RemoteBackend:
         return payload
 
     def generate(self, req: BackendRequest) -> GenerationTrace:
-        prompt = build_prompt(req.question, req.prompt_mode)
-        reply = self._post(self._payload(prompt, req.decoding, req.image_ref))
+        reply = self._post(self._payload(req.prompt, req.decoding, req.image_ref))
         if "text" not in reply:
             raise BackendError("service reply lacks 'text'")
         logprobs = reply.get("logprobs")
         if logprobs is None:
             raise CapabilityError("service reply lacks logprobs; cannot score confidence")
+        trace = {"text": reply["text"], "token_logprobs": logprobs}
         embeddings = reply.get("embeddings")
         if isinstance(embeddings, dict) and "prompt" in embeddings and "completion" in embeddings:
-            img_rep = embeddings["prompt"]
-            txt_rep = embeddings["completion"]
+            trace.update(img_rep=embeddings["prompt"], txt_rep=embeddings["completion"])
         else:
             log.warning(
                 "service reply lacks embeddings; falling back to neutral "
                 "representations (similarity score pinned at 0.5)"
             )
-            img_rep, txt_rep = NEUTRAL_IMG_REP, NEUTRAL_TXT_REP
         try:
-            return GenerationTrace(
-                text=reply["text"],
-                token_logprobs=logprobs,
-                img_rep=img_rep,
-                txt_rep=txt_rep,
-                prompt_mode=req.prompt_mode,
-            )
+            return trace_from_dict(trace)
         except ValueError as exc:
             raise MalformedReplyError(f"service reply is not a valid trace: {exc}") from exc
 
@@ -465,12 +457,8 @@ class RemoteBackend:
 
 
 def dual_requests(image_ref: str, question: str) -> tuple:
-    """The (direct, cot) requests for one instance. They share image,
-    question and token budget and differ only in the prompt mode and the
-    mode decoding defaults."""
-    return tuple(BackendRequest(image_ref=image_ref, question=question, prompt_mode=mode,
-                                decoding=default_decoding(mode))
-                 for mode in PROMPT_MODES)
+    """The (direct, cot) requests for one instance."""
+    return tuple(BackendRequest(image_ref, question, mode) for mode in MODES)
 
 
 def dual_generate(backend, image_ref: str, question: str) -> tuple:

@@ -33,6 +33,7 @@ from .backend import BackendError, MockBackend, RemoteBackend, dual_generate
 from .connector import ConnectorConfig
 from .curation import SCORE_THRESHOLD, load_records, run_pipeline, write_instances, write_stats
 from .evalharness import (
+    STRATEGIES,
     alpha_sweep,
     default_alpha_grid,
     emit_report,
@@ -292,7 +293,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--option", action="append", help="option text; repeat per option")
     p = commands["eval"]
     p.add_argument("--benchmark", required=True)
-    p.add_argument("--strategy", choices=["direct", "cot", "sv"], default="sv")
+    p.add_argument("--strategy", choices=STRATEGIES, default="sv")
     p = commands["sweep"]
     p.add_argument("--benchmark", required=True)
     p.add_argument("--grid", default=None, help="start:stop:step, at most 10001 points, default 0:1:0.1")

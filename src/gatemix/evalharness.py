@@ -8,11 +8,11 @@ records. Backend, trace and cache I/O failures are contained per instance
 
 Each instance is generated and scored once; the alpha sweep re-runs only
 the decision rule per grid point. Traces can be cached on disk, as one
-compact JSON file per instance id holding both branches' traces, with each
-trace's float fields packed as base64 text of their little-endian float64
-bytes. An entry that is unreadable, malformed, packed wrongly, not a valid
-trace, or made for other requests than the instance's is a miss and is
-regenerated.
+compact JSON file per instance id holding each branch's trace under its
+mode's name, with each trace's float fields packed as base64 text of their
+little-endian float64 bytes. An entry that is unreadable, malformed, packed
+wrongly, not a valid trace, or made for other requests than the instance's
+is a miss and is regenerated.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional
 
-from .backend import (PROMPT_MODES, BackendError, GenerationTrace, build_prompt, dual_generate,
-                      dual_requests, trace_from_dict, trace_to_dict)
+from .backend import (PROMPT_MODES, BackendError, GenerationTrace, dual_generate, dual_requests,
+                      trace_from_dict, trace_to_dict)
 from .verify import (BRANCHES, DEFAULT_ALPHA, answers_equal, branch_record, score_response,
                      self_verify)
 
@@ -48,7 +48,7 @@ __all__ = [
     "emit_report",
 ]
 
-STRATEGIES = ("direct", "cot", "sv")
+STRATEGIES = (*PROMPT_MODES, "sv")
 
 SV_BRANCHES = (*BRANCHES, "error")
 
@@ -156,24 +156,23 @@ def _unpack(text) -> tuple:
 def _request_digest(image_ref: str, question: str) -> str:
     """Digest of what ``dual_generate`` sends for an instance: each
     branch's built prompt and decoding config."""
-    sent = [(build_prompt(req.question, req.prompt_mode), req.decoding)
-            for req in dual_requests(image_ref, question)]
+    sent = [(req.prompt, req.decoding) for req in dual_requests(image_ref, question)]
     return hashlib.sha256(repr(sent).encode("utf-8")).hexdigest()
 
 
 class TraceCache:
     """Trace store on disk: one compact JSON file per instance id holding
-    its (direct, cot) traces, the image ref and question they were
-    generated from, and a digest of both branches' built prompts and
-    decoding configs.
+    its direct and cot traces under the keys ``direct`` and ``cot``, the
+    image ref and question they were generated from, and a digest of both
+    branches' built prompts and decoding configs.
     Each trace's ``token_logprobs``, ``img_rep`` and ``txt_rep`` are stored
     as base64 text of their little-endian float64 bytes, so floats round-trip
     exactly and a rewrite of the same pair gives the same bytes. Files are
     replaced whole. A miss is an entry that cannot be read or parsed, a
     float field that is not a string, not strict base64 or not a whole
-    number of float64s, a trace that ``GenerationTrace`` rejects, or an
-    entry made for another image ref, question, prompt template or decoding
-    config."""
+    number of float64s, a trace that ``trace_from_dict`` rejects (one with
+    a key it does not know included), or an entry made for another image
+    ref, question, prompt template or decoding config."""
 
     def __init__(self, cache_dir):
         self._dir = Path(cache_dir)
@@ -232,9 +231,8 @@ def _score(backend, inst: BenchmarkInstance, strategy: str, cache: Optional[Trac
     """``{branch: ScoredResponse}`` for the branches the strategy uses, or
     the error text if the instance failed."""
     try:
-        direct, cot = _get_traces(backend, inst, cache)
-        return {b: score_response(t, inst.options)
-                for b, t in (("direct", direct), ("cot", cot)) if strategy in ("sv", b)}
+        pair = zip(PROMPT_MODES, _get_traces(backend, inst, cache))
+        return {b: score_response(t, inst.options) for b, t in pair if strategy in ("sv", b)}
     except (BackendError, ValueError, KeyError, OSError) as exc:
         return f"{type(exc).__name__}: {exc}"
 
@@ -260,6 +258,8 @@ def _eval_one(backend, inst: BenchmarkInstance, strategy: str, alpha: float,
 
 def _map(fn, instances: list, max_workers: int) -> list:
     """``fn`` over the instances in order; more than one worker uses a thread pool."""
+    if max_workers < 1:
+        raise ValueError(f"workers must be >= 1, got {max_workers}")
     if max_workers == 1:
         return [fn(inst) for inst in instances]
     with ThreadPoolExecutor(max_workers=max_workers) as pool:

@@ -476,7 +476,7 @@ def finite_diff_check(
     Runs ``f`` once under a fresh graph for the analytic gradients, then
     perturbs every coordinate of every parameter by +/- eps (recording
     suppressed) and compares. Returns the max over coordinates of
-    ``|analytic - numeric| / max(1e-12, |numeric|)``.
+    ``|analytic - numeric| / max(1e-12, |numeric|)``; a non-finite one is a ValueError.
     """
     if eps <= 0:
         raise ValueError("finite_diff_check: eps must be positive")
@@ -496,7 +496,7 @@ def finite_diff_check(
 
     max_rel = 0.0
     with no_grad():
-        for p, ag in zip(params, analytic):
+        for k, (p, ag) in enumerate(zip(params, analytic)):
             flat = p.data.reshape(-1)
             aflat = ag.reshape(-1)
             for i in range(flat.size):
@@ -510,7 +510,10 @@ def finite_diff_check(
                     raise ValueError("finite_diff_check: non-finite value during probing")
                 numeric = (f_plus - f_minus) / (2.0 * eps)
                 rel = abs(aflat[i] - numeric) / max(1e-12, abs(numeric))
-                if rel > max_rel:
+                if not rel <= max_rel:  # true for NaN too
+                    if not math.isfinite(rel):
+                        raise ValueError("finite_diff_check: non-finite relative error at "
+                                         f"coordinate {i} of param {k}")
                     max_rel = rel
     return max_rel
 

@@ -102,8 +102,11 @@ class TrainConfig:
             raise ValueError("steps must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if not (np.isfinite(self.lr) and self.lr >= 0):
-            raise ValueError(f"lr must be finite and >= 0, got {self.lr}")
+        for name, value in (("lr", self.lr), ("lambda", self.lam)):
+            if not (np.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+        if not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
 
 
 @dataclass
@@ -212,6 +215,20 @@ def stage1_loss(
     return stage1_objective(gen, creg, lam)
 
 
+def _checked_loss(params, batch, standins, lam: float, step: int) -> tuple:
+    """(loss, its value) of ``stage1_loss`` before update ``step``; a failed
+    or non-finite loss is a ``DivergenceError`` naming the step."""
+    where = f"at step {step} (batch of {len(batch.feats)})"
+    try:
+        loss = stage1_loss(params, batch, standins, lam=lam)
+        value = loss.item()
+    except (ValueError, FloatingPointError) as exc:  # domain guards fire once parameters explode
+        raise DivergenceError(f"loss computation failed {where}: {exc}") from exc
+    if not np.isfinite(value):
+        raise DivergenceError(f"non-finite loss {where}")
+    return loss, value
+
+
 def train_step(
     params: GateMixerParams,
     batch: SyntheticBatch,
@@ -227,20 +244,8 @@ def train_step(
     if standins is None:
         standins = FrozenStandins(params.W2.shape[1])
     params.zero_grads()
-    try:
-        with Graph() as g:
-            loss = stage1_loss(params, batch, standins, lam=cfg.lam)
-        value = loss.item()
-    except (ValueError, FloatingPointError) as exc:
-        # domain guards (log/sqrt/div) fire once parameters explode
-        raise DivergenceError(
-            f"loss computation failed at step {opt_state.step} "
-            f"(batch of {len(batch.feats)}): {exc}"
-        ) from exc
-    if not np.isfinite(value):
-        raise DivergenceError(
-            f"non-finite loss at step {opt_state.step} (batch of {len(batch.feats)})"
-        )
+    with Graph() as g:
+        loss, value = _checked_loss(params, batch, standins, cfg.lam, opt_state.step)
     backward(g, loss)
     for p in params.tensors():
         p.data -= cfg.lr * p.grad
@@ -272,13 +277,15 @@ def train_stage1(
 
     Deterministic under ``cfg.seed``: the same seed reproduces the whole
     loss curve bit for bit. ``grad_check`` runs at step 0 and must pass
-    before any update. When ``checkpoint_path`` is given, the trained
-    connector is saved there in the binary checkpoint format.
+    before any update. A non-finite loss, the one after the last update
+    included, is a ``DivergenceError`` raised before anything is saved.
+    When ``checkpoint_path`` is given, the trained connector is saved there
+    in the binary checkpoint format.
     """
     ccfg = connector_cfg or ConnectorConfig()
     start = time.perf_counter()
     rel_err = grad_check(cfg, ccfg)
-    if rel_err > GRAD_CHECK_TOL:
+    if not rel_err <= GRAD_CHECK_TOL:
         raise RuntimeError(
             f"gradient check failed at initialization: {rel_err:.3e} > {GRAD_CHECK_TOL:.0e}"
         )
@@ -290,7 +297,7 @@ def train_stage1(
     for _ in range(cfg.steps):
         value, params, state = train_step(params, batch, state, cfg, standins)
         curve.append(value)
-    final_loss = stage1_loss(params, batch, standins, lam=cfg.lam).item()
+    final_loss = _checked_loss(params, batch, standins, cfg.lam, state.step)[1]
     if checkpoint_path is not None:
         from .connector import save_checkpoint
 

@@ -20,14 +20,14 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def make_trace(text: str, s: float, c: float, mode: str) -> GenerationTrace:
-    """Trace whose similarity score is exactly s and confidence exactly c."""
+    """Trace whose similarity score is exactly s and confidence exactly c.
+    ``mode`` names the branch the caller means it for; a trace carries none."""
     cos = 2.0 * s - 1.0
     return GenerationTrace(
         text=text,
         token_logprobs=(math.log(c),),
         img_rep=(1.0, 0.0),
         txt_rep=(cos, math.sqrt(max(0.0, 1.0 - cos * cos))),
-        prompt_mode=mode,
     )
 
 

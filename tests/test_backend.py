@@ -24,8 +24,8 @@ from gatemix.backend import (
     MockBackend,
     RemoteBackend,
     RetryableTransportError,
+    MODES,
     build_prompt,
-    default_decoding,
     dual_generate,
     trace_from_dict,
     trace_to_dict,
@@ -42,20 +42,19 @@ GOLDEN = Path(__file__).parent / "golden"
 QUESTION = "What color is the square?"
 
 
-def _trace(text="A", mode="direct"):
+def _trace(text="A"):
     return GenerationTrace(
         text=text,
         token_logprobs=(math.log(0.5),),
         img_rep=(1.0, 0.0),
         txt_rep=(0.0, 1.0),
-        prompt_mode=mode,
     )
 
 
 class TestDecodingConfig:
     def test_mode_defaults(self):
-        direct = default_decoding("direct")
-        cot = default_decoding("cot")
+        direct = MODES["direct"][1]
+        cot = MODES["cot"][1]
         assert (direct.temperature, direct.top_p) == (1.0, 1.0)
         assert (cot.temperature, cot.top_p) == (0.4, 0.9)
         assert direct.max_tokens == cot.max_tokens == 1024
@@ -74,15 +73,31 @@ class TestDecodingConfig:
 class TestGenerationTrace:
     def test_positive_logprob_rejected(self):
         with pytest.raises(ValueError):
-            GenerationTrace("x", (0.5,), (1.0,), (1.0,), "direct")
+            GenerationTrace("x", (0.5,), (1.0,), (1.0,))
 
     def test_nonempty_text_needs_logprobs(self):
         with pytest.raises(ValueError):
-            GenerationTrace("x", (), (1.0,), (1.0,), "direct")
+            GenerationTrace("x", (), (1.0,), (1.0,))
 
     def test_dict_roundtrip(self):
-        t = _trace("The answer is B.", "cot")
+        t = _trace("The answer is B.")
+        assert list(trace_to_dict(t)) == ["text", "token_logprobs", "img_rep", "txt_rep"]
         assert trace_from_dict(trace_to_dict(t)) == t
+
+    # a misspelt key would otherwise leave the neutral pair in place and change S
+    @pytest.mark.parametrize("extra", [{"img_reps": [0.5, 0.5]}, {"prompt_mode": "direct"}])
+    def test_unknown_key_rejected(self, extra):
+        with pytest.raises(ValueError, match=f"unknown trace key {next(iter(extra))!r}"):
+            trace_from_dict({**trace_to_dict(_trace()), **extra})
+
+    @pytest.mark.parametrize("rep", ["img_rep", "txt_rep"])
+    def test_one_representation_without_the_other_rejected(self, rep):
+        with pytest.raises(ValueError, match="both img_rep and txt_rep or neither"):
+            trace_from_dict({"text": "A", "token_logprobs": [-0.1], rep: [1.0, 0.0]})
+
+    def test_no_representations_give_the_neutral_pair(self):
+        trace = trace_from_dict({"text": "A", "token_logprobs": [-0.1]})
+        assert (trace.img_rep, trace.txt_rep) == ((1.0, 0.0), (0.0, 1.0))
 
     @pytest.mark.parametrize("field, values", [
         ("token_logprobs", (-0.1, float("nan"))),
@@ -95,7 +110,7 @@ class TestGenerationTrace:
         fields = {"text": "x", "token_logprobs": (-0.1,), "img_rep": (1.0, 0.0),
                   "txt_rep": (0.0, 1.0), field: values}
         with pytest.raises(ValueError, match="finite"):
-            GenerationTrace(**fields, prompt_mode="direct")
+            GenerationTrace(**fields)
 
     @pytest.mark.parametrize("field, value", [
         ("text", None),
@@ -108,7 +123,7 @@ class TestGenerationTrace:
         fields = {"text": "x", "token_logprobs": (-0.1,), "img_rep": (1.0, 0.0),
                   "txt_rep": (0.0, 1.0), field: value}
         with pytest.raises(ValueError):
-            GenerationTrace(**fields, prompt_mode="direct")
+            GenerationTrace(**fields)
 
     @pytest.mark.parametrize("img_rep, txt_rep", [
         ((1.0, 0.0), (1.0,)),
@@ -119,7 +134,20 @@ class TestGenerationTrace:
     ])
     def test_degenerate_representations_rejected(self, img_rep, txt_rep):
         with pytest.raises(ValueError, match="img_rep and txt_rep"):
-            GenerationTrace("x", (-0.1,), img_rep, txt_rep, "direct")
+            GenerationTrace("x", (-0.1,), img_rep, txt_rep)
+
+
+class TestModes:
+    @pytest.mark.parametrize("mode", ["direct", "cot"])
+    def test_request_reads_prompt_and_decoding_from_modes(self, mode):
+        req = BackendRequest("img1", QUESTION, mode)
+        assert req.prompt == build_prompt(QUESTION, mode) == MODES[mode][0].format(question=QUESTION)
+        assert req.decoding is MODES[mode][1]
+
+    @pytest.mark.parametrize("mode", ["CoT", "", None, ["cot"]])
+    def test_unknown_mode_rejected(self, mode):
+        with pytest.raises(ValueError, match="prompt mode must be one of"):
+            BackendRequest("img1", QUESTION, mode)
 
 
 class TestPrompts:
@@ -142,18 +170,37 @@ class TestPrompts:
 
 class TestMockBackend:
     def test_scripted_key_returns_exact_trace(self):
-        scripted = _trace("The answer is C.", "cot")
+        scripted = _trace("The answer is C.")
         mock = MockBackend(entries={("img1", QUESTION, "cot"): scripted})
-        req = BackendRequest("img1", QUESTION, "cot", default_decoding("cot"))
+        req = BackendRequest("img1", QUESTION, "cot")
         assert mock.generate(req) is scripted
 
     def test_unscripted_key_returns_default(self):
         default = {"text": "B", "token_logprobs": [-0.1], "img_rep": [1, 0], "txt_rep": [0, 1]}
         mock = MockBackend(default=default)
-        req = BackendRequest("nope", "???", "direct", default_decoding("direct"))
+        req = BackendRequest("nope", "???", "direct")
         trace = mock.generate(req)
         assert trace.text == "B"
-        assert trace.prompt_mode == "direct"
+
+    def test_one_default_serves_both_modes(self):
+        mock = MockBackend()
+        direct, cot = (mock.generate(BackendRequest("nope", "???", mode)) for mode in MODES)
+        assert direct is cot
+        assert direct.text == "A"
+
+    @pytest.mark.parametrize("entry, message", [
+        ({"prompt_mode": "CoT"}, "entry 1: prompt mode must be one of ('direct', 'cot'), got 'CoT'"),
+        ({"trace": {"text": "A", "token_logprobs": [-0.1], "img_reps": [1, 0], "txt_rep": [0, 1]}},
+         "entry 1: unknown trace key 'img_reps'"),
+    ])
+    def test_bad_entry_is_named(self, tmp_path, entry, message):
+        good = {"image_ref": "img1", "question": QUESTION, "prompt_mode": "direct",
+                "trace": {"text": "A", "token_logprobs": [-0.1]}}
+        path = tmp_path / "script.json"
+        path.write_text(json.dumps({"entries": [good, {**good, **entry}]}))
+        with pytest.raises(ValueError) as exc:
+            MockBackend.from_json(path)
+        assert message in str(exc.value)
 
     def test_referentially_transparent_across_loads(self, tmp_path):
         script = {
@@ -174,7 +221,7 @@ class TestMockBackend:
         }
         path = tmp_path / "script.json"
         path.write_text(json.dumps(script))
-        req = BackendRequest("img9", QUESTION, "direct", default_decoding("direct"))
+        req = BackendRequest("img9", QUESTION, "direct")
         first = MockBackend.from_json(path).generate(req)
         second = MockBackend.from_json(path).generate(req)
         assert first == second
@@ -297,7 +344,7 @@ class TestRemoteBackend:
             "embeddings": {"prompt": [0.1, 0.9], "completion": [0.9, 0.1]},
         }
         backend = RemoteBackend(endpoint)
-        req = BackendRequest("img1", QUESTION, "cot", default_decoding("cot"))
+        req = BackendRequest("img1", QUESTION, "cot")
         trace = backend.generate(req)
         assert trace.text == "The answer is B."
         assert trace.token_logprobs == (-0.25, -0.5)
@@ -313,7 +360,7 @@ class TestRemoteBackend:
         endpoint, handler = stub_server
         handler.reply = {"text": "B"}
         backend = RemoteBackend(endpoint)
-        req = BackendRequest("img1", QUESTION, "direct", default_decoding("direct"))
+        req = BackendRequest("img1", QUESTION, "direct")
         with pytest.raises(CapabilityError, match="logprobs"):
             backend.generate(req)
 
@@ -321,7 +368,7 @@ class TestRemoteBackend:
     def test_non_object_reply_is_backend_error(self, stub_server, reply):
         endpoint, handler = stub_server
         handler.reply = reply
-        req = BackendRequest("img1", QUESTION, "direct", default_decoding("direct"))
+        req = BackendRequest("img1", QUESTION, "direct")
         with pytest.raises(BackendError, match="not a JSON object"):
             RemoteBackend(endpoint).generate(req)
 
@@ -333,7 +380,7 @@ class TestRemoteBackend:
     def test_malformed_trace_fields_are_value_errors(self, stub_server, reply):
         endpoint, handler = stub_server
         handler.reply = reply
-        req = BackendRequest("img1", QUESTION, "direct", default_decoding("direct"))
+        req = BackendRequest("img1", QUESTION, "direct")
         with pytest.raises(ValueError):
             RemoteBackend(endpoint).generate(req)
 
@@ -349,7 +396,7 @@ class TestRemoteBackend:
         # the service is at fault, not the caller's input
         endpoint, handler = stub_server
         handler.reply = reply
-        req = BackendRequest("img1", QUESTION, "direct", default_decoding("direct"))
+        req = BackendRequest("img1", QUESTION, "direct")
         with pytest.raises(MalformedReplyError, match="not a valid trace") as exc:
             RemoteBackend(endpoint).generate(req)
         assert isinstance(exc.value, BackendError)
@@ -379,7 +426,7 @@ class TestRemoteBackend:
         endpoint, handler = stub_server
         handler.reply = {"text": "B", "logprobs": [-0.1]}
         backend = RemoteBackend(endpoint)
-        req = BackendRequest("img1", QUESTION, "direct", default_decoding("direct"))
+        req = BackendRequest("img1", QUESTION, "direct")
         with caplog.at_level("WARNING"):
             trace = backend.generate(req)
         assert trace.img_rep == (1.0, 0.0)
@@ -400,7 +447,7 @@ class TestRemoteBackend:
 
     def test_transport_failure_carries_attempts(self):
         backend = RemoteBackend("http://127.0.0.1:1", retries=2, retry_wait=0.0, timeout=0.5)
-        req = BackendRequest("img1", QUESTION, "direct", default_decoding("direct"))
+        req = BackendRequest("img1", QUESTION, "direct")
         with pytest.raises(RetryableTransportError) as exc:
             backend.generate(req)
         assert exc.value.attempts == 2
@@ -410,7 +457,7 @@ class TestRemoteBackend:
         handler.reply = {"text": "B", "logprobs": [-0.1]}
         handler.missing_bytes = 10
         backend = RemoteBackend(endpoint, retries=2, retry_wait=0.0)
-        req = BackendRequest("img1", QUESTION, "direct", default_decoding("direct"))
+        req = BackendRequest("img1", QUESTION, "direct")
         with pytest.raises(RetryableTransportError, match="IncompleteRead"):
             backend.generate(req)
         inst = BenchmarkInstance(id="i1", image_ref="img1", question=QUESTION,
@@ -424,7 +471,7 @@ class TestRemoteBackend:
         handler.reply = {"text": "B", "logprobs": [-0.1]}
         handler.statuses = [429]
         backend = RemoteBackend(endpoint, retries=2, retry_wait=0.0)
-        req = BackendRequest("img1", QUESTION, "direct", default_decoding("direct"))
+        req = BackendRequest("img1", QUESTION, "direct")
         assert backend.generate(req).text == "B"
         assert len(handler.requests) == 2
 
@@ -435,7 +482,7 @@ class TestRemoteBackend:
         handler.statuses = [status]
         handler.extra_headers = {"Retry-After": "2"}
         backend = RemoteBackend(endpoint, retries=2, retry_wait=0.0)
-        req = BackendRequest("img1", QUESTION, "direct", default_decoding("direct"))
+        req = BackendRequest("img1", QUESTION, "direct")
         assert backend.generate(req).text == "B"
         assert sleeps == [2.0]
 
@@ -445,7 +492,7 @@ class TestRemoteBackend:
         handler.statuses = [503]
         handler.extra_headers = {"Retry-After": "120"}
         backend = RemoteBackend(endpoint, retries=2, retry_wait=0.0, timeout=5.0)
-        req = BackendRequest("img1", QUESTION, "direct", default_decoding("direct"))
+        req = BackendRequest("img1", QUESTION, "direct")
         assert backend.generate(req).text == "B"
         assert sleeps == [5.0]
 
@@ -462,7 +509,7 @@ class TestRemoteBackend:
         handler.statuses = [status] * 3
         handler.extra_headers = headers
         backend = RemoteBackend(endpoint, retries=4, retry_wait=0.1)
-        req = BackendRequest("img1", QUESTION, "direct", default_decoding("direct"))
+        req = BackendRequest("img1", QUESTION, "direct")
         assert backend.generate(req).text == "B"
         assert sleeps == [0.1, 0.2, 0.4]
         assert len(handler.requests) == 4
@@ -472,7 +519,7 @@ class TestRemoteBackend:
         endpoint, handler = stub_server
         handler.reply = {"text": "B", "logprobs": [-0.1]}
         handler.statuses = [status]
-        req = BackendRequest("img1", QUESTION, "direct", default_decoding("direct"))
+        req = BackendRequest("img1", QUESTION, "direct")
         with pytest.raises(BackendError, match=f"HTTP {status}"):
             RemoteBackend(endpoint, retries=2, retry_wait=0.0).generate(req)
         assert len(handler.requests) == 1
@@ -483,7 +530,7 @@ class TestRemoteBackend:
         handler.reply = {"text": "B", "logprobs": [-0.1]}
         handler.statuses = [status]
         handler.extra_headers = {"Location": f"{endpoint}/elsewhere"}
-        req = BackendRequest("img1", QUESTION, "direct", default_decoding("direct"))
+        req = BackendRequest("img1", QUESTION, "direct")
         with pytest.raises(BackendError, match=f"HTTP {status}"):
             RemoteBackend(endpoint, retries=2, retry_wait=0.0).generate(req)
         assert len(handler.requests) == 1
@@ -557,8 +604,8 @@ class TestConnectionReuse:
 
 class TestDualGenerate:
     def test_returns_both_branches_in_order(self):
-        direct = _trace("A", "direct")
-        cot = _trace("The answer is B.", "cot")
+        direct = _trace("A")
+        cot = _trace("The answer is B.")
         mock = MockBackend(
             entries={
                 ("img1", QUESTION, "direct"): direct,

@@ -5,6 +5,7 @@ import json
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gatemix import cli
@@ -233,6 +234,37 @@ class TestExitCodes:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("argv, message", [
+        (["gradcheck", "--seed", "-1"], "seed must be an integer >= 0"),
+        (["gradcheck", "--lambda", "nan"], "lambda must be finite and >= 0"),
+        (["gradcheck", "--lambda", "inf"], "lambda must be finite and >= 0"),
+        (["gradcheck", "--lambda", "-1"], "lambda must be finite and >= 0"),
+        (["eval", "--workers", "0", "--benchmark", str(FIXTURES / "easy_hard_benchmark.jsonl"),
+          "--backend", EASY_HARD], "workers must be >= 1"),
+        (["sweep", "--workers", "-2", "--benchmark", str(FIXTURES / "sweep_benchmark.jsonl"),
+          "--backend", SWEEP], "workers must be >= 1"),
+    ], ids=["negative-seed", "nan-lambda", "inf-lambda", "negative-lambda", "zero-eval-workers",
+            "negative-sweep-workers"])
+    def test_bad_setting_is_named(self, tmp_path, capsys, argv, message):
+        out = [] if argv[0] == "gradcheck" else ["--out", str(tmp_path / "x")]
+        assert dispatch(argv + out) == 1
+        assert message in capsys.readouterr().err
+
+    def test_nan_gradient_is_not_a_passed_check(self, capsys):
+        with np.errstate(all="ignore"):
+            assert dispatch(["gradcheck", "--lambda", "1e308"]) == 1
+        captured = capsys.readouterr()
+        assert "non-finite relative error" in captured.err
+        assert captured.out == ""
+
+    def test_non_finite_final_loss_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        with np.errstate(all="ignore"):
+            code = dispatch(["train-align", "--steps", "1", "--lr", "1e200", "--out", str(out)])
+        assert code == 2
+        assert "non-finite loss at step 1" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("endpoint", [
         "localhost:9/v1", "ftp://127.0.0.1:9/v1", "http:///v1", "http://127.0.0.1:99999/v1"])
     def test_malformed_endpoint_is_validation_error(self, tmp_path, endpoint):
@@ -267,10 +299,18 @@ class TestExitCodes:
         ({"default": {"text": "A", "token_logprobs": [0.5]}}, "logprobs must all be <= 0"),
         ({"entries": [{"image_ref": "i", "question": "q", "trace": {"text": "A"}}]},
          "KeyError('prompt_mode')"),
+        ({"entries": [{"image_ref": "i", "question": "q", "prompt_mode": "CoT",
+                       "trace": {"text": "A", "token_logprobs": [-0.1]}}]}, "'CoT'"),
+        ({"entries": [{"image_ref": "img-e1", "question": "question e1", "prompt_mode": "direct",
+                       "trace": {"text": "A", "token_logprobs": [-0.1], "img_reps": [1, 0],
+                                 "txt_rep": [1, 0]}}]}, "unknown trace key 'img_reps'"),
+        ({"default": {"text": "A", "token_logprobs": [-0.1], "img_rep": [1, 0]}},
+         "both img_rep and txt_rep or neither"),
         ([{"text": "A"}], "must hold a JSON object"),
         ({"completions": [{"reply": "x"}]}, "KeyError('contains')"),
         ({"default_completion": 0}, "must be strings"),
-    ], ids=["positive-logprob-default", "entry-without-prompt-mode", "list-script",
+    ], ids=["positive-logprob-default", "entry-without-prompt-mode", "entry-mode-CoT",
+            "misspelt-trace-key", "default-without-txt-rep", "list-script",
             "rule-without-contains", "zero-default-completion"])
     def test_malformed_mock_script_is_validation_error(self, tmp_path, capsys, script, message):
         path = tmp_path / "script.json"
@@ -395,16 +435,42 @@ class TestSettingsTable:
                     assert cli._resolve(args, {key: v1})[key] == v2
 
 
+def _readme_commands() -> list:
+    """The argv of each ``gatemix`` command in the README's CLI block."""
+    block = README.read_text(encoding="utf-8").split("## CLI\n", 1)[1]
+    block = block.split("```bash\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()]
+
+
 def test_readme_cli_commands_parse():
     """Every ``gatemix`` command in the README's CLI block parses, so a
     deleted or renamed flag cannot leave the README stale."""
-    block = README.read_text(encoding="utf-8").split("## CLI\n", 1)[1]
-    block = block.split("```bash\n", 1)[1].split("```", 1)[0]
-    commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()]
+    commands = _readme_commands()
     assert [argv[0] for argv in commands] == ["gatemix"] * 6
     parser = cli._build_parser()
     for argv in commands:
         parser.parse_args(argv[1:])
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_readme_cli_artifacts_are_strict_json(tmp_path, monkeypatch, capsys):
+    """Every JSON artifact the README's commands write parses with NaN and
+    Infinity rejected, as a strict JSON reader would."""
+    monkeypatch.chdir(README.parent)
+    for argv in _readme_commands():
+        if "--out" in argv:
+            at = argv.index("--out") + 1
+            argv[at] = str(tmp_path / argv[at])
+        assert dispatch(argv[1:]) == 0, argv
+    paths = sorted(tmp_path.rglob("*.json")) + sorted(tmp_path.rglob("*.jsonl"))
+    assert len(paths) == 6  # training, verify, eval and sweep reports, curation stats and set
+    for path in paths:
+        text = path.read_text(encoding="utf-8")
+        for doc in text.splitlines() if path.suffix == ".jsonl" else [text]:
+            json.loads(doc, parse_constant=_reject_constant)
 
 
 class TestConfigPrecedence:

@@ -275,6 +275,7 @@ class TestAlphaSweep:
         inst = next(i for i in sweep_instances if f"{i.id}.json" == files[0])
         for branch, trace in zip(("direct", "cot"),
                                  dual_generate(sweep_backend, inst.image_ref, inst.question)):
+            assert sorted(entry[branch]) == ["img_rep", "text", "token_logprobs", "txt_rep"]
             for name in FLOAT_FIELDS:
                 assert entry[branch][name] == _packed(getattr(trace, name))
 
@@ -361,6 +362,13 @@ class TestAlphaSweep:
 
 
 class TestTraceCache:
+    def test_request_digest_is_pinned(self):
+        """What ``dual_generate`` sends for a fixed instance, both prompts
+        and decoding configs; a change to either would turn every cached
+        entry into a miss."""
+        assert evalharness._request_digest("img-e1", "question e1") == (
+            "5ffca97c722d22c650b7f4daa52c20600eb31cdd981fe88548b407cc4ab6625c")
+
     def test_awkward_ids_are_safe_filenames(self, tmp_path):
         cache = TraceCache(tmp_path)
         pair = (make_trace("A", 0.5, 0.5, "direct"), make_trace("The answer is B.", 0.3, 0.7, "cot"))
@@ -410,6 +418,10 @@ class TestTraceCache:
                      id="token_logprobs-12-bytes"),
         pytest.param("token_logprobs", "!" + _packed([-0.5]), id="token_logprobs-not-base64"),
         pytest.param("request_digest", "0" * 64, id="request_digest-other"),
+        # a slot names its mode; a trace key that says otherwise, as the
+        # entries of earlier versions did, is unknown
+        pytest.param("prompt_mode", "cot", id="prompt_mode-in-slot"),
+        pytest.param("img_reps", _packed([1.0, 0.0]), id="misspelt-key"),
     ])
     def test_invalid_entry_is_a_miss(self, tmp_path, key, value):
         """A float list given for a trace field is written packed, so the
@@ -449,12 +461,11 @@ class TestTraceCache:
     def test_floats_round_trip_exactly(self, tmp_path):
         rng = random.Random(11)
         edge = GenerationTrace(text="A", token_logprobs=(-0.0, -5e-324), img_rep=(-0.0, 5e-324),
-                               txt_rep=(5e-324, -0.0), prompt_mode="direct")
+                               txt_rep=(5e-324, -0.0))
         long = GenerationTrace(text="The answer is B.",
                                token_logprobs=[-rng.expovariate(0.5) for _ in range(200)],
                                img_rep=(rng.gauss(0, 1), -0.0, 1e-310),
-                               txt_rep=(rng.gauss(0, 1), 5e-324, -1.7976931348623157e308),
-                               prompt_mode="cot")
+                               txt_rep=(rng.gauss(0, 1), 5e-324, -1.7976931348623157e308))
         TraceCache(tmp_path).put("i1", "img", "q?", edge, long)
         got = TraceCache(tmp_path).get("i1", "img", "q?")
         assert got == (edge, long)
@@ -476,14 +487,13 @@ class TestTraceCache:
         """An entry written while a prompt template or a decoding config
         differed from today's must not be served."""
         pair = (make_trace("A", 0.5, 0.5, "direct"), make_trace("The answer is B.", 0.5, 0.5, "cot"))
+        template, decoding = backend_module.MODES["cot"]
+        if change == "template":
+            template = template.replace("step by step", "carefully")
+        else:
+            decoding = dataclasses.replace(decoding, max_tokens=77)
         with monkeypatch.context() as patched:
-            if change == "template":
-                patched.setattr(backend_module, "COT_PROMPT",
-                                backend_module.COT_PROMPT.replace("step by step", "carefully"))
-            else:
-                default_decoding = backend_module.default_decoding
-                patched.setattr(backend_module, "default_decoding",
-                                lambda mode: dataclasses.replace(default_decoding(mode), max_tokens=77))
+            patched.setitem(backend_module.MODES, "cot", (template, decoding))
             TraceCache(tmp_path).put("i1", "img", "q?", *pair)
             assert TraceCache(tmp_path).get("i1", "img", "q?") == pair
         assert TraceCache(tmp_path).get("i1", "img", "q?") is None

@@ -212,11 +212,28 @@ class TestTrainStep:
 
 
 class TestTrainStage1:
+    def test_nan_gradient_fails_the_gradient_check(self):
+        # at lambda 1e308 the objective is finite but every analytic gradient
+        # entry is NaN, which no comparison with the tolerance rejects
+        with np.errstate(all="ignore"):
+            with pytest.raises(ValueError, match="non-finite relative error"):
+                training.grad_check(TrainConfig(lam=1e308))
+            with pytest.raises(ValueError, match="non-finite relative error"):
+                train_stage1(TrainConfig(steps=0, lam=1e308))
+
     def test_divergence_names_its_step_once(self):
         with np.errstate(all="ignore"):
             with pytest.raises(DivergenceError) as exc:
                 train_stage1(TrainConfig(steps=20, lr=1e12))
         assert str(exc.value).count("step") == 1
+
+    def test_non_finite_final_loss_saves_nothing(self, tmp_path):
+        # the loss before the one update is finite; only the last check sees the overflow
+        path = tmp_path / "trained.ckpt"
+        with np.errstate(all="ignore"):
+            with pytest.raises(DivergenceError, match="non-finite loss at step 1"):
+                train_stage1(TrainConfig(steps=1, lr=1e200), checkpoint_path=path)
+        assert not path.exists()
 
     def test_zero_steps(self):
         report = train_stage1(TrainConfig(steps=0))
@@ -286,3 +303,13 @@ class TestTrainConfigValidation:
     def test_non_finite_lr_rejected(self, lr):
         with pytest.raises(ValueError, match="lr must be finite"):
             TrainConfig(lr=lr)
+
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf"), -1.0])
+    def test_lambda_outside_finite_non_negative_rejected(self, lam):
+        with pytest.raises(ValueError, match="lambda must be finite and >= 0"):
+            TrainConfig(lam=lam)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "0"])
+    def test_seed_must_be_non_negative_integer(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            TrainConfig(seed=seed)

@@ -25,7 +25,7 @@ from gatemix.verify import (
 GEOMEAN_9_5_2 = 0.4481404746557165
 
 
-def _trace(text: str, c: float, s: float, mode: str = "direct") -> GenerationTrace:
+def _trace(text: str, c: float, s: float) -> GenerationTrace:
     """Build a trace whose confidence is exactly c and similarity score s."""
     cos = 2.0 * s - 1.0
     return GenerationTrace(
@@ -33,7 +33,6 @@ def _trace(text: str, c: float, s: float, mode: str = "direct") -> GenerationTra
         token_logprobs=(math.log(c),),
         img_rep=(1.0, 0.0),
         txt_rep=(cos, math.sqrt(max(0.0, 1.0 - cos * cos))),
-        prompt_mode=mode,
     )
 
 
@@ -208,7 +207,7 @@ class TestSelfVerify:
             assert decision.chosen_branch == "cot-by-agreement"
 
     def test_score_response_assembles_fields(self):
-        trace = _trace("The answer is B.", c=0.5, s=0.75, mode="cot")
+        trace = _trace("The answer is B.", c=0.5, s=0.75)
         scored = score_response(trace, OPTIONS)
         assert scored.answer == "B"
         assert scored.c == pytest.approx(0.5, abs=1e-12)
