@@ -32,6 +32,8 @@ import time
 import urllib.parse
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "BackendError",
     "RetryableTransportError",
@@ -138,6 +140,12 @@ class BackendRequest:
         return MODES[self.prompt_mode][1]
 
 
+def _check_keys(payload: dict, known, what: str) -> None:
+    for key in payload:
+        if key not in known:
+            raise ValueError(f"unknown {what} key {key!r}")
+
+
 @dataclass(frozen=True)
 class GenerationTrace:
     """One backend call's output.
@@ -145,43 +153,48 @@ class GenerationTrace:
     ``token_logprobs`` covers generated tokens only (log P(w_t | w_<t)),
     every entry finite and <= 0. ``img_rep``/``txt_rep`` are the pooled
     representation vectors used for the similarity score: of equal length,
-    every entry finite, and each with a non-zero entry. A value of the wrong
-    type, range or shape is a ValueError.
+    every entry finite, and each with a non-zero entry. Each is held as a
+    read-only 1-D float64 array copy (C sums the logprobs in token order on
+    every Python version: a last-bit change can flip a tie). Traces are equal
+    when their texts and arrays are; a bad type, range or shape is a ValueError.
     """
 
     text: str
-    token_logprobs: tuple
-    img_rep: tuple
-    txt_rep: tuple
+    token_logprobs: np.ndarray
+    img_rep: np.ndarray
+    txt_rep: np.ndarray
+    FLOAT_FIELDS = ("token_logprobs", "img_rep", "txt_rep")  # a class constant, not a field
 
     def __post_init__(self):
         if not isinstance(self.text, str):
             raise ValueError(f"trace text must be a string, got {type(self.text).__name__}")
-        try:
-            for name in ("token_logprobs", "img_rep", "txt_rep"):
-                object.__setattr__(self, name, tuple(map(float, getattr(self, name))))
-        except TypeError as exc:
-            raise ValueError(f"trace values must be sequences of numbers: {exc}") from exc
-        if not all(map(math.isfinite, self.token_logprobs + self.img_rep + self.txt_rep)):
+        for name in self.FLOAT_FIELDS:
+            try:
+                values = np.array(getattr(self, name), dtype=np.float64)
+                if values.ndim != 1:
+                    raise ValueError(f"{name} has shape {values.shape}")
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ValueError(f"trace values must be sequences of numbers: {exc}") from exc
+            values.setflags(write=False)
+            object.__setattr__(self, name, values)
+        lps, img, txt = self.token_logprobs, self.img_rep, self.txt_rep
+        if np.count_nonzero(np.isfinite(np.concatenate((lps, img, txt)))) != lps.size + img.size + txt.size:
             raise ValueError("token logprobs and representations must be finite")
-        if len(self.img_rep) != len(self.txt_rep):
-            raise ValueError(f"img_rep and txt_rep differ in length: "
-                             f"{len(self.img_rep)} vs {len(self.txt_rep)}")
-        if not any(self.img_rep) or not any(self.txt_rep):
+        if len(img) != len(txt):
+            raise ValueError(f"img_rep and txt_rep differ in length: {len(img)} vs {len(txt)}")
+        if not (np.count_nonzero(img) and np.count_nonzero(txt)):
             raise ValueError("img_rep and txt_rep must each have a non-zero entry")
-        if max(self.token_logprobs, default=0.0) > 0.0:
+        if np.count_nonzero(lps > 0.0):
             raise ValueError("token logprobs must all be <= 0")
-        if self.text and not self.token_logprobs:
+        if self.text and not len(lps):
             raise ValueError("non-empty generation must carry token logprobs")
+
+    def __eq__(self, other):
+        return isinstance(other, GenerationTrace) and trace_to_dict(self) == trace_to_dict(other)
 
 
 def trace_to_dict(trace: GenerationTrace) -> dict:
-    return {
-        "text": trace.text,
-        "token_logprobs": list(trace.token_logprobs),
-        "img_rep": list(trace.img_rep),
-        "txt_rep": list(trace.txt_rep),
-    }
+    return {"text": trace.text, **{n: getattr(trace, n).tolist() for n in trace.FLOAT_FIELDS}}
 
 
 def trace_from_dict(payload: dict) -> GenerationTrace:
@@ -189,9 +202,7 @@ def trace_from_dict(payload: dict) -> GenerationTrace:
     none, and neither representation (no embeddings) to orthogonal unit
     vectors, whose similarity score is exactly the neutral 0.5. One without
     the other, or any other key, is a ValueError."""
-    for key in payload:
-        if key not in GenerationTrace.__dataclass_fields__:
-            raise ValueError(f"unknown trace key {key!r}")
+    _check_keys(payload, GenerationTrace.__dataclass_fields__, "trace")
     if ("img_rep" in payload) != ("txt_rep" in payload):
         raise ValueError("a trace holds both img_rep and txt_rep or neither")
     return GenerationTrace(
@@ -233,26 +244,23 @@ class MockBackend:
 
     @classmethod
     def from_json(cls, path) -> "MockBackend":
-        """Load and validate a script; a malformed one is a ValueError."""
+        """Load and validate a script; a malformed one, or a key not shown above, is a ValueError."""
         with open(path, "r", encoding="utf-8") as fh:
             spec = json.load(fh)
         if not isinstance(spec, dict):
             raise ValueError(f"mock script {path} must hold a JSON object")
+        _check_keys(spec, ("entries", "default", "completions", "default_completion"), "mock script")
         try:
             entries = {}
             for n, entry in enumerate(spec.get("entries", [])):
                 key = (entry["image_ref"], entry["question"], entry["prompt_mode"])
                 try:
+                    _check_keys(entry, ("image_ref", "question", "prompt_mode", "trace"), "entry")
                     BackendRequest(*key)
                     entries[key] = trace_from_dict(entry["trace"])
                 except ValueError as exc:
                     raise ValueError(f"mock script {path} entry {n}: {exc}") from exc
-            return cls(
-                entries=entries,
-                default=spec.get("default"),
-                completions=spec.get("completions"),
-                default_completion=spec.get("default_completion"),
-            )
+            return cls(**{**spec, "entries": entries})
         except (KeyError, TypeError, AttributeError) as exc:
             raise ValueError(f"mock script {path} is malformed: {exc!r}") from exc
 

@@ -29,6 +29,8 @@ from dataclasses import fields
 from pathlib import Path
 from typing import NamedTuple
 
+import numpy as np
+
 from .backend import BackendError, MockBackend, RemoteBackend, dual_generate
 from .connector import ConnectorConfig
 from .curation import SCORE_THRESHOLD, load_records, run_pipeline, write_instances, write_stats
@@ -306,7 +308,8 @@ def dispatch(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args, _resolve(args, _load_config(args.config)))
+        with np.errstate(all="ignore"):  # the finiteness checks report a diverging run
+            return args.func(args, _resolve(args, _load_config(args.config)))
     except _ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

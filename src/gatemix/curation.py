@@ -74,11 +74,17 @@ class CurationRecord:
     split: str = "train"
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            nullable = name in ("rewritten_cot", "image_description")
+            if name != "options" and not (isinstance(value, str) or nullable and value is None):
+                raise ValueError(f"{name} must be a string{' or null' if nullable else ''}, got {value!r}")
+        if not (isinstance(self.options, list) and all(isinstance(o, str) for o in self.options)):
+            raise ValueError(f"options must be a list of strings, got {self.options!r}")
         if self.source_kind not in SOURCE_KINDS:
             raise ValueError(
                 f"source_kind must be one of {SOURCE_KINDS}, got {self.source_kind!r}"
             )
-        letter_options(self.options or [])  # rejects more options than letters
+        letter_options(self.options)  # rejects more options than letters
 
 
 @dataclass
@@ -110,12 +116,8 @@ _SCORE_TEMPLATE = _load_template("cot_score.txt")
 
 def _question_block(rec: CurationRecord) -> str:
     """Question plus lettered option lines; just the question if no options."""
-    if not rec.options:
-        return rec.question
-    lines = [rec.question]
-    for letter, option in letter_options(rec.options):
-        lines.append(f"{letter}. {option}")
-    return "\n".join(lines)
+    options = (f"{letter}. {option}" for letter, option in letter_options(rec.options))
+    return "\n".join([rec.question, *options])
 
 
 def build_rewrite_prompt(rec: CurationRecord) -> str:

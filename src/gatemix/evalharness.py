@@ -21,13 +21,14 @@ import base64
 import hashlib
 import json
 import os
-import struct
 import threading
 import urllib.parse
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional
+
+import numpy as np
 
 from .backend import (PROMPT_MODES, BackendError, GenerationTrace, dual_generate, dual_requests,
                       trace_from_dict, trace_to_dict)
@@ -133,26 +134,6 @@ class EvalReport:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-# Trace fields stored as packed float64 in a cache entry.
-_PACKED_FIELDS = ("token_logprobs", "img_rep", "txt_rep")
-
-
-def _pack(values) -> str:
-    """Base64 text of the values' little-endian float64 bytes; exact for
-    every float, -0.0 and subnormals included."""
-    return base64.b64encode(struct.pack(f"<{len(values)}d", *values)).decode("ascii")
-
-
-def _unpack(text) -> tuple:
-    """The floats ``_pack`` wrote. Text that is not strict base64, or whose
-    byte length is not a multiple of 8, is a ValueError; a value that is not
-    a string is a TypeError."""
-    raw = base64.b64decode(text, validate=True)
-    if len(raw) % 8:
-        raise ValueError(f"packed floats hold {len(raw)} bytes, not a multiple of 8")
-    return struct.unpack(f"<{len(raw) // 8}d", raw)
-
-
 def _request_digest(image_ref: str, question: str) -> str:
     """Digest of what ``dual_generate`` sends for an instance: each
     branch's built prompt and decoding config."""
@@ -188,13 +169,11 @@ class TraceCache:
             if (entry["image_ref"] != image_ref or entry["question"] != question
                     or entry["request_digest"] != _request_digest(image_ref, question)):
                 return None
-            pair = []
-            for mode in PROMPT_MODES:
-                payload = entry[mode]
-                for name in _PACKED_FIELDS:
-                    payload[name] = _unpack(payload[name])
-                pair.append(trace_from_dict(payload))
-            return tuple(pair)
+            payloads = [entry[mode] for mode in PROMPT_MODES]
+            for payload in payloads:
+                for name in GenerationTrace.FLOAT_FIELDS:
+                    payload[name] = np.frombuffer(base64.b64decode(payload[name], validate=True), "<f8")
+            return tuple(trace_from_dict(payload) for payload in payloads)
         except (OSError, ValueError, KeyError, TypeError):
             return None
 
@@ -204,8 +183,8 @@ class TraceCache:
                  "request_digest": _request_digest(image_ref, question)}
         for mode, trace in zip(PROMPT_MODES, (direct, cot)):
             payload = entry[mode] = trace_to_dict(trace)
-            for name in _PACKED_FIELDS:
-                payload[name] = _pack(payload[name])
+            for name in GenerationTrace.FLOAT_FIELDS:
+                payload[name] = base64.b64encode(getattr(trace, name).astype("<f8").tobytes()).decode()
         text = json.dumps(entry, sort_keys=True, separators=(",", ":"))
         path = self._path(instance_id)
         tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")

@@ -8,7 +8,9 @@ step-by-step one; otherwise compare the weighted scores
 
 where S is the image/text representation similarity mapped onto [0, 1] and
 C is the exponential of the mean token log-probability (a normalized
-perplexity in (0, 1]). Ties go to the step-by-step branch.
+perplexity in (0, 1]). Ties go to the step-by-step branch. A trace's
+values arrive as read-only float64 arrays; C sums the logprobs in token
+order on every Python version, as a last-bit change can flip a tie.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ import math
 import re
 from dataclasses import dataclass
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .backend import GenerationTrace
 from .tensor import cosine_sim
@@ -51,7 +55,12 @@ class ConfigError(ValueError):
 
 
 class InvalidLogProbError(ValueError):
-    """Token log-probabilities are empty or positive."""
+    """Token log-probabilities are empty, positive or NaN."""
+
+
+def _mean_logprob(token_logprobs) -> float:
+    """In-order mean of non-empty logprobs; + 0.0 turns a -0.0 sum into 0.0, as ``sum`` does."""
+    return (float(np.add.accumulate(token_logprobs)[-1]) + 0.0) / len(token_logprobs)
 
 
 def confidence(token_logprobs: Sequence[float]) -> float:
@@ -60,13 +69,12 @@ def confidence(token_logprobs: Sequence[float]) -> float:
     Equals the geometric mean of the per-token probabilities, so it lives
     in (0, 1] and is 1 exactly when every token had probability 1.
     """
-    lps = [float(x) for x in token_logprobs]
-    if not lps:
+    lps = np.asarray(token_logprobs, dtype=np.float64)
+    if not lps.size:
         raise InvalidLogProbError("confidence: empty logprob list")
-    for lp in lps:
-        if lp > 0.0:
-            raise InvalidLogProbError(f"confidence: positive logprob {lp}")
-    return math.exp(sum(lps) / len(lps))
+    if np.count_nonzero(lps <= 0.0) != lps.size:  # NaN fails the test too
+        raise InvalidLogProbError(f"confidence: logprob {lps[~(lps <= 0.0)][0]} is not <= 0")
+    return math.exp(_mean_logprob(lps))
 
 
 def similarity_score(img_rep, txt_rep) -> float:
@@ -213,5 +221,5 @@ def audit_record(decision: VerifyDecision, alpha: float) -> dict:
     for name, resp in (("direct", decision.direct), ("cot", decision.cot)):
         lps = resp.trace.token_logprobs
         record[name] = {**branch_record(resp), "text": resp.trace.text, "n_tokens": len(lps),
-                        "mean_logprob": (sum(lps) / len(lps)) if lps else None}
+                        "mean_logprob": _mean_logprob(lps) if len(lps) else None}
     return record

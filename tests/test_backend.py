@@ -11,6 +11,7 @@ from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gatemix import backend as backend_module
@@ -97,7 +98,8 @@ class TestGenerationTrace:
 
     def test_no_representations_give_the_neutral_pair(self):
         trace = trace_from_dict({"text": "A", "token_logprobs": [-0.1]})
-        assert (trace.img_rep, trace.txt_rep) == ((1.0, 0.0), (0.0, 1.0))
+        assert np.array_equal(trace.img_rep, [1.0, 0.0])
+        assert np.array_equal(trace.txt_rep, [0.0, 1.0])
 
     @pytest.mark.parametrize("field, values", [
         ("token_logprobs", (-0.1, float("nan"))),
@@ -118,12 +120,43 @@ class TestGenerationTrace:
         ("token_logprobs", (None,)),
         ("token_logprobs", -0.1),
         ("img_rep", ([1.0], 0.0)),
+        ("token_logprobs", [[-0.1]]),
+        ("img_rep", "10"),
+        ("token_logprobs", [-10 ** 400]),
     ])
     def test_wrong_types_are_value_errors(self, field, value):
         fields = {"text": "x", "token_logprobs": (-0.1,), "img_rep": (1.0, 0.0),
                   "txt_rep": (0.0, 1.0), field: value}
         with pytest.raises(ValueError):
             GenerationTrace(**fields)
+
+    @pytest.mark.parametrize("field", ["token_logprobs", "img_rep", "txt_rep"])
+    def test_float_fields_are_read_only_float64_arrays(self, field):
+        trace = _trace()
+        values = getattr(trace, field)
+        assert values.dtype == np.float64 and values.ndim == 1
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = -1.0
+        with pytest.raises(AttributeError):
+            setattr(trace, field, (-1.0,))
+
+    @pytest.mark.parametrize("make", [list, np.array], ids=["list", "array"])
+    def test_later_writes_to_the_inputs_leave_the_trace_unchanged(self, make):
+        lps, img, txt = make([-0.5, -0.25]), make([1.0, 2.0]), make([3.0, 4.0])
+        trace = GenerationTrace("A", lps, img, txt)
+        lps[0], img[0], txt[0] = -9.0, 9.0, 9.0
+        assert trace_to_dict(trace) == {"text": "A", "token_logprobs": [-0.5, -0.25],
+                                        "img_rep": [1.0, 2.0], "txt_rep": [3.0, 4.0]}
+
+    def test_equality(self):
+        fields = {"text": "A", "token_logprobs": [-0.5], "img_rep": [1.0, 0.0], "txt_rep": [0.0, 1.0]}
+        trace = GenerationTrace(**fields)
+        assert trace == GenerationTrace(**fields)
+        assert trace == trace_from_dict(trace_to_dict(trace))
+        assert trace != GenerationTrace(**{**fields, "text": "B"})
+        assert trace != GenerationTrace(**{**fields, "token_logprobs": [-0.25]})
+        assert trace != GenerationTrace(**{**fields, "txt_rep": [0.0, 2.0]})
+        assert trace != trace_to_dict(trace)
 
     @pytest.mark.parametrize("img_rep, txt_rep", [
         ((1.0, 0.0), (1.0,)),
@@ -181,6 +214,15 @@ class TestMockBackend:
         req = BackendRequest("nope", "???", "direct")
         trace = mock.generate(req)
         assert trace.text == "B"
+
+    def test_scripted_and_default_traces_are_read_only(self):
+        # the backend hands the same trace objects to every caller
+        mock = MockBackend.from_json(Path(__file__).parent / "fixtures" / "easy_hard_script.json")
+        for req in (BackendRequest("img-e1", "question e1", "cot"), BackendRequest("?", "?", "direct")):
+            trace = mock.generate(req)
+            for field in ("token_logprobs", "img_rep", "txt_rep"):
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(trace, field)[0] = 0.0
 
     def test_one_default_serves_both_modes(self):
         mock = MockBackend()
@@ -347,9 +389,9 @@ class TestRemoteBackend:
         req = BackendRequest("img1", QUESTION, "cot")
         trace = backend.generate(req)
         assert trace.text == "The answer is B."
-        assert trace.token_logprobs == (-0.25, -0.5)
-        assert trace.img_rep == (0.1, 0.9)
-        assert trace.txt_rep == (0.9, 0.1)
+        assert np.array_equal(trace.token_logprobs, [-0.25, -0.5])
+        assert np.array_equal(trace.img_rep, [0.1, 0.9])
+        assert np.array_equal(trace.txt_rep, [0.9, 0.1])
         sent = handler.requests[-1]
         assert sent["want_logprobs"] is True and sent["want_embeddings"] is True
         assert sent["temperature"] == 0.4 and sent["top_p"] == 0.9
@@ -429,8 +471,8 @@ class TestRemoteBackend:
         req = BackendRequest("img1", QUESTION, "direct")
         with caplog.at_level("WARNING"):
             trace = backend.generate(req)
-        assert trace.img_rep == (1.0, 0.0)
-        assert trace.txt_rep == (0.0, 1.0)
+        assert np.array_equal(trace.img_rep, [1.0, 0.0])
+        assert np.array_equal(trace.txt_rep, [0.0, 1.0])
         assert any("embeddings" in rec.message for rec in caplog.records)
 
     # 1e400 parses to inf; 1e12 s overflows a socket's time_t timeout

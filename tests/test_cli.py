@@ -19,6 +19,10 @@ SWEEP = f"mock:{FIXTURES / 'sweep_script.json'}"
 CURATION = f"mock:{FIXTURES / 'curation_mock.json'}"
 README = Path(__file__).parent.parent / "README.md"
 
+# numpy's float warnings must not reach a user: the CLI reports a diverging
+# run through its own finiteness checks.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 class TestGradcheck:
     def test_prints_error_and_exits_zero(self, capsys):
@@ -195,6 +199,18 @@ class TestCurate:
         assert code == 1
         assert "at most 26 options" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [("options", "ABC"), ("question", ["Q"])])
+    def test_record_of_wrong_json_type_is_validation_error(self, tmp_path, capsys, key, value):
+        record = {"id": "cur-1", "image_ref": "img/1.jpg", "question": "Q?", "options": ["a"],
+                  "raw_cot": "The answer is A.", "source_kind": "ai-generated", key: value}
+        records = tmp_path / "records.jsonl"
+        records.write_text(json.dumps(record) + "\n")
+        code = dispatch(
+            ["curate", "--records", str(records), "--backend", CURATION, "--out", str(tmp_path / "c")]
+        )
+        assert code == 1
+        assert f"records.jsonl:1: bad curation record: {key} must be" in capsys.readouterr().err
+
 
 class TestExitCodes:
     def test_unknown_subcommand_is_usage_error(self, capsys):
@@ -265,6 +281,19 @@ class TestExitCodes:
         assert "non-finite loss at step 1" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("argv, code, message", [
+        (["gradcheck", "--lambda", "1e308"], 1,
+         "error: finite_diff_check: non-finite relative error at coordinate 0 of param 0\n"),
+        (["train-align", "--steps", "1", "--lr", "1e200"], 2,
+         "failure: non-finite loss at step 1 (batch of 4)\n"),
+    ], ids=["gradcheck", "train-align"])
+    def test_diverging_run_prints_only_its_error(self, tmp_path, capsys, argv, code, message):
+        # a numpy warning would be an error here (see pytestmark)
+        if argv[0] == "train-align":
+            argv = argv + ["--out", str(tmp_path / "run")]
+        assert dispatch(argv) == code
+        assert capsys.readouterr().err == message
+
     @pytest.mark.parametrize("endpoint", [
         "localhost:9/v1", "ftp://127.0.0.1:9/v1", "http:///v1", "http://127.0.0.1:99999/v1"])
     def test_malformed_endpoint_is_validation_error(self, tmp_path, endpoint):
@@ -309,9 +338,17 @@ class TestExitCodes:
         ([{"text": "A"}], "must hold a JSON object"),
         ({"completions": [{"reply": "x"}]}, "KeyError('contains')"),
         ({"default_completion": 0}, "must be strings"),
+        ({"entires": [{"image_ref": "img-e1", "question": "question e1", "prompt_mode": "direct",
+                       "trace": {"text": "B", "token_logprobs": [-0.1]}}]},
+         "unknown mock script key 'entires'"),
+        ({"entries": [{"image_ref": "img-e1", "question": "question e1", "prompt_mode": "direct",
+                       "trace": {"text": "A", "token_logprobs": [-0.1]},
+                       "traec": {"text": "B", "token_logprobs": [-0.1]}}]},
+         "entry 0: unknown entry key 'traec'"),
     ], ids=["positive-logprob-default", "entry-without-prompt-mode", "entry-mode-CoT",
             "misspelt-trace-key", "default-without-txt-rep", "list-script",
-            "rule-without-contains", "zero-default-completion"])
+            "rule-without-contains", "zero-default-completion", "misspelt-entries",
+            "unknown-entry-key"])
     def test_malformed_mock_script_is_validation_error(self, tmp_path, capsys, script, message):
         path = tmp_path / "script.json"
         path.write_text(json.dumps(script))

@@ -330,6 +330,27 @@ class TestRecordsIO:
         with pytest.raises(ValueError, match=f"records.jsonl:2: .*{key}"):
             load_records(path)
 
+    @pytest.mark.parametrize("key, value", [
+        ("options", "ABC"),
+        ("options", ["x", 1]),
+        ("options", None),
+        ("question", ["Q"]),
+        ("id", 7),
+        ("image_ref", None),
+        ("raw_cot", {"text": "cot"}),
+        ("rewritten_cot", 5),
+        ("image_description", ["a cat"]),
+        ("split", ["test"]),
+    ])
+    def test_field_of_wrong_json_type_rejected_with_location(self, tmp_path, key, value):
+        row = {"id": "r2", "image_ref": "img/2.jpg", "question": "Q?", "options": ["x"],
+               "raw_cot": "cot", "source_kind": "ai-generated", key: value}
+        path = tmp_path / "records.jsonl"
+        path.write_text('{"id": "r1", "image_ref": "i", "question": "Q?", "options": [], '
+                        '"raw_cot": "cot", "rewritten_cot": null}\n' + json.dumps(row) + "\n")
+        with pytest.raises(ValueError, match=f"records.jsonl:2: bad curation record: {key} must be"):
+            load_records(path)
+
     def test_write_outputs(self, tmp_path):
         records = [_record(id="w1", source_kind="ai-generated")]
         instances, stats = run_pipeline(records, _scripted_llm)

@@ -473,6 +473,19 @@ class TestTraceCache:
             for name in FLOAT_FIELDS:
                 assert [x.hex() for x in getattr(have, name)] == [x.hex() for x in getattr(want, name)]
 
+    def test_hit_traces_are_read_only(self, tmp_path):
+        empty = GenerationTrace(text="", token_logprobs=(), img_rep=(1.0, 0.0), txt_rep=(0.0, 1.0))
+        pair = (empty, make_trace("The answer is C.", 0.8, 0.2, "cot"))
+        TraceCache(tmp_path).put("i1", "img", "q?", *pair)
+        got = TraceCache(tmp_path).get("i1", "img", "q?")
+        assert got == pair
+        for trace in got:
+            for name in ("img_rep", "txt_rep"):
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(trace, name)[0] = 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            got[1].token_logprobs[0] = -0.5
+
     def test_rewrite_is_byte_identical(self, tmp_path):
         pair = (make_trace("A", 0.3, 0.9, "direct"), make_trace("The answer is C.", 0.8, 0.2, "cot"))
         TraceCache(tmp_path / "a").put("i1", "img", "q?", *pair)

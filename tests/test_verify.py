@@ -1,7 +1,10 @@
 """Self-verification tests: confidence, similarity score, answer extraction,
 and the decision rule."""
 
+import functools
 import math
+import operator
+import random
 
 import numpy as np
 import pytest
@@ -58,6 +61,21 @@ class TestConfidence:
     def test_positive_logprob_rejected(self):
         with pytest.raises(InvalidLogProbError):
             confidence([-0.1, 0.2])
+
+    @pytest.mark.parametrize("lps", [[-0.1, math.nan], [None]])
+    def test_nan_logprob_rejected(self, lps):
+        with pytest.raises(InvalidLogProbError, match="nan is not <= 0"):
+            confidence(lps)
+
+    def test_sums_in_token_order_on_every_python_version(self):
+        # the in-order, pairwise (np.sum) and exactly rounded (fsum) sums of
+        # these logprobs differ in the last bit, so C pins the in-order one
+        rng = random.Random(7)
+        lps = [-rng.expovariate(1.0) for _ in range(200)]
+        assert confidence(lps).hex() == "0x1.93e283efa8a3bp-2"
+        assert confidence(np.array(lps)).hex() == "0x1.93e283efa8a3bp-2"
+        others = {math.exp(float(np.sum(lps)) / 200).hex(), math.exp(math.fsum(lps) / 200).hex()}
+        assert "0x1.93e283efa8a3bp-2" not in others
 
     def test_order_invariant(self):
         lps = [math.log(p) for p in (0.3, 0.8, 0.55, 0.9)]
@@ -222,3 +240,14 @@ class TestSelfVerify:
             assert set(short) == {"answer", "s", "c", "sc"}
             assert {k: record[name][k] for k in short} == short
             assert set(record[name]) - set(short) == {"text", "n_tokens", "mean_logprob"}
+
+    def test_audit_mean_logprob_sums_in_token_order(self):
+        rng = random.Random(7)
+        lps = [-rng.expovariate(1.0) for _ in range(200)]
+        cot = GenerationTrace("B", lps, (1.0, 0.0), (1.0, 0.0))
+        zeros = GenerationTrace("A", (-0.0, -0.0), (1.0, 0.0), (1.0, 0.0))
+        record = audit_record(self_verify(score_response(zeros), score_response(cot), 0.7), 0.7)
+        # reduce adds in order on every Python version; sum does not from 3.12 on
+        assert record["cot"]["mean_logprob"] == functools.reduce(operator.add, lps, 0.0) / 200
+        assert math.copysign(1.0, record["direct"]["mean_logprob"]) == 1.0  # 0.0, as sum gives
+        assert record["direct"]["c"] == 1.0
