@@ -20,6 +20,7 @@ from .tensor import (
     DegenerateVectorError,
     ShapeError,
     Tensor,
+    _any_non_positive,
     matmul,
 )
 
@@ -64,26 +65,21 @@ class SimilarityMatrix:
     S: Tensor
 
 
-def _row_norms(x: Tensor) -> Tensor:
-    return (x * x).sum(axis=1).sqrt()
-
-
 def similarity_matrix(reps: BatchRepresentations, tau: float = 1.0) -> SimilarityMatrix:
     """Pairwise similarities S_ij = exp(cos(img_i, txt_j) / tau) between img
     row i and txt row j, strictly positive. Differentiable end to end.
     """
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
-    for name, t in (("img", reps.img), ("txt", reps.txt)):
-        if ((t.data * t.data).sum(axis=1) == 0.0).any():
-            raise DegenerateVectorError(f"similarity_matrix: zero-norm {name} row")
     b = reps.b
     dots = matmul(reps.img, reps.txt.transpose())                    # b x b
-    denom = matmul(
-        _row_norms(reps.img).reshape((b, 1)),
-        _row_norms(reps.txt).reshape((1, b)),
-    )
-    cos = dots / denom
+    norms = []
+    for name, t, shape in (("img", reps.img, (b, 1)), ("txt", reps.txt, (1, b))):
+        squared = (t * t).sum(axis=1)
+        if not squared.data.all():
+            raise DegenerateVectorError(f"similarity_matrix: zero-norm {name} row")
+        norms.append(squared.sqrt().reshape(shape))
+    cos = dots / matmul(*norms)
     return SimilarityMatrix(S=(cos / tau).exp())
 
 
@@ -96,7 +92,7 @@ def creg_loss(sm: SimilarityMatrix) -> Tensor:
     S = sm.S
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise ShapeError(f"creg_loss: similarity matrix must be square, got {S.shape}")
-    if (S.data <= 0.0).any():
+    if _any_non_positive(S.data):
         raise InvalidSimilarityError(
             "creg_loss: non-positive similarity entries leave the log terms undefined"
         )
@@ -124,14 +120,13 @@ def generation_loss(logits: Tensor, targets) -> Tensor:
         raise ShapeError(
             f"generation_loss: {ids.size} targets for {t_count} logit rows"
         )
-    out_of_range = (ids < 0) | (ids >= vocab)
-    if out_of_range.any():
-        tid = ids[out_of_range.argmax()]
+    if ids.size and (np.minimum.reduce(ids) < 0 or np.maximum.reduce(ids) >= vocab):
+        tid = ids[((ids < 0) | (ids >= vocab)).argmax()]
         raise ValueError(f"generation_loss: target id {tid} out of range for vocab {vocab}")
     onehot = np.zeros((t_count, vocab))
     onehot[np.arange(t_count), ids] = 1.0
     picked = (logits * Tensor._raw(onehot)).sum(axis=1)               # (T,)
-    row_max = logits.data.max(axis=1, keepdims=True)                  # constant shift
+    row_max = np.maximum.reduce(logits.data, 1, keepdims=True)        # constant shift
     shift = Tensor._raw(row_max)
     lse = (logits - shift).exp().sum(axis=1).log() + Tensor._raw(row_max.reshape(-1))
     return (lse - picked).mean()

@@ -26,6 +26,7 @@ Conventions:
 from __future__ import annotations
 
 import math
+import operator
 import threading
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -156,12 +157,13 @@ class Tensor:
         return _op("exp", (self,), out_data, _exp_grad, out_data)
 
     def log(self) -> "Tensor":
-        if (self.data <= 0.0).any():
+        data = self.data
+        if _any_non_positive(data):
             raise ValueError("log: requires strictly positive input")
-        return _op("log", (self,), np.log(self.data), _log_grad, self.data)
+        return _op("log", (self,), np.log(data), _log_grad, data)
 
     def sqrt(self) -> "Tensor":
-        if (self.data <= 0.0).any():
+        if _any_non_positive(self.data):
             raise ValueError("sqrt: requires strictly positive input")
         out_data = np.sqrt(self.data)
         return _op("sqrt", (self,), out_data, _sqrt_grad, out_data)
@@ -170,15 +172,20 @@ class Tensor:
         return sigmoid(self)
 
     def transpose(self) -> "Tensor":
-        if self.ndim != 2:
-            raise ShapeError(f"transpose: needs rank 2, got {self.shape}")
-        return _op("transpose", (self,), np.ascontiguousarray(self.data.T), _transpose_grad)
+        data = self.data
+        if data.ndim != 2:
+            raise ShapeError(f"transpose: needs rank 2, got {data.shape}")
+        return _op("transpose", (self,), np.ascontiguousarray(data.T), _transpose_grad)
 
     def reshape(self, shape) -> "Tensor":
-        shape = tuple(int(s) for s in shape)
-        if int(np.prod(shape, dtype=np.int64)) != self.size:
-            raise ShapeError(f"reshape: cannot view {self.shape} as {shape}")
-        return _op("reshape", (self,), self.data.reshape(shape).copy(), _reshape_grad, self.shape)
+        try:
+            shape = tuple(map(operator.index, shape))
+        except TypeError as exc:
+            raise ShapeError(f"reshape: dimensions must be integers, got {shape}") from exc
+        data = self.data
+        if math.prod(shape) != data.size:
+            raise ShapeError(f"reshape: cannot view {data.shape} as {shape}")
+        return _op("reshape", (self,), data.reshape(shape).copy(), _reshape_grad, data.shape)
 
 
 @dataclass
@@ -232,6 +239,9 @@ class no_grad:
         return False
 
 
+_new_tensor = object.__new__
+
+
 def _op(op: str, inputs: tuple, out_data: np.ndarray, grad_rule, *ctx) -> Tensor:
     """Return an op's output as a tensor, recorded onto a tape if one records.
 
@@ -241,12 +251,25 @@ def _op(op: str, inputs: tuple, out_data: np.ndarray, grad_rule, *ctx) -> Tensor
     calls ``grad_rule(*ctx, g)``, which returns one gradient per input.
     Otherwise the output is returned bare.
     """
+    out = _new_tensor(Tensor)
+    out.data = out_data
+    out.grad = None
     stack = getattr(_graph_state, "stack", None)
-    out = Tensor._raw(out_data)
     if stack and stack[-1] is not None and any(t.requires_grad for t in inputs):
         out.requires_grad = True
         stack[-1].records.append(_OpRecord(op, inputs, out, grad_rule, ctx))
+    else:
+        out.requires_grad = False
     return out
+
+
+def _any_non_positive(a: np.ndarray) -> bool:
+    """``(a <= 0.0).any()`` in one reduction unless ``a`` holds a NaN: NaN
+    itself passes, but a zero or negative entry beside it still fails."""
+    if not a.size:
+        return False
+    low = np.minimum.reduce(a, None)
+    return low <= 0.0 or (low != low and (a <= 0.0).any())
 
 
 def _as_tensor(x) -> Tensor:
@@ -270,14 +293,18 @@ def _reduce_to(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def _binary(op: str, a, b, fn, grad_rule) -> Tensor:
-    a = _as_tensor(a)
-    b = _as_tensor(b)
-    if op == "div" and (b.data == 0.0).any():
+    if not isinstance(a, Tensor):
+        a = _as_tensor(a)
+    if not isinstance(b, Tensor):
+        b = _as_tensor(b)
+    ad = a.data
+    bd = b.data
+    if op == "div" and not bd.all():
         raise ValueError("div: zero denominator")
     try:
-        out_data = fn(a.data, b.data)
+        out_data = fn(ad, bd)
     except ValueError as exc:
-        raise ShapeError(f"{op}: incompatible shapes {a.shape} and {b.shape}") from exc
+        raise ShapeError(f"{op}: incompatible shapes {ad.shape} and {bd.shape}") from exc
     # np.asarray keeps 0-d results 0-d (ascontiguousarray would promote to 1-d)
     return _op(op, (a, b), np.asarray(out_data), grad_rule, a, b)
 
@@ -302,13 +329,17 @@ def _div_grad(a, b, g):
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product of two rank-2 tensors; inner dimensions must agree."""
-    a = _as_tensor(a)
-    b = _as_tensor(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul: needs rank-2 operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: inner dims disagree for {a.shape} x {b.shape}")
-    return _op("matmul", (a, b), a.data @ b.data, _matmul_grad, a, b)
+    if not isinstance(a, Tensor):
+        a = _as_tensor(a)
+    if not isinstance(b, Tensor):
+        b = _as_tensor(b)
+    ad = a.data
+    bd = b.data
+    if ad.ndim != 2 or bd.ndim != 2:
+        raise ShapeError(f"matmul: needs rank-2 operands, got {ad.shape} and {bd.shape}")
+    if ad.shape[1] != bd.shape[0]:
+        raise ShapeError(f"matmul: inner dims disagree for {ad.shape} x {bd.shape}")
+    return _op("matmul", (a, b), ad @ bd, _matmul_grad, a, b)
 
 
 def _matmul_grad(a, b, g):
@@ -329,12 +360,14 @@ def sigmoid(x: Tensor) -> Tensor:
     With ``e = exp(-|v|)`` (never overflows) the value is ``1 / (1 + e)``
     for ``v >= 0`` and ``e / (1 + e)`` below zero.
     """
-    x = _as_tensor(x)
+    if not isinstance(x, Tensor):
+        x = _as_tensor(x)
     v = x.data
     e = np.exp(-np.abs(v))
     out_data = np.where(v >= 0, 1.0, e)
     out_data /= 1.0 + e
-    np.clip(out_data, _SIG_LO, _SIG_HI, out=out_data)
+    np.maximum(out_data, _SIG_LO, out=out_data)
+    np.minimum(out_data, _SIG_HI, out=out_data)
     return _op("sigmoid", (x,), out_data, _sigmoid_grad, out_data)
 
 
@@ -357,18 +390,22 @@ def _sqrt_grad(out, g):
 def _reduce(op: str, x: Tensor, axis: Optional[int]) -> Tensor:
     """``sum`` or ``mean`` over every element (axis None) or one axis of a
     rank-2 tensor. A sum is a mean over n = 1: numpy's float64 mean is the
-    same sum divided by the count, so both agree with numpy bit for bit."""
+    same sum divided by the count, so both agree with numpy bit for bit.
+    Dividing by n = 1 is exact, so it is skipped."""
     if axis not in (None, 0, 1):
         raise ValueError(f"{op}: axis must be None, 0 or 1, got {axis}")
-    if axis is not None and x.ndim != 2:
-        raise ShapeError(f"{op} over an axis needs rank 2, got {x.shape}")
+    data = x.data
+    if axis is not None and data.ndim != 2:
+        raise ShapeError(f"{op} over an axis needs rank 2, got {data.shape}")
     n = 1
     if op == "mean":
-        n = x.size if axis is None else x.shape[axis]
+        n = data.size if axis is None else data.shape[axis]
         if n == 0:
             raise ValueError("mean: empty input")
-    out_data = np.asarray(x.data.sum(axis=axis) / n)
-    return _op(op, (x,), out_data, _reduce_grad, x.shape, axis, n)
+    out_data = np.add.reduce(data, axis)
+    if n != 1:
+        out_data = out_data / n
+    return _op(op, (x,), np.asarray(out_data), _reduce_grad, data.shape, axis, n)
 
 
 def _reduce_grad(shape, axis, n, g):
@@ -391,20 +428,23 @@ def mean_pool(x: Tensor) -> Tensor:
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     """Concatenate rank-1 or rank-2 tensors along the given axis."""
-    ts = tuple(_as_tensor(t) for t in tensors)
+    ts = tuple(t if isinstance(t, Tensor) else _as_tensor(t) for t in tensors)
     if not ts:
         raise ValueError("concat: empty input list")
-    ndim = ts[0].ndim
-    if ndim not in (1, 2) or any(t.ndim != ndim for t in ts):
+    datas = [t.data for t in ts]
+    ndim = datas[0].ndim
+    if ndim not in (1, 2) or any(d.ndim != ndim for d in datas):
         raise ShapeError("concat: operands must all be rank 1 or all rank 2")
     if axis not in range(ndim):
         raise ShapeError(f"concat: axis {axis} invalid for rank {ndim}")
-    other = 1 - axis
-    if ndim == 2 and any(t.shape[other] != ts[0].shape[other] for t in ts):
-        raise ShapeError(
-            f"concat: non-concat dims differ: {[t.shape for t in ts]}"
-        )
-    out_data = np.concatenate([t.data for t in ts], axis=axis)
+    if ndim == 2:
+        other = 1 - axis
+        width = datas[0].shape[other]
+        if any(d.shape[other] != width for d in datas):
+            raise ShapeError(
+                f"concat: non-concat dims differ: {[d.shape for d in datas]}"
+            )
+    out_data = np.concatenate(datas, axis=axis)
     return _op("concat", ts, out_data, _concat_grad, axis, ts)
 
 
@@ -433,7 +473,13 @@ def cosine_sim(u, v) -> float:
     nv = float(np.linalg.norm(va))
     if nu == 0.0 or nv == 0.0:
         raise DegenerateVectorError("cosine_sim: zero-norm vector")
-    return float(np.clip(float(ua @ va) / (nu * nv), -1.0, 1.0))
+    cos = float(ua @ va) / (nu * nv)
+    # two comparisons, so a NaN comes back as NaN rather than as a bound
+    if cos > 1.0:
+        return 1.0
+    if cos < -1.0:
+        return -1.0
+    return cos
 
 
 def backward(graph: Graph, loss: Tensor) -> None:
@@ -501,12 +547,14 @@ def finite_diff_check(
             aflat = ag.reshape(-1)
             for i in range(flat.size):
                 orig = flat[i]
-                flat[i] = orig + eps
-                f_plus = f(params).item()
-                flat[i] = orig - eps
-                f_minus = f(params).item()
-                flat[i] = orig
-                if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
+                try:
+                    flat[i] = orig + eps
+                    f_plus = f(params).item()
+                    flat[i] = orig - eps
+                    f_minus = f(params).item()
+                finally:
+                    flat[i] = orig
+                if not (math.isfinite(f_plus) and math.isfinite(f_minus)):
                     raise ValueError("finite_diff_check: non-finite value during probing")
                 numeric = (f_plus - f_minus) / (2.0 * eps)
                 rel = abs(aflat[i] - numeric) / max(1e-12, abs(numeric))

@@ -131,6 +131,10 @@ class TestCosineSim:
             v = rng.standard_normal(4)
             assert -1.0 <= cosine_sim(u, v) <= 1.0
 
+    def test_nan_is_not_clamped(self):
+        # min/max clamping would turn NaN into a bound and hide it
+        assert np.isnan(cosine_sim([np.nan, 1.0], [1.0, 1.0]))
+
 
 class TestMeanPool:
     def test_constant_rows(self):
@@ -249,6 +253,9 @@ class TestStructuralOps:
 
         x = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
         assert finite_diff_check(f, [x], eps=1e-6) <= 1e-6
+        for shape in [(4, 2), (2.7, 3), ("2", 3)]:
+            with pytest.raises(ShapeError, match="reshape"):
+                x.reshape(shape)
 
 
 class TestFiniteDiffCheck:
@@ -266,6 +273,21 @@ class TestFiniteDiffCheck:
         x = Tensor(1.0, requires_grad=True)
         with pytest.raises(ValueError):
             finite_diff_check(lambda ps: ps[0] * ps[0], [x], eps=0.0)
+
+    def test_objective_raising_mid_probe_leaves_params_unchanged(self):
+        p = Tensor([0.5, 0.25], requires_grad=True)
+        calls = []
+
+        def f(ps):
+            calls.append(ps[0].data.copy())
+            if len(calls) == 3:  # the minus probe of coordinate 0
+                raise RuntimeError("objective failed")
+            return (ps[0] * ps[0]).sum()
+
+        with pytest.raises(RuntimeError, match="objective failed"):
+            finite_diff_check(f, [p], eps=1e-5)
+        assert calls[2][0] == 0.5 - 1e-5
+        assert p.data.tolist() == [0.5, 0.25]
 
     def test_gate_mix_objective(self):
         # the d=8 gate blend under a sum objective, the canonical small check
@@ -412,6 +434,7 @@ class TestNoRecordPath:
     @pytest.mark.parametrize("in_graph", [False, True])
     @pytest.mark.parametrize("op, match", [
         (lambda x: x / Tensor([1.0, 0.0]), "zero denominator"),
+        (lambda x: x / Tensor([1.0, -0.0]), "zero denominator"),
         (lambda x: x / 0.0, "zero denominator"),
         (lambda x: (x - 1.0).log(), "strictly positive"),
         (lambda x: (x * 0.0).sqrt(), "strictly positive"),
@@ -424,6 +447,55 @@ class TestNoRecordPath:
             with no_grad():
                 with pytest.raises(ValueError, match=match):
                     op(x)
+
+
+def _guard_cases() -> list:
+    """(call on a rank-1 array, error, message, input, rejected) for every
+    domain guard and input, with ids naming both. The data are built without
+    validation, as op outputs are. A NaN is not rejected (a non-finite loss is reported where it
+    surfaces); a zero of either sign is, even beside a NaN, and so is a
+    negative entry except as a denominator; an empty array passes."""
+    from gatemix.objectives import InvalidSimilarityError, SimilarityMatrix, creg_loss
+
+    def creg(values):
+        # the values on the diagonal of a square S whose other entries are 1
+        S = np.ones((values.size, values.size))
+        S[np.diag_indices(values.size)] = values
+        return creg_loss(SimilarityMatrix(S=Tensor._raw(S)))
+
+    guards = [
+        ("log", lambda v: Tensor._raw(v).log(), ValueError, "log: requires strictly positive"),
+        ("sqrt", lambda v: Tensor._raw(v).sqrt(), ValueError, "sqrt: requires strictly positive"),
+        ("div", lambda v: Tensor(1.0) / Tensor._raw(v), ValueError, "div: zero denominator"),
+        ("creg_loss", creg, InvalidSimilarityError, "non-positive similarity"),
+    ]
+    inputs = [
+        ("zero", [2.0, 0.0]),
+        ("negative-zero", [2.0, -0.0]),
+        ("negative", [2.0, -3.0]),
+        ("zero-beside-nan", [np.nan, 0.0]),
+        ("nan", [2.0, np.nan]),
+        ("empty", []),
+    ]
+    cases = []
+    for guard, call, error, match in guards:
+        for kind, values in inputs:
+            if guard == "creg_loss" and kind == "empty":
+                continue  # an empty S passes the guard, but a mean over b = 0 items is undefined
+            rejected = kind not in ("nan", "empty") and not (guard == "div" and kind == "negative")
+            cases.append(pytest.param(call, error, match, values, rejected, id=f"{guard}-{kind}"))
+    return cases
+
+
+class TestGuardOutcomes:
+    @pytest.mark.parametrize("call, error, match, values, rejected", _guard_cases())
+    def test_guard_outcome(self, call, error, match, values, rejected):
+        with no_grad():
+            if rejected:
+                with pytest.raises(error, match=match):
+                    call(np.array(values))
+            else:
+                assert isinstance(call(np.array(values)), Tensor)
 
 
 class TestTensorBasics:

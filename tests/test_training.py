@@ -124,6 +124,28 @@ class TestBatchedObjective:
         assert not probe.requires_grad
         assert probe.item().hex() == recorded.item().hex()
 
+    def test_tape_op_order(self):
+        # backward sums each input's gradient in tape order, so a reordered
+        # tape moves the last bits that TestBitIdentity pins
+        params = init_params(CFG, 0)
+        with Graph() as g:
+            stage1_loss(params, synth_batch(0, 4, CFG), FrozenStandins(CFG.d_llm))
+        assert [rec.op for rec in g.records] == [
+            # connector: project, gate-blend, prepend the prefix rows, project
+            "matmul", "matmul", "concat", "transpose", "matmul", "add", "sigmoid",
+            "sub", "mul", "mul", "add", "concat", "matmul",
+            # pooled image rows, logits
+            "matmul", "matmul", "matmul", "matmul",
+            # generation_loss
+            "mul", "sum", "sub", "exp", "sum", "log", "add", "sub", "mean",
+            # similarity_matrix: dots, img row norms (txt is constant), cosines, S
+            "matmul", "mul", "sum", "sqrt", "reshape", "matmul", "div", "div", "exp",
+            # creg_loss
+            "mul", "sum", "sum", "sum", "log", "log", "sub", "log", "log", "sub", "add", "sum", "mul",
+            # stage1_objective
+            "mul", "add",
+        ]
+
     def test_batch_constants_are_built_once(self):
         params = init_params(CFG, 0)
         batch = synth_batch(0, 4, CFG)
