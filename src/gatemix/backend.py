@@ -22,7 +22,6 @@ similarity score is exactly 0.5) with a logged warning.
 
 from __future__ import annotations
 
-import http.client
 import json
 import logging
 import math
@@ -286,6 +285,120 @@ class MockBackend:
 # connection a delayed ACK stalls every reply by tens of milliseconds.
 _QUICKACK = getattr(socket, "TCP_QUICKACK", None)
 
+# A reply line longer than this, or more header lines, is a broken reply.
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
+# A body is read this many bytes at a time, so a false length cannot make
+# the client allocate more than the server sends.
+_READ_SIZE = 1 << 20
+
+
+class _ReplyError(Exception):
+    """The reply breaks HTTP/1.1 framing. Like a socket error, it is a
+    transport failure: it spends an attempt."""
+
+
+class _Connection:
+    """A kept-alive connection: its socket and the one buffered reader that
+    every reply on it is read through."""
+
+    __slots__ = ("sock", "reader")
+
+    def __init__(self, sock: socket.socket):
+        self.sock = sock
+        self.reader = sock.makefile("rb")
+
+    def close(self) -> None:
+        self.reader.close()
+        self.sock.close()
+
+
+def _read_line(reader) -> bytes:
+    line = reader.readline(_MAX_LINE + 1)
+    if len(line) > _MAX_LINE:
+        raise _ReplyError(f"reply line longer than {_MAX_LINE} bytes")
+    return line
+
+
+def _read_headers(reader) -> dict:
+    """The header fields up to the blank line, by lower-case name; the
+    first of repeated fields wins."""
+    headers = {}
+    for _ in range(_MAX_HEADERS + 1):
+        line = _read_line(reader)
+        if line in (b"\r\n", b"\n"):
+            return headers
+        if not line:
+            raise _ReplyError("reply ended inside its headers")
+        name, _, value = line.decode("latin-1").partition(":")
+        headers.setdefault(name.strip().lower(), value.strip())
+    raise _ReplyError(f"more than {_MAX_HEADERS} reply headers")
+
+
+def _read_exact(reader, n: int) -> bytes:
+    parts, left = [], n
+    while left:
+        part = reader.read(min(left, _READ_SIZE))
+        if not part:
+            raise _ReplyError(f"IncompleteRead({n - left} bytes read, {left} more expected)")
+        parts.append(part)
+        left -= len(part)
+    return b"".join(parts)
+
+
+def _read_chunked(reader) -> bytes:
+    parts = []
+    while True:
+        line = _read_line(reader)
+        digits = line.split(b";", 1)[0].strip()  # the size, before any chunk extension
+        if not digits or digits.strip(b"0123456789abcdefABCDEF"):
+            raise _ReplyError(f"bad chunk size line {line[:80]!r}")
+        size = int(digits, 16)
+        if not size:
+            _read_headers(reader)  # the trailer fields, up to the blank line
+            return b"".join(parts)
+        parts.append(_read_exact(reader, size))
+        if _read_line(reader) not in (b"\r\n", b"\n"):
+            raise _ReplyError("chunk data not followed by a line end")
+
+
+def _read_reply(reader) -> tuple:
+    """One HTTP/1.1 reply: ``(status, reason, headers, body, keep_open)``.
+    Interim 1xx replies are skipped. The body is delimited by chunked
+    encoding, by ``Content-Length`` or by the end of the stream; a
+    connection that ends before any status line raises ``ConnectionError``."""
+    line = _read_line(reader)
+    if not line:
+        raise ConnectionResetError("server closed the connection without replying")
+    while True:
+        parts = line.split(None, 2)  # version, status and the reason, if any
+        status = int(parts[1]) if len(parts) > 1 and len(parts[1]) == 3 and parts[1].isdigit() else 0
+        if status < 100 or not parts[0].startswith(b"HTTP/1."):
+            raise _ReplyError(f"bad status line {line[:80]!r}")
+        headers = _read_headers(reader)
+        if status >= 200:
+            break
+        line = _read_line(reader)
+    connection = headers.get("connection", "").lower()
+    # HTTP/1.1 keeps a connection open unless told to close it; 1.0 only when asked
+    keep_open = "close" not in connection if parts[0] != b"HTTP/1.0" else "keep-alive" in connection
+    coding = headers.get("transfer-encoding")
+    length = headers.get("content-length")
+    if status in (204, 304):
+        body = b""
+    elif coding is not None:
+        if coding.lower() != "chunked":
+            raise _ReplyError(f"unsupported Transfer-Encoding {coding!r}")
+        body = _read_chunked(reader)
+    elif length is not None:
+        if not (length.isascii() and length.isdigit()):
+            raise _ReplyError(f"bad Content-Length {length!r}")
+        body = _read_exact(reader, int(length))
+    else:
+        body, keep_open = reader.read(), False
+    reason = parts[2].strip().decode("latin-1") if len(parts) == 3 else ""
+    return status, reason, headers, body, keep_open
+
 
 class RemoteBackend:
     """Client for a logprob-capable HTTP inference service.
@@ -298,9 +411,13 @@ class RemoteBackend:
     non-2xx reply, a redirect included, is a ``BackendError``. Logprobs are
     never fabricated: a reply without them raises ``CapabilityError``.
 
-    Connections are kept alive and reused: at most ``max_in_flight`` of
-    them, idle ones in a pool that ``close()`` empties. The endpoint must
-    be an http or https URL with a host; proxy settings are not read.
+    It speaks HTTP/1.1 on its own sockets: each request goes out in one
+    write, and a reply's body may be delimited by ``Content-Length``,
+    chunked encoding or the end of the stream; only the identity content
+    coding is asked for. Connections are kept alive and reused: at most
+    ``max_in_flight`` of them, idle ones in a pool that ``close()`` empties.
+    The endpoint must be a printable-ASCII http or https URL with a host;
+    proxy settings are not read.
     """
 
     def __init__(
@@ -322,10 +439,24 @@ class RemoteBackend:
         url = urllib.parse.urlsplit(endpoint)
         if url.scheme not in ("http", "https") or not url.hostname:
             raise ValueError(f"endpoint must be an http:// or https:// URL with a host, got {endpoint!r}")
-        self._connection_class = (http.client.HTTPSConnection if url.scheme == "https"
-                                  else http.client.HTTPConnection)
-        self._address = (url.hostname, url.port)  # a bad port is a ValueError here
-        self._path = (url.path or "/") + (f"?{url.query}" if url.query else "")
+        # the request line and headers are sent as they are, so nothing in
+        # them may end a line or fall outside ASCII
+        if not (endpoint.isascii() and endpoint.isprintable()) or " " in endpoint:
+            raise ValueError(f"endpoint must be printable ASCII without spaces, got {endpoint!r}")
+        if api_key and not (api_key.isascii() and api_key.isprintable()):
+            raise ValueError("api_key must be printable ASCII")
+        port = url.port  # a bad port is a ValueError here
+        self._address = (url.hostname, port if port is not None else 443 if url.scheme == "https" else 80)
+        self._tls = None
+        if url.scheme == "https":
+            import ssl  # only https needs it
+
+            self._tls = ssl.create_default_context()
+            self._tls.set_alpn_protocols(["http/1.1"])
+        path = (url.path or "/") + (f"?{url.query}" if url.query else "")
+        self._head = (f"POST {path} HTTP/1.1\r\nHost: {url.netloc.rpartition('@')[2]}\r\n"
+                      "Content-Type: application/json\r\nAccept-Encoding: identity\r\n"
+                      + (f"Authorization: Bearer {api_key}\r\n" if api_key else "")).encode("ascii")
         self.endpoint = endpoint
         self.model = model
         self.api_key = api_key
@@ -347,29 +478,39 @@ class RemoteBackend:
         for conn in idle:
             conn.close()
 
-    def _exchange(self, conn: http.client.HTTPConnection, body: bytes, headers: dict):
-        """POST ``body`` on ``conn`` and read the whole reply: the response
-        and its body. ``conn`` goes back to the idle pool after a
-        2xx reply the server keeps it open for; otherwise, and on any
+    def _connect(self) -> _Connection:
+        sock = socket.create_connection(self._address, self.timeout)
+        try:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if self._tls is not None:
+                sock = self._tls.wrap_socket(sock, server_hostname=self._address[0])
+            return _Connection(sock)
+        except BaseException:
+            sock.close()
+            raise
+
+    def _exchange(self, conn: _Connection, request: bytes) -> tuple:
+        """Send ``request`` on ``conn`` and read the whole reply: its
+        status, reason, headers and body. ``conn`` goes back to the idle
+        pool after a 2xx reply that leaves it open; otherwise, and on any
         failure, it is closed."""
         keep = False
         try:
-            conn.request("POST", self._path, body, headers)
+            conn.sock.sendall(request)
             if _QUICKACK is not None:
                 # the kernel leaves quick-ACK mode on its own, so set it per request
                 conn.sock.setsockopt(socket.IPPROTO_TCP, _QUICKACK, 1)
-            resp = conn.getresponse()
-            raw = resp.read()
-            keep = 200 <= resp.status < 300 and not resp.will_close
+            status, reason, headers, body, keep_open = _read_reply(conn.reader)
+            keep = 200 <= status < 300 and keep_open
         finally:
             if keep:
                 with self._idle_lock:
                     self._idle.append(conn)
             else:
                 conn.close()
-        return resp, raw
+        return status, reason, headers, body
 
-    def _round_trip(self, body: bytes, headers: dict):
+    def _round_trip(self, request: bytes) -> tuple:
         """One request on an idle connection if there is one, else on a new
         one. A ``ConnectionError`` on an idle connection means the server
         closed it while it sat in the pool, so the request goes once more on
@@ -378,34 +519,31 @@ class RemoteBackend:
             conn = self._idle.pop() if self._idle else None
         if conn is not None:
             try:
-                return self._exchange(conn, body, headers)
+                return self._exchange(conn, request)
             except ConnectionError:
                 pass
-        return self._exchange(self._connection_class(*self._address, timeout=self.timeout),
-                              body, headers)
+        return self._exchange(self._connect(), request)
 
     def _post(self, payload: dict) -> dict:
         body = json.dumps(payload).encode("utf-8")
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
+        request = b"%sContent-Length: %d\r\n\r\n%s" % (self._head, len(body), body)
         last_error = None
         for attempt in range(1, self.retries + 1):
             wait = self.retry_wait * 2 ** (attempt - 1)
             try:
                 with self._slots:
-                    resp, raw = self._round_trip(body, headers)
-            except (OSError, http.client.HTTPException) as exc:
+                    status, reason, headers, raw = self._round_trip(request)
+            except (OSError, _ReplyError) as exc:
                 last_error = exc
             else:
-                if 200 <= resp.status < 300:
+                if 200 <= status < 300:
                     break
-                if resp.status < 500 and resp.status != 429:
-                    raise BackendError(f"service rejected request: HTTP {resp.status} {resp.reason}")
-                retry_after = (resp.headers.get("Retry-After") or "").strip()
-                if resp.status in (429, 503) and retry_after.isascii() and retry_after.isdigit():
+                if status < 500 and status != 429:
+                    raise BackendError(f"service rejected request: HTTP {status} {reason}")
+                retry_after = headers.get("retry-after", "")
+                if status in (429, 503) and retry_after.isascii() and retry_after.isdigit():
                     wait = min(float(retry_after), self.timeout)
-                last_error = f"HTTP {resp.status} {resp.reason}"
+                last_error = f"HTTP {status} {reason}"
             if attempt < self.retries:
                 time.sleep(wait)
         else:

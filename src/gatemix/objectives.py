@@ -90,8 +90,8 @@ def creg_loss(sm: SimilarityMatrix) -> Tensor:
     b=1 and non-negative whenever all entries are positive.
     """
     S = sm.S
-    if S.ndim != 2 or S.shape[0] != S.shape[1]:
-        raise ShapeError(f"creg_loss: similarity matrix must be square, got {S.shape}")
+    if S.ndim != 2 or S.shape[0] != S.shape[1] or not S.shape[0]:
+        raise ShapeError(f"creg_loss: similarity matrix must be square and non-empty, got {S.shape}")
     if _any_non_positive(S.data):
         raise InvalidSimilarityError(
             "creg_loss: non-positive similarity entries leave the log terms undefined"

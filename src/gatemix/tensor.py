@@ -183,7 +183,7 @@ class Tensor:
         except TypeError as exc:
             raise ShapeError(f"reshape: dimensions must be integers, got {shape}") from exc
         data = self.data
-        if math.prod(shape) != data.size:
+        if math.prod(shape) != data.size or min(shape, default=0) < 0:
             raise ShapeError(f"reshape: cannot view {data.shape} as {shape}")
         return _op("reshape", (self,), data.reshape(shape).copy(), _reshape_grad, data.shape)
 
@@ -458,6 +458,15 @@ def _concat_grad(axis, ts, g):
     return tuple(grads)
 
 
+def _cosine(ua: np.ndarray, va: np.ndarray) -> float:
+    """The plain cosine of two float64 vectors, or NaN when the product of
+    their norms is 0 or not finite. ``np.linalg.norm`` squares a contiguous
+    copy; ``np.vdot`` of one gives the same bits without an overflow warning."""
+    uc, vc = np.ascontiguousarray(ua), np.ascontiguousarray(va)
+    norms = math.sqrt(np.vdot(uc, uc)) * math.sqrt(np.vdot(vc, vc))
+    return float(ua @ va) / norms if 0.0 < norms < math.inf else math.nan
+
+
 def cosine_sim(u, v) -> float:
     """Cosine similarity of two rank-1 vectors, clamped to [-1, 1].
 
@@ -469,11 +478,17 @@ def cosine_sim(u, v) -> float:
     va = np.asarray(v.data if isinstance(v, Tensor) else v, dtype=np.float64)
     if ua.ndim != 1 or va.ndim != 1 or ua.shape != va.shape:
         raise ShapeError(f"cosine_sim: needs matching rank-1 vectors, got {ua.shape} and {va.shape}")
-    nu = float(np.linalg.norm(ua))
-    nv = float(np.linalg.norm(va))
-    if nu == 0.0 or nv == 0.0:
-        raise DegenerateVectorError("cosine_sim: zero-norm vector")
-    cos = float(ua @ va) / (nu * nv)
+    cos = _cosine(ua, va)
+    if not math.isfinite(cos):
+        # A norm or dot product left the float range (or a vector is all
+        # zeros). The cosine of each vector over its largest absolute entry
+        # is the same and stays in range; inputs that work unscaled never
+        # come here, so their bits do not change.
+        su, sv = np.max(np.abs(ua), initial=0.0), np.max(np.abs(va), initial=0.0)
+        if su == 0.0 or sv == 0.0:
+            raise DegenerateVectorError("cosine_sim: zero-norm vector")
+        with np.errstate(invalid="ignore"):  # an infinite entry gives inf / inf = NaN
+            cos = _cosine(ua / su, va / sv)
     # two comparisons, so a NaN comes back as NaN rather than as a bound
     if cos > 1.0:
         return 1.0

@@ -4,7 +4,9 @@ prompt templates, and the dual-generation contract."""
 import json
 import math
 import socket
+import socketserver
 import struct
+import subprocess
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -642,6 +644,169 @@ class TestConnectionReuse:
         assert texts == ["B"] * 200
         assert counts["requests"] == 200
         assert 1 <= counts["connections"] <= 3
+
+
+_REPLY_BODY = b'{"text": "B", "logprobs": [-0.1]}'
+_OK = b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(_REPLY_BODY), _REPLY_BODY)
+
+
+@pytest.fixture()
+def wire_server():
+    """A loopback server that sends scripted bytes. It reads each request
+    (head and ``Content-Length`` body) and answers with the next
+    ``(reply, close)`` in ``server.replies``, or with a kept-alive 200 once
+    they are used up; ``close`` ends the connection after the reply.
+    ``server.requests`` holds the raw bytes of each request and
+    ``server.connections`` counts connections."""
+
+    class Handler(socketserver.StreamRequestHandler):
+        timeout = 5  # an idle connection left open ends its thread
+
+        def handle(self):
+            with server.lock:
+                server.connections += 1
+            while True:
+                head = b""
+                while not head.endswith(b"\r\n\r\n"):
+                    line = self.rfile.readline()
+                    if not line:
+                        return
+                    head += line
+                length = int(head.lower().split(b"content-length: ")[1].split(b"\r\n")[0])
+                with server.lock:
+                    server.requests.append(head + self.rfile.read(length))
+                    reply, close = server.replies.pop(0) if server.replies else (_OK, False)
+                self.wfile.write(reply)
+                if close:
+                    return
+
+    server = socketserver.ThreadingTCPServer(("127.0.0.1", 0), Handler)
+    server.daemon_threads = False  # so server_close joins the connection threads
+    server.lock = threading.Lock()
+    server.replies, server.requests, server.connections = [], [], 0
+    server.url = f"http://127.0.0.1:{server.server_address[1]}"
+    # shutdown() waits for the loop's next poll, 0.5 s by default
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+def _calls(server, n: int, **settings) -> list:
+    """The texts of ``n`` completions from a backend on ``server``, closed after."""
+    backend = RemoteBackend(server.url, retry_wait=0.0, **settings)
+    try:
+        return [backend.complete_text("score this") for _ in range(n)]
+    finally:
+        backend.close()
+
+
+class TestWire:
+    """The HTTP/1.1 the client speaks, byte by byte."""
+
+    @pytest.mark.parametrize("api_key, auth", [(None, b""), ("k3y", b"Authorization: Bearer k3y\r\n")])
+    def test_request_is_one_write_of_exact_bytes(self, wire_server, monkeypatch, api_key, auth):
+        port = wire_server.server_address[1]
+        writes = []
+        sendall = socket.socket.sendall
+
+        def recording_sendall(sock, data, *flags):
+            if sock.getpeername()[1] == port:  # the client's writes, not the server's
+                writes.append(bytes(data))
+            return sendall(sock, data, *flags)
+
+        monkeypatch.setattr(socket.socket, "sendall", recording_sendall)
+        backend = RemoteBackend(f"{wire_server.url}/v1/complete?x=1", api_key=api_key)
+        try:
+            assert backend.complete_text("score this") == "B"
+        finally:
+            backend.close()
+        (request,) = wire_server.requests
+        assert writes == [request]
+        head, body = request.split(b"\r\n\r\n", 1)
+        assert head + b"\r\n" == (
+            b"POST /v1/complete?x=1 HTTP/1.1\r\nHost: 127.0.0.1:%d\r\n"
+            b"Content-Type: application/json\r\nAccept-Encoding: identity\r\n%s"
+            b"Content-Length: %d\r\n" % (port, auth, len(body)))
+        assert json.loads(body)["prompt"] == "score this"
+
+    def test_chunked_reply(self, wire_server):
+        chunks = b"".join(b"%x;ext=1\r\n%s\r\n" % (len(part), part)
+                          for part in (_REPLY_BODY[:5], _REPLY_BODY[5:]))
+        reply = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n%s0\r\nX-Trailer: 1\r\n\r\n" % chunks
+        wire_server.replies = [(reply, False)]
+        assert _calls(wire_server, 2) == ["B", "B"]
+        assert wire_server.connections == 1  # the connection stays usable after the last chunk
+
+    def test_http_1_0_reply_ends_at_close(self, wire_server):
+        reply = b"HTTP/1.0 200 OK\r\nContent-Type: application/json\r\n\r\n" + _REPLY_BODY
+        wire_server.replies = [(reply, True), (reply, True)]
+        assert _calls(wire_server, 2) == ["B", "B"]
+        assert (wire_server.connections, len(wire_server.requests)) == (2, 2)
+
+    # the server keeps every connection open, so only the client decides
+    @pytest.mark.parametrize("status_line, header, connections, requests", [
+        (b"HTTP/1.1 200 OK", b"", 1, 2),
+        (b"HTTP/1.1 200 OK", b"Connection: close\r\n", 2, 2),
+        (b"HTTP/1.0 200 OK", b"", 2, 2),
+        (b"HTTP/1.0 200 OK", b"Connection: keep-alive\r\n", 1, 2),
+        (b"HTTP/1.1 503 Busy", b"", 2, 3),  # only a 2xx reply returns its connection to the pool
+    ])
+    def test_reply_decides_whether_its_connection_is_reused(self, wire_server, sleeps, status_line,
+                                                            header, connections, requests):
+        reply = b"%s\r\n%sContent-Length: %d\r\n\r\n%s" % (status_line, header, len(_REPLY_BODY),
+                                                             _REPLY_BODY)
+        wire_server.replies = [(reply, False)]
+        assert _calls(wire_server, 2) == ["B", "B"]
+        assert (wire_server.connections, len(wire_server.requests)) == (connections, requests)
+
+    def test_100_continue_is_skipped(self, wire_server):
+        wire_server.replies = [(b"HTTP/1.1 100 Continue\r\nX-Interim: 1\r\n\r\n" + _OK, False)]
+        assert _calls(wire_server, 1) == ["B"]
+
+    def test_100_headers_are_accepted(self, wire_server):
+        many = b"".join(b"X-H%d: %d\r\n" % (i, i) for i in range(99))
+        wire_server.replies = [(_OK.replace(b"\r\n", b"\r\n" + many, 1), False)]
+        assert _calls(wire_server, 1) == ["B"]
+
+    @pytest.mark.parametrize("reply, message", [
+        (b"ICY 200 OK\r\n\r\n", "bad status line"),
+        (b"HTTP/1.1 2000 OK\r\n\r\n", "bad status line"),
+        (b"HTTP/1.1 200 OK\r\nX-Long: " + b"a" * 65536 + b"\r\n\r\n", "longer than 65536 bytes"),
+        (_OK.replace(b"\r\n", b"\r\n" + b"X-H: 1\r\n" * 100, 1), "more than 100 reply headers"),
+        (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n5\r\n{\"te", "IncompleteRead"),
+        (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\n", "bad chunk size"),
+        (b"HTTP/1.1 200 OK\r\nContent-Length: -1\r\n\r\n", "bad Content-Length"),
+    ], ids=["not-http", "four-digit-status", "long-line", "101-headers", "truncated-chunk",
+            "bad-chunk-size", "bad-length"])
+    def test_broken_reply_spends_an_attempt(self, wire_server, reply, message):
+        wire_server.replies = [(reply, True)] * 2
+        with pytest.raises(RetryableTransportError, match=message) as exc:
+            _calls(wire_server, 1, retries=2)
+        assert exc.value.attempts == 2
+        assert (wire_server.connections, len(wire_server.requests)) == (2, 2)
+
+    def test_http_client_and_ssl_are_not_imported(self):
+        # ssl loads only for an https endpoint; http.client not at all
+        code = ("import sys, gatemix.cli\n"
+                "from gatemix.backend import RemoteBackend\n"
+                "before = {'http.client', 'ssl'} & set(sys.modules)\n"
+                "RemoteBackend('https://127.0.0.1:9')\n"
+                "print(sorted(before), 'ssl' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                             env={"PYTHONPATH": str(Path(backend_module.__file__).parents[1])}).stdout
+        assert out.split() == ["[]", "True"]
+
+    @pytest.mark.parametrize("setting", [{"endpoint": "http://127.0.0.1:9/a b"},
+                                         {"endpoint": "http://127.0.0.1:9/\x00"},
+                                         {"endpoint": "http://h\u00e9te:9/"},
+                                         {"api_key": "k\x7f"}, {"api_key": "cl\u00e9"}])
+    def test_what_cannot_go_on_the_wire_is_rejected(self, setting):
+        with pytest.raises(ValueError, match="printable ASCII"):
+            RemoteBackend(**{"endpoint": "http://127.0.0.1:9", **setting})
 
 
 class TestDualGenerate:

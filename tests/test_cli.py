@@ -77,6 +77,24 @@ class TestVerify:
         assert audit["alpha"] == 0.7
         assert "B" in capsys.readouterr().out
 
+    def test_representations_whose_norms_overflow_score_s(self, tmp_path):
+        # squared norms of 1e200 overflow to inf; S was written as NaN
+        trace = {"token_logprobs": [-0.1], "img_rep": [1e200, 1e200], "txt_rep": [1e200, 1e200]}
+        script = tmp_path / "script.json"
+        script.write_text(json.dumps({"entries": [
+            {"image_ref": "i", "question": "q", "prompt_mode": "direct", "trace": {**trace, "text": "A"}},
+            {"image_ref": "i", "question": "q", "prompt_mode": "cot",
+             "trace": {**trace, "text": "The answer is B."}},
+        ]}))
+        out = tmp_path / "v"
+        code = dispatch(["verify", "--image-ref", "i", "--question", "q", "--option", "yes",
+                         "--option", "no", "--backend", f"mock:{script}", "--out", str(out)])
+        assert code == 0
+        text = (out / "verify_audit.json").read_text()
+        assert "NaN" not in text
+        audit = json.loads(text)
+        assert audit["direct"]["s"] == audit["cot"]["s"] == pytest.approx(1.0, rel=1e-15)
+
     def test_more_options_than_letters_is_validation_error(self, tmp_path, capsys):
         argv = ["verify", "--image-ref", "img-h1", "--question", "question h1"]
         for i in range(27):

@@ -1,5 +1,6 @@
 """Numeric-core tests: op semantics, the tape, and the gradient checker."""
 
+import math
 import operator
 
 import numpy as np
@@ -135,6 +136,25 @@ class TestCosineSim:
         # min/max clamping would turn NaN into a bound and hide it
         assert np.isnan(cosine_sim([np.nan, 1.0], [1.0, 1.0]))
 
+    def test_norms_that_overflow(self):
+        # the squared norms of [1e200, 1e200] overflow to inf, which gave NaN
+        assert cosine_sim([1e200, 1e200], [1e200, 1e200]) == pytest.approx(1.0, rel=1e-15)
+        assert cosine_sim([1e200, 1e200], [-1e200, 0.0]) == pytest.approx(-math.sqrt(0.5), rel=1e-15)
+
+    def test_norm_that_underflows(self):
+        # the norm of [1e-200, 0.0] underflows to 0, which raised DegenerateVectorError
+        assert cosine_sim([1e-200, 0.0], [1e-200, 1e-200]) == pytest.approx(math.sqrt(0.5), rel=1e-15)
+        assert cosine_sim([1e-200, 0.0], [1e200, 0.0]) == 1.0
+
+    def test_inputs_in_range_keep_their_plain_bits(self):
+        rng = make_rng(6)
+        for scale in (1e-150, 1e-3, 1.0, 1e3, 1e150):
+            for n in (1, 8, 37, 200):
+                u, v = rng.standard_normal(2 * n) * scale, rng.standard_normal(2 * n)
+                for u, v in ((u[:n], v[:n]), (u[::2], v[1::2])):  # contiguous and strided
+                    plain = float(u @ v) / (float(np.linalg.norm(u)) * float(np.linalg.norm(v)))
+                    assert cosine_sim(u, v) == plain
+
 
 class TestMeanPool:
     def test_constant_rows(self):
@@ -253,7 +273,7 @@ class TestStructuralOps:
 
         x = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
         assert finite_diff_check(f, [x], eps=1e-6) <= 1e-6
-        for shape in [(4, 2), (2.7, 3), ("2", 3)]:
+        for shape in [(4, 2), (2.7, 3), ("2", 3), (-2, -3)]:
             with pytest.raises(ShapeError, match="reshape"):
                 x.reshape(shape)
 
@@ -454,7 +474,8 @@ def _guard_cases() -> list:
     domain guard and input, with ids naming both. The data are built without
     validation, as op outputs are. A NaN is not rejected (a non-finite loss is reported where it
     surfaces); a zero of either sign is, even beside a NaN, and so is a
-    negative entry except as a denominator; an empty array passes."""
+    negative entry except as a denominator; an empty array passes, except as
+    the diagonal of S, since a mean over b = 0 items is undefined."""
     from gatemix.objectives import InvalidSimilarityError, SimilarityMatrix, creg_loss
 
     def creg(values):
@@ -480,10 +501,11 @@ def _guard_cases() -> list:
     cases = []
     for guard, call, error, match in guards:
         for kind, values in inputs:
-            if guard == "creg_loss" and kind == "empty":
-                continue  # an empty S passes the guard, but a mean over b = 0 items is undefined
             rejected = kind not in ("nan", "empty") and not (guard == "div" and kind == "negative")
-            cases.append(pytest.param(call, error, match, values, rejected, id=f"{guard}-{kind}"))
+            outcome = (error, match)
+            if guard == "creg_loss" and kind == "empty":
+                outcome, rejected = (ShapeError, "square and non-empty"), True
+            cases.append(pytest.param(call, *outcome, values, rejected, id=f"{guard}-{kind}"))
     return cases
 
 
