@@ -7,12 +7,14 @@ records. Backend, trace and cache I/O failures are contained per instance
 (recorded as incorrect-with-error); any other exception propagates.
 
 Each instance is generated and scored once; the alpha sweep re-runs only
-the decision rule per grid point. Traces can be cached on disk, as one
-compact JSON file per instance id holding each branch's trace under its
+the decision rule per grid point. Traces can be cached on disk, in one
+append-only log per cache directory, ``traces.jsonl``: each line is an
+instance id and a compact JSON entry holding each branch's trace under its
 mode's name, with each trace's float fields packed as base64 text of their
-little-endian float64 bytes. An entry that is unreadable, malformed, packed
-wrongly, not a valid trace, or made for other requests than the instance's
-is a miss and is regenerated.
+little-endian float64 bytes. A later line for an id supersedes an earlier
+one. An entry that is unreadable, malformed, packed wrongly, not a valid
+trace, or made for other requests than the instance's is a miss and is
+regenerated.
 """
 
 from __future__ import annotations
@@ -22,8 +24,9 @@ import hashlib
 import json
 import os
 import threading
-import urllib.parse
+import weakref
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional
@@ -52,6 +55,10 @@ __all__ = [
 STRATEGIES = (*PROMPT_MODES, "sv")
 
 SV_BRANCHES = (*BRANCHES, "error")
+
+LOG_NAME = "traces.jsonl"
+# Written before the next line when the log ends in a torn line.
+_CLOSE_TORN = b" \n"
 
 
 class EmptyBenchmarkError(ValueError):
@@ -142,32 +149,100 @@ def _request_digest(image_ref: str, question: str) -> str:
 
 
 class TraceCache:
-    """Trace store on disk: one compact JSON file per instance id holding
-    its direct and cot traces under the keys ``direct`` and ``cot``, the
-    image ref and question they were generated from, and a digest of both
-    branches' built prompts and decoding configs.
-    Each trace's ``token_logprobs``, ``img_rep`` and ``txt_rep`` are stored
-    as base64 text of their little-endian float64 bytes, so floats round-trip
-    exactly and a rewrite of the same pair gives the same bytes. Files are
-    replaced whole. A miss is an entry that cannot be read or parsed, a
+    """Trace store on disk: one append-only log, ``traces.jsonl``, per cache
+    directory. Each line is an instance id as a JSON string, a tab, and a
+    compact JSON entry with sorted keys holding the instance's direct and
+    cot traces under the keys ``direct`` and ``cot``, the image ref and
+    question they were generated from, and a digest of both branches' built
+    prompts and decoding configs. Each trace's ``token_logprobs``,
+    ``img_rep`` and ``txt_rep`` are stored as base64 text of their
+    little-endian float64 bytes, so floats round-trip exactly and the same
+    pair always gives the same line.
+
+    Opening the cache scans the log once into an index from each id to the
+    offset and length of its last whole line, so a process sees only the
+    lines that were in the log when it opened it, and its own. A ``put``
+    appends one whole line with one ``os.write``, under a lock shared by the
+    worker threads: with more than one worker the lines follow completion
+    order, and each id's line has the same bytes. A put of the line already
+    indexed for its id appends nothing. A line torn by a failed or
+    interrupted write is never read, so the id keeps the entry it had: only
+    lines that end in ``}`` and a newline are indexed, and the next put
+    first closes the torn line with a space and a newline. When dead lines
+    (superseded, torn or without a readable id) hold more than half of the
+    log's bytes, opening the cache rewrites the log with only the live
+    lines, through a temp file and ``os.replace``; a process that still has
+    the old log open goes on appending to the replaced file. ``<id>.json``
+    files of the earlier one-file-per-instance layout are ignored and can
+    be deleted.
+
+    A miss is an id with no line, a line that cannot be read or parsed, a
     float field that is not a string, not strict base64 or not a whole
     number of float64s, a trace that ``trace_from_dict`` rejects (one with
     a key it does not know included), or an entry made for another image
     ref, question, prompt template or decoding config."""
 
     def __init__(self, cache_dir):
-        self._dir = Path(cache_dir)
-        self._dir.mkdir(parents=True, exist_ok=True)
-
-    def _path(self, instance_id: str) -> Path:
-        return self._dir / f"{urllib.parse.quote(instance_id, safe='')}.json"
-
-    def get(self, instance_id: str, image_ref: str, question: str) -> Optional[tuple]:
-        """The cached ``(direct, cot)`` pair, or None."""
+        directory = Path(cache_dir)
+        directory.mkdir(parents=True, exist_ok=True)
+        self._path = directory / LOG_NAME
+        self._lock = threading.Lock()
+        fd = os.open(self._path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
         try:
-            entry = json.loads(self._path(instance_id).read_text(encoding="utf-8"))
+            self._index, dead, size, self._torn = _scan(fd)
+            if 2 * dead > size:
+                fd = self._compact(fd)
+        except BaseException:
+            os.close(fd)
+            raise
+        self._fd = fd
+        self._close_fd = weakref.finalize(self, os.close, fd)
+
+    def _compact(self, fd: int) -> int:
+        """Write the live lines, in log order, to a new log that replaces
+        the old one; close ``fd`` and return the new log's descriptor."""
+        tmp = self._path.with_name(f"{LOG_NAME}.{os.getpid()}.{threading.get_ident()}.tmp")
+        new = os.open(tmp, os.O_RDWR | os.O_APPEND | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            offset, index = 0, {}
+            with open(new, "ab", closefd=False) as out:
+                for key, (start, length) in sorted(self._index.items(), key=lambda item: item[1]):
+                    out.write(os.pread(fd, length, start))
+                    index[key] = (offset, length)
+                    offset += length
+            os.fsync(new)
+            os.replace(tmp, self._path)
+        except BaseException:
+            os.close(new)
+            tmp.unlink(missing_ok=True)
+            raise
+        os.close(fd)
+        self._index, self._torn = index, False
+        return new
+
+    def close(self) -> None:
+        """Close the log. Later gets miss and later puts raise OSError."""
+        self._fd = -1
+        self._close_fd()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def get(self, instance_id: str, image_ref: str, question: str,
+            digest: Optional[str] = None) -> Optional[tuple]:
+        """The cached ``(direct, cot)`` pair, or None. ``digest`` is the
+        instance's ``_request_digest``, if the caller has it already."""
+        where = self._index.get(instance_id)
+        if where is None:
+            return None
+        try:
+            line = os.pread(self._fd, where[1], where[0])
+            entry = json.loads(line[line.index(b"\t") + 1:])
             if (entry["image_ref"] != image_ref or entry["question"] != question
-                    or entry["request_digest"] != _request_digest(image_ref, question)):
+                    or entry["request_digest"] != (digest or _request_digest(image_ref, question))):
                 return None
             payloads = [entry[mode] for mode in PROMPT_MODES]
             for payload in payloads:
@@ -178,31 +253,60 @@ class TraceCache:
             return None
 
     def put(self, instance_id: str, image_ref: str, question: str,
-            direct: GenerationTrace, cot: GenerationTrace) -> None:
+            direct: GenerationTrace, cot: GenerationTrace, digest: Optional[str] = None) -> None:
         entry = {"image_ref": image_ref, "question": question,
-                 "request_digest": _request_digest(image_ref, question)}
+                 "request_digest": digest or _request_digest(image_ref, question)}
         for mode, trace in zip(PROMPT_MODES, (direct, cot)):
             payload = entry[mode] = trace_to_dict(trace)
             for name in GenerationTrace.FLOAT_FIELDS:
                 payload[name] = base64.b64encode(getattr(trace, name).astype("<f8").tobytes()).decode()
         text = json.dumps(entry, sort_keys=True, separators=(",", ":"))
-        path = self._path(instance_id)
-        tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
-        try:
-            tmp.write_text(text, encoding="utf-8")
-            os.replace(tmp, path)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
+        line = f"{json.dumps(instance_id)}\t{text}\n".encode("ascii")
+        with self._lock:
+            where = self._index.get(instance_id)
+            if where is not None and where[1] == len(line) and os.pread(self._fd, where[1], where[0]) == line:
+                return
+            data = _CLOSE_TORN + line if self._torn else line
+            written = os.write(self._fd, data)
+            if written != len(data):
+                self._torn = True
+                raise OSError(f"wrote {written} of {len(data)} bytes to {self._path}")
+            self._torn = False
+            self._index[instance_id] = (os.lseek(self._fd, 0, os.SEEK_CUR) - len(line), len(line))
+
+
+def _scan(fd: int) -> tuple:
+    """``(index, dead bytes, size, torn)`` of the log open at ``fd``: the
+    offset and length of each id's last whole line, the bytes of every
+    other line, the log's size, and whether it ends in a torn line. A whole
+    line ends in ``}`` and a newline; a torn line closed by ``_CLOSE_TORN``
+    never does, so it cannot shadow its id's earlier entry."""
+    index, live, size, torn = {}, 0, 0, False
+    with open(fd, "rb", closefd=False) as log:
+        for line in log:
+            start, size = size, size + len(line)
+            torn = not line.endswith(b"\n")
+            if not line.endswith(b"}\n"):
+                continue
+            try:
+                key = json.loads(line[:line.index(b"\t")])
+            except ValueError:
+                continue
+            if isinstance(key, str):
+                live -= index.get(key, (0, 0))[1]
+                index[key] = (start, len(line))
+                live += len(line)
+    return index, size - live, size, torn
 
 
 def _get_traces(backend, inst: BenchmarkInstance, cache: Optional[TraceCache]) -> tuple:
     if cache is None:
         return dual_generate(backend, inst.image_ref, inst.question)
-    pair = cache.get(inst.id, inst.image_ref, inst.question)
+    digest = _request_digest(inst.image_ref, inst.question)
+    pair = cache.get(inst.id, inst.image_ref, inst.question, digest)
     if pair is None:
         pair = dual_generate(backend, inst.image_ref, inst.question)
-        cache.put(inst.id, inst.image_ref, inst.question, *pair)
+        cache.put(inst.id, inst.image_ref, inst.question, *pair, digest)
     return pair
 
 
@@ -304,8 +408,8 @@ def alpha_sweep(
     for a in grid:
         if not (0.0 <= a <= 1.0):
             raise ValueError(f"alpha grid value {a} outside [0, 1]")
-    cache = TraceCache(cache_dir) if cache_dir is not None else None
-    scored = _map(lambda inst: _score(backend, inst, "sv", cache), instances, max_workers)
+    with TraceCache(cache_dir) if cache_dir is not None else nullcontext() as cache:
+        scored = _map(lambda inst: _score(backend, inst, "sv", cache), instances, max_workers)
     valid = [(inst.gold_answer, pair["direct"], pair["cot"])
              for inst, pair in zip(instances, scored) if not isinstance(pair, str)]
     n = len(instances)

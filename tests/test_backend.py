@@ -310,7 +310,7 @@ class _StubHandler(BaseHTTPRequestHandler):
 @pytest.fixture()
 def stub_server():
     server = HTTPServer(("127.0.0.1", 0), _StubHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
     thread.start()
     _StubHandler.requests = []
     _StubHandler.missing_bytes = 0
@@ -362,7 +362,7 @@ def keepalive_server():
 
     server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
     server.daemon_threads = False  # so server_close joins the connection threads
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}/v1", counts
     server.shutdown()

@@ -5,8 +5,11 @@ import base64
 import dataclasses
 import json
 import math
+import os
 import random
 import struct
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -35,6 +38,31 @@ FLOAT_FIELDS = ("token_logprobs", "img_rep", "txt_rep")
 def _packed(values) -> str:
     """A cache entry's float field: base64 of little-endian float64 bytes."""
     return base64.b64encode(struct.pack(f"<{len(values)}d", *values)).decode("ascii")
+
+
+def _log(cache_dir) -> list:
+    """The trace log's lines as ``(id, entry text)`` pairs, in log order."""
+    lines = (Path(cache_dir) / "traces.jsonl").read_text().split("\n")
+    assert lines.pop() == ""
+    return [(json.loads(key), entry) for key, entry in (line.split("\t", 1) for line in lines)]
+
+
+def _write_log(cache_dir, lines) -> None:
+    """Replace the trace log with ``(id, entry text)`` lines."""
+    (Path(cache_dir) / "traces.jsonl").write_text(
+        "".join(f"{json.dumps(key)}\t{entry}\n" for key, entry in lines))
+
+
+class _Counting:
+    """Delegates to ``inner`` and counts the ``generate`` calls."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def generate(self, req):
+        self.calls += 1
+        return self.inner.generate(req)
 
 
 class _FailingFor:
@@ -266,13 +294,18 @@ class TestAlphaSweep:
             assert len(calls) == 2 * len(sweep_instances)
 
     def test_disk_cache_layout(self, sweep_backend, sweep_instances, tmp_path):
+        """One log per directory; each line is the JSON-quoted id, a tab and
+        the compact sorted entry."""
         cache_dir = tmp_path / "traces"
         alpha_sweep(sweep_backend, sweep_instances, cache_dir=cache_dir)
-        files = sorted(p.name for p in cache_dir.iterdir())
-        assert files == sorted(f"{inst.id}.json" for inst in sweep_instances)
-        entry = json.loads((cache_dir / files[0]).read_text())
+        assert [p.name for p in cache_dir.iterdir()] == ["traces.jsonl"]
+        lines = _log(cache_dir)
+        assert [key for key, _ in lines] == [inst.id for inst in sweep_instances]
+        text = lines[0][1]
+        entry = json.loads(text)
+        assert text == json.dumps(entry, sort_keys=True, separators=(",", ":"))
         assert sorted(entry) == ["cot", "direct", "image_ref", "question", "request_digest"]
-        inst = next(i for i in sweep_instances if f"{i.id}.json" == files[0])
+        inst = sweep_instances[0]
         for branch, trace in zip(("direct", "cot"),
                                  dual_generate(sweep_backend, inst.image_ref, inst.question)):
             assert sorted(entry[branch]) == ["img_rep", "text", "token_logprobs", "txt_rep"]
@@ -310,6 +343,57 @@ class TestAlphaSweep:
         assert alpha_sweep(sweep_backend, sweep_instances, cache_dir=tmp_path) == cold
         assert calls == {"get": n, "put": 0, "generate": 0}
 
+    def test_one_request_digest_per_instance(self, sweep_backend, sweep_instances, tmp_path,
+                                             monkeypatch):
+        """Each instance's prompts are built into a digest once, whether it
+        misses (no entry, or one made for another template) or hits."""
+        calls = []
+        digest = evalharness._request_digest
+
+        def counting_digest(*args):
+            calls.append(args)
+            return digest(*args)
+
+        monkeypatch.setattr(evalharness, "_request_digest", counting_digest)
+        template, decoding = backend_module.MODES["cot"]
+        with monkeypatch.context() as patched:
+            patched.setitem(backend_module.MODES, "cot", (template + " ", decoding))
+            alpha_sweep(sweep_backend, sweep_instances, cache_dir=tmp_path)
+        n = len(sweep_instances)
+        assert len(calls) == n  # cold
+        for _ in ("stale", "warm"):
+            calls.clear()
+            alpha_sweep(sweep_backend, sweep_instances, cache_dir=tmp_path)
+            assert len(calls) == n
+
+    def test_parallel_sweep_writes_the_same_lines(self, mixed_backend_and_instances, tmp_path):
+        """With two workers the lines follow completion order, but they are
+        the lines one worker writes."""
+        backend, instances = mixed_backend_and_instances
+        logs = []
+        for workers in (1, 2):
+            alpha_sweep(backend, instances, max_workers=workers, cache_dir=tmp_path / str(workers))
+            logs.append((tmp_path / str(workers) / "traces.jsonl").read_bytes().splitlines())
+        serial, parallel = logs
+        assert sorted(serial) == sorted(parallel) and len(serial) == 44
+
+    def test_old_layout_files_are_ignored(self, sweep_backend, sweep_instances, tmp_path):
+        """``<id>.json`` files of the one-file-per-instance layout are each a
+        miss once, and are left as they are."""
+        alpha_sweep(sweep_backend, sweep_instances, cache_dir=tmp_path / "log")
+        old_dir = tmp_path / "old"
+        old_dir.mkdir()
+        for key, entry in _log(tmp_path / "log"):
+            (old_dir / f"{key}.json").write_text(entry)
+        old_files = {p.name: p.read_bytes() for p in old_dir.iterdir()}
+        backend = _Counting(sweep_backend)
+        alpha_sweep(backend, sweep_instances, cache_dir=old_dir)
+        assert backend.calls == 2 * len(sweep_instances)
+        alpha_sweep(backend, sweep_instances, cache_dir=old_dir)
+        assert backend.calls == 2 * len(sweep_instances)
+        assert {p.name: p.read_bytes() for p in old_dir.iterdir() if p.suffix == ".json"} == old_files
+        assert (old_dir / "traces.jsonl").read_bytes() == (tmp_path / "log" / "traces.jsonl").read_bytes()
+
     def test_cached_traces_read_back_exactly(self, mixed_backend_and_instances, tmp_path):
         backend, instances = mixed_backend_and_instances
         alpha_sweep(backend, instances, max_workers=2, cache_dir=tmp_path)
@@ -323,16 +407,21 @@ class TestAlphaSweep:
                 continue
             assert cache.get(inst.id, inst.image_ref, inst.question) == generated
             stored += 1
-        assert len(list(tmp_path.iterdir())) == stored == 44
+        assert [p.name for p in tmp_path.iterdir()] == ["traces.jsonl"]
+        lines = _log(tmp_path)
+        assert len(lines) == len(dict(lines)) == stored == 44
 
     def test_truncated_cache_file_is_regenerated(self, sweep_backend, sweep_instances, tmp_path):
+        """An entry cut short is regenerated, and its id's last line is
+        then the intact entry again."""
         cache_dir = tmp_path / "traces"
         fresh = alpha_sweep(sweep_backend, sweep_instances, cache_dir=cache_dir)
-        torn = cache_dir / "swp2.json"
-        intact = torn.read_text()
-        torn.write_text(intact[: len(intact) // 2])
+        lines = _log(cache_dir)
+        intact = dict(lines)["swp2"]
+        _write_log(cache_dir, [(key, entry[: len(entry) // 2] if key == "swp2" else entry)
+                               for key, entry in lines])
         assert alpha_sweep(sweep_backend, sweep_instances, cache_dir=cache_dir) == fresh
-        assert torn.read_text() == intact
+        assert dict(_log(cache_dir))["swp2"] == intact
 
     @pytest.mark.parametrize("changed", ["question", "image_ref"])
     def test_stale_entry_is_regenerated(self, changed, tmp_path):
@@ -370,39 +459,68 @@ class TestTraceCache:
             "5ffca97c722d22c650b7f4daa52c20600eb31cdd981fe88548b407cc4ab6625c")
 
     def test_awkward_ids_are_safe_filenames(self, tmp_path):
+        """An id holding a slash, a colon, a tab, a newline, a quote or a
+        non-ASCII letter is one line of the log and reads back."""
         cache = TraceCache(tmp_path)
         pair = (make_trace("A", 0.5, 0.5, "direct"), make_trace("The answer is B.", 0.3, 0.7, "cot"))
-        cache.put("weird/id:1", "img", "q?", *pair)
-        assert [p.name for p in tmp_path.iterdir()] == ["weird%2Fid%3A1.json"]
-        assert TraceCache(tmp_path).get("weird/id:1", "img", "q?") == pair
+        ids = ["weird/id:1", "tab\tid", "new\nline", 'quo"te', "na\u00efve"]
+        for instance_id in ids:
+            cache.put(instance_id, "img", "q?", *pair)
+        assert [p.name for p in tmp_path.iterdir()] == ["traces.jsonl"]
+        assert [key for key, _ in _log(tmp_path)] == ids
+        reopened = TraceCache(tmp_path)
+        assert [reopened.get(instance_id, "img", "q?") for instance_id in ids] == [pair] * len(ids)
 
     def test_failed_write_keeps_the_old_entry(self, tmp_path, monkeypatch):
+        """A write that stops part-way, as on a full disk, leaves the id's
+        earlier entry readable: in this cache, in a new one, and after a
+        later put has closed the torn line."""
         old = (make_trace("A", 0.5, 0.5, "direct"), make_trace("A", 0.5, 0.5, "cot"))
-        TraceCache(tmp_path).put("i1", "img", "q?", *old)
+        cache = TraceCache(tmp_path)
+        cache.put("i1", "img", "q?", *old)
+        write = os.write
 
-        def failing_replace(src, dst):
-            assert Path(src).read_text()  # the new entry was written in full first
-            raise OSError("disk full")
+        def half_write(fd, data):
+            assert data.endswith(b"}\n") and data.count(b"\n") == 1  # one whole line
+            return write(fd, data[: len(data) // 2])
 
-        monkeypatch.setattr(evalharness.os, "replace", failing_replace)
-        with pytest.raises(OSError, match="disk full"):
-            TraceCache(tmp_path).put("i1", "img", "q?", make_trace("B", 0.5, 0.5, "direct"),
-                                     make_trace("B", 0.5, 0.5, "cot"))
+        with monkeypatch.context() as patched:
+            patched.setattr(evalharness.os, "write", half_write)
+            with pytest.raises(OSError, match="wrote"):
+                cache.put("i1", "img", "q?", make_trace("B", 0.5, 0.5, "direct"),
+                          make_trace("B", 0.5, 0.5, "cot"))
+        assert cache.get("i1", "img", "q?") == old
         assert TraceCache(tmp_path).get("i1", "img", "q?") == old
-        assert [p.name for p in tmp_path.iterdir()] == ["i1.json"]
+        cache.put("i2", "img", "q?", *old)
+        reopened = TraceCache(tmp_path)
+        assert reopened.get("i1", "img", "q?") == reopened.get("i2", "img", "q?") == old
+        assert [p.name for p in tmp_path.iterdir()] == ["traces.jsonl"]
 
     def test_successful_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
-        unlinked = []
+        """A put creates, renames and deletes no file: it is one write of
+        one whole line to the log."""
+        unlinked, writes = [], []
+        write = os.write
+
+        def no_replace(src, dst):
+            raise AssertionError("a put replaces no file")
+
         monkeypatch.setattr(Path, "unlink", lambda self, **kw: unlinked.append(self))
-        TraceCache(tmp_path).put("i1", "img", "q?", make_trace("A", 0.5, 0.5, "direct"),
-                                 make_trace("A", 0.5, 0.5, "cot"))
-        assert [p.name for p in tmp_path.iterdir()] == ["i1.json"]
+        monkeypatch.setattr(evalharness.os, "replace", no_replace)
+        monkeypatch.setattr(evalharness.os, "write", lambda fd, data: writes.append(data) or write(fd, data))
+        cache = TraceCache(tmp_path)
+        for instance_id in ("i1", "i2"):
+            cache.put(instance_id, "img", "q?", make_trace("A", 0.5, 0.5, "direct"),
+                      make_trace("A", 0.5, 0.5, "cot"))
+        assert [p.name for p in tmp_path.iterdir()] == ["traces.jsonl"]
         assert unlinked == []
+        assert [w.count(b"\n") for w in writes] == [1, 1]
+        assert b"".join(writes) == (tmp_path / "traces.jsonl").read_bytes()
 
     @pytest.mark.parametrize("content", ["", "{\"text\": ", "[]", "{}",
                                          '{"text": "A", "token_logprobs": [NaN]}', '"text"'])
     def test_unreadable_entry_is_a_miss(self, tmp_path, content):
-        (tmp_path / "i1.json").write_text(content)
+        _write_log(tmp_path, [("i1", content)])
         assert TraceCache(tmp_path).get("i1", "img", "q?") is None
 
     @pytest.mark.parametrize("key, value", [
@@ -429,8 +547,8 @@ class TestTraceCache:
         a string is written as it is."""
         direct = make_trace("A", 0.5, 0.5, "direct")
         TraceCache(tmp_path).put("i1", "img", "q?", direct, make_trace("A", 0.5, 0.5, "cot"))
-        path = tmp_path / "i1.json"
-        entry = json.loads(path.read_text())
+        [(_, text)] = _log(tmp_path)
+        entry = json.loads(text)
         if key in entry:
             entry[key] = value
         elif isinstance(value, list):
@@ -439,7 +557,7 @@ class TestTraceCache:
             entry["direct"][key] = _packed(value)
         else:
             entry["direct"][key] = value
-        path.write_text(json.dumps(entry))
+        _write_log(tmp_path, [("i1", json.dumps(entry))])
         assert TraceCache(tmp_path).get("i1", "img", "q?") is None
 
     def test_number_list_entry_is_overwritten(self, sweep_backend, sweep_instances, tmp_path):
@@ -448,15 +566,16 @@ class TestTraceCache:
         it."""
         fresh = alpha_sweep(sweep_backend, sweep_instances, cache_dir=tmp_path)
         inst = sweep_instances[0]
-        path = tmp_path / f"{inst.id}.json"
-        packed = path.read_bytes()
+        lines = _log(tmp_path)
+        packed = dict(lines)[inst.id]
         entry = json.loads(packed)
         direct, cot = dual_generate(sweep_backend, inst.image_ref, inst.question)
         entry.update(direct=trace_to_dict(direct), cot=trace_to_dict(cot))
-        path.write_text(json.dumps(entry, sort_keys=True, separators=(",", ":")))
+        listed = json.dumps(entry, sort_keys=True, separators=(",", ":"))
+        _write_log(tmp_path, [(key, listed if key == inst.id else text) for key, text in lines])
         assert TraceCache(tmp_path).get(inst.id, inst.image_ref, inst.question) is None
         assert alpha_sweep(sweep_backend, sweep_instances, cache_dir=tmp_path) == fresh
-        assert path.read_bytes() == packed
+        assert dict(_log(tmp_path))[inst.id] == packed
 
     def test_floats_round_trip_exactly(self, tmp_path):
         rng = random.Random(11)
@@ -489,11 +608,11 @@ class TestTraceCache:
     def test_rewrite_is_byte_identical(self, tmp_path):
         pair = (make_trace("A", 0.3, 0.9, "direct"), make_trace("The answer is C.", 0.8, 0.2, "cot"))
         TraceCache(tmp_path / "a").put("i1", "img", "q?", *pair)
-        first = (tmp_path / "a" / "i1.json").read_bytes()
+        first = (tmp_path / "a" / "traces.jsonl").read_bytes()
         TraceCache(tmp_path / "a").put("i1", "img", "q?", *pair)
         TraceCache(tmp_path / "b").put("i1", "img", "q?", *pair)
-        assert (tmp_path / "a" / "i1.json").read_bytes() == first
-        assert (tmp_path / "b" / "i1.json").read_bytes() == first
+        assert (tmp_path / "a" / "traces.jsonl").read_bytes() == first
+        assert (tmp_path / "b" / "traces.jsonl").read_bytes() == first
 
     @pytest.mark.parametrize("change", ["template", "max_tokens"])
     def test_entry_made_for_other_requests_is_a_miss(self, change, tmp_path, monkeypatch):
@@ -510,6 +629,113 @@ class TestTraceCache:
             TraceCache(tmp_path).put("i1", "img", "q?", *pair)
             assert TraceCache(tmp_path).get("i1", "img", "q?") == pair
         assert TraceCache(tmp_path).get("i1", "img", "q?") is None
+
+
+class TestTraceLog:
+    """Failure modes of the append-only log itself."""
+
+    OLD = (make_trace("A", 0.5, 0.5, "direct"), make_trace("The answer is A.", 0.5, 0.5, "cot"))
+    NEW = (make_trace("B", 0.5, 0.5, "direct"), make_trace("The answer is B.", 0.5, 0.5, "cot"))
+
+    @pytest.mark.parametrize("cut", ["half", "all-but-newline"])
+    @pytest.mark.parametrize("torn_id", ["i1", "i3"])
+    def test_torn_final_line_is_never_read(self, tmp_path, cut, torn_id):
+        """A crash mid-append leaves a last line with no newline. Its id
+        keeps the entry it had (i1) or misses (i3), every other entry hits,
+        and the next put starts on a new line."""
+        cache = TraceCache(tmp_path)
+        for instance_id in ("i1", "i2"):
+            cache.put(instance_id, "img", "q?", *self.OLD)
+        TraceCache(tmp_path / "scratch").put(torn_id, "img", "q?", *self.NEW)
+        line = (tmp_path / "scratch" / "traces.jsonl").read_bytes()
+        torn = line[: len(line) // 2] if cut == "half" else line[:-1]
+        log = tmp_path / "traces.jsonl"
+        with open(log, "ab") as fh:
+            fh.write(torn)
+        before = log.read_bytes()
+        expected = {"i1": self.OLD, "i2": self.OLD, "i3": None}
+        reopened = TraceCache(tmp_path)
+        assert {k: reopened.get(k, "img", "q?") for k in expected} == expected
+        for instance_id in ("i4", "i5"):
+            reopened.put(instance_id, "img", "q?", *self.NEW)
+        assert log.read_bytes().startswith(before + b" \n")
+        assert log.read_bytes().count(b" \n") == 1
+        assert [key for key, _ in _log(tmp_path)][-2:] == ["i4", "i5"]
+        final = TraceCache(tmp_path)
+        expected.update(i4=self.NEW, i5=self.NEW)
+        assert {k: final.get(k, "img", "q?") for k in expected} == expected
+
+    def test_later_line_supersedes_earlier(self, tmp_path):
+        cache = TraceCache(tmp_path)
+        for instance_id, pair in (("i1", self.OLD), ("i2", self.OLD), ("i1", self.NEW)):
+            cache.put(instance_id, "img", "q?", *pair)
+        assert [key for key, _ in _log(tmp_path)] == ["i1", "i2", "i1"]
+        for reader in (cache, TraceCache(tmp_path)):
+            assert reader.get("i1", "img", "q?") == self.NEW
+            assert reader.get("i2", "img", "q?") == self.OLD
+
+    def test_identical_put_appends_nothing(self, tmp_path):
+        log = tmp_path / "traces.jsonl"
+        cache = TraceCache(tmp_path)
+        sizes = []
+        for pair in (self.OLD, self.OLD, self.NEW, self.NEW, self.OLD):
+            cache.put("i1", "img", "q?", *pair)
+            sizes.append(log.stat().st_size)
+        assert sizes[0] == sizes[1] < sizes[2] == sizes[3] < sizes[4]
+        assert [key for key, _ in _log(tmp_path)] == ["i1"] * 3
+
+    def test_mostly_dead_log_is_compacted(self, tmp_path):
+        """Opening a log whose dead lines hold more than half of its bytes
+        rewrites it with the live lines in log order; at half or less it is
+        left alone."""
+        log = tmp_path / "traces.jsonl"
+        cache = TraceCache(tmp_path)
+        cache.put("i1", "img", "q?", *self.OLD)
+        cache.put("i1", "img", "q?", *self.NEW)  # the same length: dead is exactly half
+        half_dead = log.read_bytes()
+        TraceCache(tmp_path)
+        assert log.read_bytes() == half_dead
+        cache.put("i2", "img", "q?", *self.OLD)
+        cache.put("i1", "img", "q?", *self.OLD)
+        with open(log, "ab") as fh:
+            fh.write(b"not an id\t{}\n" + half_dead[:100])  # unreadable id, then torn
+        lines = log.read_bytes().split(b"\n")
+        compacted = TraceCache(tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["traces.jsonl"]
+        assert log.read_bytes() == lines[2] + b"\n" + lines[3] + b"\n"
+        assert [key for key, _ in _log(tmp_path)] == ["i2", "i1"]
+        compacted.put("i3", "img", "q?", *self.NEW)
+        for reader in (compacted, TraceCache(tmp_path)):
+            assert [reader.get(k, "img", "q?") for k in ("i1", "i2", "i3")] == [
+                self.OLD, self.OLD, self.NEW]
+        assert [key for key, _ in _log(tmp_path)] == ["i2", "i1", "i3"]
+
+    def test_concurrent_puts_keep_every_line_whole(self, tmp_path):
+        """Eight threads putting into one cache, with a short switch
+        interval, leave one whole line per put and an index whose every
+        offset is that id's line: each id has its own image ref, so a line
+        read at another id's offset would miss."""
+        cache = TraceCache(tmp_path)
+        ids = [f"i{k}" for k in range(1000)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                for future in [pool.submit(cache.put, k, f"img-{k}", "q?", *self.OLD) for k in ids]:
+                    future.result(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(key for key, _ in _log(tmp_path)) == sorted(ids)
+        for reader in (cache, TraceCache(tmp_path)):
+            assert all(reader.get(k, f"img-{k}", "q?") == self.OLD for k in ids)
+
+    def test_closed_cache_misses_and_refuses_puts(self, tmp_path):
+        with TraceCache(tmp_path) as cache:
+            cache.put("i1", "img", "q?", *self.OLD)
+        assert cache.get("i1", "img", "q?") is None
+        with pytest.raises(OSError):
+            cache.put("i2", "img", "q?", *self.OLD)
+        assert TraceCache(tmp_path).get("i1", "img", "q?") == self.OLD
 
 
 class TestEmitReport:
