@@ -13,7 +13,8 @@ overrides built-in defaults (alpha 0.7, 24 prefix rows). Backends are
 selected with "mock:<script.json>" or "remote:<url>"; remote credentials
 come from the GATEMIX_API_KEY environment variable. All artifacts land
 under the --out directory. Exit codes: 0 success, 1 validation error, 2
-runtime failure.
+runtime failure, which includes an eval whose every instance failed (its
+report is still written).
 """
 
 from __future__ import annotations
@@ -234,7 +235,13 @@ def _cmd_eval(args, settings) -> int:
         report = run_eval(backend, _load_benchmark(args.benchmark), args.strategy,
                           alpha=settings["alpha"], max_workers=settings["workers"])
     emit_report(report, out / "report.json")
-    print(f"{args.strategy} accuracy: {report.accuracy:.4f} on {report.n_instances} instances")
+    failed = sum(r["error"] is not None for r in report.records)
+    print(f"{args.strategy} accuracy: {report.accuracy:.4f} on {report.n_instances} instances, "
+          f"{failed} failed")
+    if failed and failed == report.n_instances:
+        print(f"failure: every instance failed, the first with {report.records[0]['error']}",
+              file=sys.stderr)
+        return 2
     return 0
 
 

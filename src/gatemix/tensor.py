@@ -17,6 +17,11 @@ Conventions:
     ``no_grad`` innermost, or only constant inputs) it returns a bare
     output: no tape record, no grad flag. Both paths run the same numpy
     arithmetic, so their values agree bit for bit;
+  * a grad rule computes nothing for an input that does not require grad
+    and returns ``None`` in its place, which ``backward`` skips. A rule may
+    return its incoming gradient itself, so one array can stand for
+    several inputs; ``backward`` never mutates a gradient entry in place,
+    it only rebinds the entry to a new sum;
   * Python number constants in arithmetic (``1.0 - t``, ``t * lam``) are
     checked with ``math.isfinite`` and wrapped without a validating copy;
   * random initialisation goes through ``make_rng`` (numpy's PCG64), so
@@ -28,7 +33,6 @@ from __future__ import annotations
 import math
 import operator
 import threading
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -188,13 +192,19 @@ class Tensor:
         return _op("reshape", (self,), data.reshape(shape).copy(), _reshape_grad, data.shape)
 
 
-@dataclass
 class _OpRecord:
-    op: str
-    inputs: tuple
-    out: Tensor
-    grad_rule: Callable[..., tuple]
-    ctx: tuple
+    """One tape entry: ``grad_rule(*ctx, g)`` maps the output's gradient
+    ``g`` to one gradient per input."""
+
+    __slots__ = ("op", "inputs", "out", "grad_rule", "ctx")
+
+    def __init__(self, op: str, inputs: tuple, out: Tensor, grad_rule: Callable[..., tuple],
+                 ctx: tuple):
+        self.op = op
+        self.inputs = inputs
+        self.out = out
+        self.grad_rule = grad_rule
+        self.ctx = ctx
 
 
 _graph_state = threading.local()
@@ -284,6 +294,8 @@ def _as_tensor(x) -> Tensor:
 
 def _reduce_to(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum a broadcast gradient back down to the operand's shape."""
+    if grad.shape == shape:
+        return grad
     while grad.ndim > len(shape):
         grad = grad.sum(axis=0)
     for ax, dim in enumerate(shape):
@@ -309,22 +321,27 @@ def _binary(op: str, a, b, fn, grad_rule) -> Tensor:
     return _op(op, (a, b), np.asarray(out_data), grad_rule, a, b)
 
 
+# Each two-operand rule returns None in place of the gradient of an operand
+# that does not require grad, and computes nothing for it.
 def _add_grad(a, b, g):
-    return _reduce_to(g, a.shape), _reduce_to(g, b.shape)
+    return (_reduce_to(g, a.shape) if a.requires_grad else None,
+            _reduce_to(g, b.shape) if b.requires_grad else None)
 
 
 def _sub_grad(a, b, g):
-    return _reduce_to(g, a.shape), _reduce_to(-g, b.shape)
+    return (_reduce_to(g, a.shape) if a.requires_grad else None,
+            _reduce_to(-g, b.shape) if b.requires_grad else None)
 
 
 def _mul_grad(a, b, g):
-    return _reduce_to(g * b.data, a.shape), _reduce_to(g * a.data, b.shape)
+    return (_reduce_to(g * b.data, a.shape) if a.requires_grad else None,
+            _reduce_to(g * a.data, b.shape) if b.requires_grad else None)
 
 
 def _div_grad(a, b, g):
-    ga = _reduce_to(g / b.data, a.shape)
-    gb = _reduce_to(-g * a.data / (b.data * b.data), b.shape)
-    return ga, gb
+    bd = b.data
+    return (_reduce_to(g / bd, a.shape) if a.requires_grad else None,
+            _reduce_to(-g * a.data / (bd * bd), b.shape) if b.requires_grad else None)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -343,7 +360,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def _matmul_grad(a, b, g):
-    return g @ b.data.T, a.data.T @ g
+    return (g @ b.data.T if a.requires_grad else None,
+            a.data.T @ g if b.requires_grad else None)
 
 
 def _transpose_grad(g):
@@ -411,9 +429,9 @@ def _reduce(op: str, x: Tensor, axis: Optional[int]) -> Tensor:
 def _reduce_grad(shape, axis, n, g):
     if axis is None:
         return (np.full(shape, float(g) / n),)
-    if axis == 0:
-        return (np.broadcast_to(g / n, shape).copy(),)
-    return (np.broadcast_to(g[:, None] / n, shape).copy(),)
+    out = np.empty(shape)
+    np.divide(g if axis == 0 else g[:, None], n, out=out)
+    return (out,)
 
 
 def mean_pool(x: Tensor) -> Tensor:
@@ -452,10 +470,13 @@ def _concat_grad(axis, ts, g):
     grads = []
     start = 0
     for t in ts:
-        sl = slice(start, start + t.shape[axis])
-        grads.append(np.ascontiguousarray(g[sl] if axis == 0 else g[:, sl]))
-        start = sl.stop
-    return tuple(grads)
+        stop = start + t.data.shape[axis]
+        if t.requires_grad:
+            grads.append(np.ascontiguousarray(g[start:stop] if axis == 0 else g[:, start:stop]))
+        else:
+            grads.append(None)
+        start = stop
+    return grads
 
 
 def _cosine(ua: np.ndarray, va: np.ndarray) -> float:
@@ -500,9 +521,14 @@ def cosine_sim(u, v) -> float:
 def backward(graph: Graph, loss: Tensor) -> None:
     """Populate leaf gradients with d(loss)/d(leaf) by replaying the tape.
 
-    Visits every record exactly once in reverse order. Leaves untouched by
-    the loss keep their (zero-initialised) buffers; repeated calls
-    accumulate, so zero grads between uses.
+    Visits every record exactly once in reverse order and does only the
+    gradient work that reaches a leaf: a grad rule returns ``None`` for an
+    input that does not require grad, and that entry is skipped. A grad
+    rule may hand back its incoming gradient itself, so one array can sit
+    under several entries; an entry is never mutated in place, only
+    replaced by a new sum. Leaves untouched by the loss keep their
+    (zero-initialised) buffers; repeated calls accumulate, so zero grads
+    between uses.
     """
     if not isinstance(loss, Tensor) or loss.shape != ():
         got = getattr(loss, "shape", type(loss))
@@ -514,7 +540,7 @@ def backward(graph: Graph, loss: Tensor) -> None:
         if out_g is None:
             continue
         for t, contrib in zip(rec.inputs, rec.grad_rule(*rec.ctx, out_g)):
-            if not t.requires_grad:
+            if contrib is None:
                 continue
             key = id(t)
             if key in grads:

@@ -3,13 +3,14 @@ semantics, and config-file precedence."""
 
 import json
 import shlex
+import socket
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gatemix import cli
-from gatemix.backend import MalformedReplyError, MockBackend
+from gatemix import cli, evalharness
+from gatemix.backend import BackendError, MalformedReplyError, MockBackend
 from gatemix.cli import dispatch
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -121,7 +122,42 @@ class TestEval:
         report = json.loads((out / "report.json").read_text())
         assert report["accuracy"] == 1.0
         assert (out / "report.txt").exists()
-        assert "1.0000" in capsys.readouterr().out
+        assert capsys.readouterr().out == "sv accuracy: 1.0000 on 4 instances, 0 failed\n"
+
+    def test_dead_service_fails_every_instance_and_exits_2(self, tmp_path, capsys):
+        with socket.socket() as sock:  # a loopback port that nothing listens on
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"remote": {"retries": 1}}))
+        out = tmp_path / "e"
+        code = dispatch(["--config", str(config), "eval",
+                         "--benchmark", str(FIXTURES / "easy_hard_benchmark.jsonl"),
+                         "--backend", f"remote:http://127.0.0.1:{port}/v1", "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "sv accuracy: 0.0000 on 4 instances, 4 failed\n"
+        assert "failure: every instance failed, the first with BackendError" in captured.err
+        report = json.loads((out / "report.json").read_text())
+        assert report["branch_counts"]["error"] == 4
+        assert (out / "report.txt").exists()
+
+    def test_one_failed_instance_is_counted_and_exits_0(self, tmp_path, monkeypatch, capsys):
+        real = evalharness.dual_generate
+
+        def flaky(backend, image_ref, question):
+            if image_ref == "img-h2":
+                raise BackendError("service unavailable")
+            return real(backend, image_ref, question)
+
+        monkeypatch.setattr(evalharness, "dual_generate", flaky)
+        out = tmp_path / "e"
+        code = dispatch(["eval", "--benchmark", str(FIXTURES / "easy_hard_benchmark.jsonl"),
+                         "--backend", EASY_HARD, "--out", str(out)])
+        assert code == 0
+        assert capsys.readouterr().out == "sv accuracy: 0.7500 on 4 instances, 1 failed\n"
+        report = json.loads((out / "report.json").read_text())
+        assert "n_errors" not in report and report["branch_counts"]["error"] == 1
 
     def test_missing_benchmark_is_runtime_failure(self, tmp_path):
         code = dispatch(

@@ -243,6 +243,76 @@ class TestBackward:
         assert x.grad == pytest.approx(8.0)
 
 
+# (op, leaf shape, constant shape, fn(*operands)): one case per operand
+# position, with broadcasting on either side of the elementwise ops.
+_CONSTANT_CASES = {
+    "matmul-left": ("matmul", (2, 3), (3, 4), 0, lambda a, b: matmul(a, b)),
+    "matmul-right": ("matmul", (3, 4), (2, 3), 1, lambda a, b: matmul(a, b)),
+    "add-left": ("add", (2, 3), (3,), 0, lambda a, b: a + b),
+    "add-right": ("add", (3,), (2, 3), 1, lambda a, b: a + b),
+    "sub-left": ("sub", (2, 3), (2, 1), 0, lambda a, b: a - b),
+    "sub-right": ("sub", (2, 3), (2, 3), 1, lambda a, b: a - b),
+    "mul-left": ("mul", (2, 3), (2, 3), 0, lambda a, b: a * b),
+    "mul-right": ("mul", (1, 3), (2, 3), 1, lambda a, b: a * b),
+    "div-left": ("div", (2, 3), (3,), 0, lambda a, b: a / b),
+    "div-right": ("div", (2, 3), (2, 3), 1, lambda a, b: a / b),
+    "concat-axis0": ("concat", (2, 3), (1, 3), 0, lambda a, b: concat([a, b], axis=0)),
+    "concat-axis1": ("concat", (2, 3), (2, 2), 1, lambda a, b: concat([a, b], axis=1)),
+}
+
+
+class TestConstantOperands:
+    """A grad rule computes nothing for an operand that does not require
+    grad, and the leaf's gradient does not change by a bit."""
+
+    @staticmethod
+    def _run(case, const_grad: bool):
+        name, leaf_shape, const_shape, leaf_pos, fn = _CONSTANT_CASES[case]
+        rng = make_rng(len(case))
+        leaf = Tensor(rng.uniform(0.5, 2.0, size=leaf_shape), requires_grad=True)
+        const = Tensor(rng.uniform(0.5, 2.0, size=const_shape), requires_grad=const_grad)
+        operands = (leaf, const) if leaf_pos == 0 else (const, leaf)
+        with Graph() as g:
+            out = fn(*operands)
+            loss = (out * Tensor(rng.uniform(0.5, 1.5, size=out.shape))).sum()
+        backward(g, loss)
+        (rec,) = [r for r in g.records if r.out is out]
+        assert rec.op == name
+        return leaf, const, rec.grad_rule(*rec.ctx, np.ones(out.shape))
+
+    @pytest.mark.parametrize("case", list(_CONSTANT_CASES))
+    def test_no_gradient_for_a_constant(self, case):
+        leaf_pos = _CONSTANT_CASES[case][3]
+        leaf, const, grads = self._run(case, const_grad=False)
+        assert grads[1 - leaf_pos] is None
+        assert grads[leaf_pos].shape == leaf.shape
+        assert const.grad is None
+        both_leaf, _, both_grads = self._run(case, const_grad=True)
+        assert all(gr is not None for gr in both_grads)
+        assert leaf.grad.tobytes() == both_leaf.grad.tobytes()
+
+    def test_leaf_through_both_operands_of_one_add(self):
+        x = Tensor([[1.0, 2.0], [3.0, 4.0]], requires_grad=True)
+        w = Tensor([[0.5, -1.0], [2.0, 0.25]])
+        with Graph() as g:
+            loss = ((x + x) * w).sum() + ((x * 3.0 + x) * w).sum()
+        backward(g, loss)
+        np.testing.assert_array_equal(x.grad, 6.0 * w.data)
+
+    def test_shared_gradient_array_is_not_mutated(self):
+        # the add hands one array to both x and y; x then gathers a second
+        # contribution, which must not leak into y's entry
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        y = Tensor([3.0, 4.0], requires_grad=True)
+        w = Tensor([0.5, -1.0])
+        with Graph() as g:
+            t = x * 2.0
+            loss = ((x + y) * w).sum() + (t * w).sum()
+        backward(g, loss)
+        np.testing.assert_array_equal(y.grad, w.data)
+        np.testing.assert_array_equal(x.grad, 3.0 * w.data)
+
+
 class TestStructuralOps:
     def test_concat_slice_roundtrip(self):
         rng = make_rng(9)

@@ -1,6 +1,8 @@
 """Alignment-trainer tests: synthetic pairing, the update rule, freezing,
 and determinism."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -184,6 +186,37 @@ class TestBitIdentity:
             "0x1.d6b17f379d6c0p+1",
             "0x1.d279a593d858cp+1",
         ]
+
+    def test_fifty_steps_at_batch_16(self):
+        # the benchmark's align phase b: 50 train steps on one b=16 batch
+        cfg = TrainConfig(steps=50, batch_size=16)
+        params, batch, standins = init_params(CFG, 0), synth_batch(0, 16, CFG), FrozenStandins(CFG.d_llm)
+        state = GDState()
+        curve = []
+        for _ in range(cfg.steps):
+            value, params, state = train_step(params, batch, state, cfg, standins)
+            curve.append(value.hex())
+        assert curve == [
+            "0x1.649441b2d549cp+2", "0x1.504623c6f7c8fp+2", "0x1.480df34b9e622p+2",
+            "0x1.41da71eaf408cp+2", "0x1.3e482987c5756p+2", "0x1.3ecfd95631ee4p+2",
+            "0x1.3c033311e494dp+2", "0x1.3a74beec15816p+2", "0x1.3a2e94b200885p+2",
+            "0x1.39d4caf0f4917p+2", "0x1.39e951ee56962p+2", "0x1.3842489b65d00p+2",
+            "0x1.37d2aa10dffeap+2", "0x1.3870a9f988a92p+2", "0x1.386693da8b488p+2",
+            "0x1.38a2d2411cd22p+2", "0x1.36b71a6f8f3dcp+2", "0x1.35f85299c0403p+2",
+            "0x1.356d3c57ea397p+2", "0x1.34f137ea812eap+2", "0x1.34939a35d9eb4p+2",
+            "0x1.3463af40ded7cp+2", "0x1.34c797085c0a1p+2", "0x1.356ab4eb39452p+2",
+            "0x1.3675553daa9dcp+2", "0x1.34d6e935c09a6p+2", "0x1.344eead1f1a5dp+2",
+            "0x1.342455140eecep+2", "0x1.347fe073b9892p+2", "0x1.3442d9fede4dep+2",
+            "0x1.34cc39b02de00p+2", "0x1.33f88fe98be38p+2", "0x1.33fd429d99294p+2",
+            "0x1.33b98c316a04fp+2", "0x1.340c136ade94ap+2", "0x1.33be9370f55dap+2",
+            "0x1.340df3a195f06p+2", "0x1.33a2fd3aaf2cap+2", "0x1.33d29bad45137p+2",
+            "0x1.33833a9e6ecafp+2", "0x1.33bae076dfaecp+2", "0x1.3373723ce1452p+2",
+            "0x1.33a9618692b1cp+2", "0x1.3361cf011d0a6p+2", "0x1.338e3562f97cap+2",
+            "0x1.334d58f48c068p+2", "0x1.3374f71036aa2p+2", "0x1.333b100736efbp+2",
+            "0x1.335fa3a195030p+2", "0x1.332a1a839d6e8p+2",
+        ]
+        final = hashlib.sha256(b"".join(t.data.tobytes() for t in params.tensors()))
+        assert final.hexdigest() == "f78f02440ddb8f024a83b16c71761c3284cee6952aa588c496c4e5a560a52bfd"
 
 
 class TestTrainStep:
