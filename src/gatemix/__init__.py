@@ -36,7 +36,6 @@ from .tensor import (
     cosine_sim,
     finite_diff_check,
     matmul,
-    mean_pool,
     sigmoid,
 )
 from .training import TrainConfig, TrainingReport, synth_batch, train_stage1, train_step

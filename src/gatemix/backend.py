@@ -46,7 +46,6 @@ __all__ = [
     "build_prompt",
     "MockBackend",
     "RemoteBackend",
-    "dual_requests",
     "dual_generate",
     "trace_to_dict",
     "trace_from_dict",
@@ -602,20 +601,14 @@ class RemoteBackend:
         return text
 
 
-def dual_requests(image_ref: str, question: str) -> tuple:
-    """The (direct, cot) requests for one instance."""
-    return tuple(BackendRequest(image_ref, question, mode) for mode in MODES)
-
-
 def dual_generate(backend, image_ref: str, question: str) -> tuple:
-    """Run both task prompts for one instance; returns (direct, cot) traces
-    of the ``dual_requests``. A failing branch raises a BackendError naming
-    the mode.
+    """Run both task prompts for one instance; returns (direct, cot) traces.
+    A failing branch raises a BackendError naming the mode.
     """
     traces = []
-    for req in dual_requests(image_ref, question):
+    for mode in MODES:
         try:
-            traces.append(backend.generate(req))
+            traces.append(backend.generate(BackendRequest(image_ref, question, mode)))
         except BackendError as exc:
-            raise BackendError(f"{req.prompt_mode} branch failed: {exc}") from exc
+            raise BackendError(f"{mode} branch failed: {exc}") from exc
     return tuple(traces)

@@ -40,6 +40,7 @@ from .evalharness import (
     alpha_sweep,
     default_alpha_grid,
     emit_report,
+    format_alpha,
     load_benchmark,
     run_eval,
 )
@@ -251,7 +252,7 @@ def _cmd_sweep(args, settings) -> int:
         grid = _parse_grid(args.grid) if args.grid else default_alpha_grid()
         results = alpha_sweep(backend, _load_benchmark(args.benchmark), grid=grid,
                               max_workers=settings["workers"])
-    lines = ["alpha  accuracy"] + [f"{a:<5.2f}  {acc:.4f}" for a, acc in results]
+    lines = ["alpha  accuracy"] + [f"{format_alpha(a):<5}  {acc:.4f}" for a, acc in results]
     table = "\n".join(lines) + "\n"
     print(table, end="")
     with open(out / "sweep.json", "w", encoding="utf-8") as fh:

@@ -13,8 +13,8 @@ instance id and a compact JSON entry holding each branch's trace under its
 mode's name, with each trace's float fields packed as base64 text of their
 little-endian float64 bytes. A later line for an id supersedes an earlier
 one. An entry that is unreadable, malformed, packed wrongly, not a valid
-trace, or made for other requests than the instance's is a miss and is
-regenerated.
+trace, or made for another image ref or question or under other prompt
+modes is a miss and is regenerated.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .backend import (PROMPT_MODES, BackendError, GenerationTrace, dual_generate, dual_requests,
+from .backend import (MODES, PROMPT_MODES, BackendError, GenerationTrace, dual_generate,
                       trace_from_dict, trace_to_dict)
 from .verify import (BRANCHES, DEFAULT_ALPHA, answers_equal, branch_record, score_response,
                      self_verify)
@@ -49,6 +49,7 @@ __all__ = [
     "run_eval",
     "alpha_sweep",
     "default_alpha_grid",
+    "format_alpha",
     "emit_report",
 ]
 
@@ -79,12 +80,19 @@ class BenchmarkInstance:
     split: str = "test"
 
     def __post_init__(self):
-        if not all(isinstance(o, (list, tuple)) and len(o) == 2 for o in self.options):
-            raise ValueError(f"each option must be a [letter, text] pair, got {self.options!r}")
-        self.options = [(str(l), str(t)) for l, t in self.options]
+        for name in ("id", "image_ref", "question", "gold_answer", "split"):
+            value = getattr(self, name)
+            if not isinstance(value, str):
+                raise ValueError(f"{name} must be a string, got {value!r}")
+        if not (isinstance(self.options, list) and all(
+                isinstance(o, (list, tuple)) and len(o) == 2 and all(isinstance(p, str) for p in o)
+                for o in self.options)):
+            raise ValueError(
+                f"options must be a list of [letter, text] pairs of strings, got {self.options!r}")
+        self.options = [tuple(o) for o in self.options]
         if self.options:
             letters = {l.upper() for l, _ in self.options}
-            if str(self.gold_answer).upper() not in letters:
+            if self.gold_answer.upper() not in letters:
                 raise ValueError(
                     f"gold answer {self.gold_answer!r} not among option letters {sorted(letters)}"
                 )
@@ -108,12 +116,12 @@ def load_benchmark(path) -> tuple:
             try:
                 payload = json.loads(line)
                 inst = BenchmarkInstance(
-                    id=str(payload["id"]),
-                    image_ref=str(payload["image_ref"]),
-                    question=str(payload["question"]),
+                    id=payload["id"],
+                    image_ref=payload["image_ref"],
+                    question=payload["question"],
                     options=payload.get("options", []),
-                    gold_answer=str(payload["gold_answer"]),
-                    split=str(payload.get("split", "test")),
+                    gold_answer=payload["gold_answer"],
+                    split=payload.get("split", "test"),
                 )
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                 errors.append(f"line {line_no}: {exc}")
@@ -141,11 +149,9 @@ class EvalReport:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-def _request_digest(image_ref: str, question: str) -> str:
-    """Digest of what ``dual_generate`` sends for an instance: each
-    branch's built prompt and decoding config."""
-    sent = [(req.prompt, req.decoding) for req in dual_requests(image_ref, question)]
-    return hashlib.sha256(repr(sent).encode("utf-8")).hexdigest()
+def _modes_digest() -> str:
+    """Digest of every prompt mode's task template and decoding config."""
+    return hashlib.sha256(repr(MODES).encode("utf-8")).hexdigest()
 
 
 class TraceCache:
@@ -153,8 +159,9 @@ class TraceCache:
     directory. Each line is an instance id as a JSON string, a tab, and a
     compact JSON entry with sorted keys holding the instance's direct and
     cot traces under the keys ``direct`` and ``cot``, the image ref and
-    question they were generated from, and a digest of both branches' built
-    prompts and decoding configs. Each trace's ``token_logprobs``,
+    question they were generated from, and, under ``request_digest``, a
+    digest of every prompt mode's task template and decoding config, taken
+    once when the cache opens. Each trace's ``token_logprobs``,
     ``img_rep`` and ``txt_rep`` are stored as base64 text of their
     little-endian float64 bytes, so floats round-trip exactly and the same
     pair always gives the same line.
@@ -180,13 +187,15 @@ class TraceCache:
     float field that is not a string, not strict base64 or not a whole
     number of float64s, a trace that ``trace_from_dict`` rejects (one with
     a key it does not know included), or an entry made for another image
-    ref, question, prompt template or decoding config."""
+    ref or question or under another modes digest: together they fix the
+    prompts and decoding configs ``dual_generate`` sends."""
 
     def __init__(self, cache_dir):
         directory = Path(cache_dir)
         directory.mkdir(parents=True, exist_ok=True)
         self._path = directory / LOG_NAME
         self._lock = threading.Lock()
+        self._digest = _modes_digest()
         fd = os.open(self._path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
         try:
             self._index, dead, size, self._torn = _scan(fd)
@@ -231,10 +240,8 @@ class TraceCache:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def get(self, instance_id: str, image_ref: str, question: str,
-            digest: Optional[str] = None) -> Optional[tuple]:
-        """The cached ``(direct, cot)`` pair, or None. ``digest`` is the
-        instance's ``_request_digest``, if the caller has it already."""
+    def get(self, instance_id: str, image_ref: str, question: str) -> Optional[tuple]:
+        """The cached ``(direct, cot)`` pair, or None."""
         where = self._index.get(instance_id)
         if where is None:
             return None
@@ -242,7 +249,7 @@ class TraceCache:
             line = os.pread(self._fd, where[1], where[0])
             entry = json.loads(line[line.index(b"\t") + 1:])
             if (entry["image_ref"] != image_ref or entry["question"] != question
-                    or entry["request_digest"] != (digest or _request_digest(image_ref, question))):
+                    or entry["request_digest"] != self._digest):
                 return None
             payloads = [entry[mode] for mode in PROMPT_MODES]
             for payload in payloads:
@@ -253,9 +260,8 @@ class TraceCache:
             return None
 
     def put(self, instance_id: str, image_ref: str, question: str,
-            direct: GenerationTrace, cot: GenerationTrace, digest: Optional[str] = None) -> None:
-        entry = {"image_ref": image_ref, "question": question,
-                 "request_digest": digest or _request_digest(image_ref, question)}
+            direct: GenerationTrace, cot: GenerationTrace) -> None:
+        entry = {"image_ref": image_ref, "question": question, "request_digest": self._digest}
         for mode, trace in zip(PROMPT_MODES, (direct, cot)):
             payload = entry[mode] = trace_to_dict(trace)
             for name in GenerationTrace.FLOAT_FIELDS:
@@ -302,11 +308,10 @@ def _scan(fd: int) -> tuple:
 def _get_traces(backend, inst: BenchmarkInstance, cache: Optional[TraceCache]) -> tuple:
     if cache is None:
         return dual_generate(backend, inst.image_ref, inst.question)
-    digest = _request_digest(inst.image_ref, inst.question)
-    pair = cache.get(inst.id, inst.image_ref, inst.question, digest)
+    pair = cache.get(inst.id, inst.image_ref, inst.question)
     if pair is None:
         pair = dual_generate(backend, inst.image_ref, inst.question)
-        cache.put(inst.id, inst.image_ref, inst.question, *pair, digest)
+        cache.put(inst.id, inst.image_ref, inst.question, *pair)
     return pair
 
 
@@ -421,10 +426,17 @@ def alpha_sweep(
     return results
 
 
+def format_alpha(alpha: float) -> str:
+    """``alpha`` as text tables print it: with two decimals, unless that
+    rounds it, and then as JSON holds it."""
+    text = f"{alpha:.2f}"
+    return text if float(text) == alpha else json.dumps(alpha)
+
+
 def _format_table(report: EvalReport) -> str:
     lines = [
         "strategy  alpha  instances  correct  accuracy",
-        f"{report.strategy:<8}  {report.alpha:<5.2f}  {report.n_instances:<9d}  "
+        f"{report.strategy:<8}  {format_alpha(report.alpha):<5}  {report.n_instances:<9d}  "
         f"{report.n_correct:<7d}  {report.accuracy:.4f}",
     ]
     if report.branch_counts:

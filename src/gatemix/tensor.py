@@ -47,7 +47,6 @@ __all__ = [
     "concat",
     "sigmoid",
     "cosine_sim",
-    "mean_pool",
     "backward",
     "finite_diff_check",
     "make_rng",
@@ -432,16 +431,6 @@ def _reduce_grad(shape, axis, n, g):
     out = np.empty(shape)
     np.divide(g if axis == 0 else g[:, None], n, out=out)
     return (out,)
-
-
-def mean_pool(x: Tensor) -> Tensor:
-    """Column-wise arithmetic mean of a rank-2 tensor (n rows -> one row)."""
-    x = _as_tensor(x)
-    if x.ndim != 2:
-        raise ShapeError(f"mean_pool: needs rank 2, got {x.shape}")
-    if x.shape[0] < 1:
-        raise ValueError("mean_pool: empty sequence")
-    return _reduce("mean", x, 0)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:

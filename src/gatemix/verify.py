@@ -102,11 +102,13 @@ def answers_equal(a: str, b: str) -> bool:
     return a.strip().casefold() == b.strip().casefold()
 
 
+# A "." between two digits is a decimal point: it ends neither a declared
+# answer nor a sentence.
 _ANSWER_DECL = re.compile(
-    r"\banswer\s*(?:is|:)\s*([^\n.!?]+)", re.IGNORECASE
+    r"\banswer\s*(?:is|:)\s*((?:[^\n.!?]+|(?<=\d)\.(?=\d))+)", re.IGNORECASE
 )
 _TRAILING_LETTER = re.compile(r"(?<![\w])([A-Za-z])[)\]]*[.!?]?\s*$")
-_SENTENCE_SPLIT = re.compile(r"[.!?\n]+")
+_SENTENCE_SPLIT = re.compile(r"(?:[.!?\n](?:(?<!\d\.)|(?!\d)))+")
 
 
 def _normalize_against_options(candidate: str, options) -> str:

@@ -14,7 +14,7 @@ from gatemix.objectives import (
     similarity_matrix,
     stage1_objective,
 )
-from gatemix.tensor import Tensor, concat, matmul, mean_pool
+from gatemix.tensor import Tensor, concat, matmul
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -37,7 +37,7 @@ def reference_image_rows(params, batch, standins) -> list:
     rows = []
     for feats in batch.feats:
         h_img0 = forward(feats, params).h_img0
-        pooled = mean_pool(h_img0).reshape((1, h_img0.shape[1]))
+        pooled = h_img0.mean(axis=0).reshape((1, h_img0.shape[1]))
         rows.append(matmul(pooled, standins.pool_map))
     return rows
 

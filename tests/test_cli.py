@@ -124,6 +124,15 @@ class TestEval:
         assert (out / "report.txt").exists()
         assert capsys.readouterr().out == "sv accuracy: 1.0000 on 4 instances, 0 failed\n"
 
+    @pytest.mark.parametrize("alpha, label", [("0.7", "0.70 "), ("0.125", "0.125")])
+    def test_report_table_prints_alpha_as_the_json_holds_it(self, tmp_path, alpha, label):
+        out = tmp_path / "e"
+        assert dispatch(["eval", "--benchmark", str(FIXTURES / "easy_hard_benchmark.jsonl"),
+                         "--alpha", alpha, "--backend", EASY_HARD, "--out", str(out)]) == 0
+        assert json.loads((out / "report.json").read_text())["alpha"] == float(alpha)
+        row = (out / "report.txt").read_text().splitlines()[1]
+        assert row.startswith(f"sv        {label}  4 ")
+
     def test_dead_service_fails_every_instance_and_exits_2(self, tmp_path, capsys):
         with socket.socket() as sock:  # a loopback port that nothing listens on
             sock.bind(("127.0.0.1", 0))
@@ -190,6 +199,22 @@ class TestSweep:
         assert len(results) == 11
         best = max(results, key=lambda r: r["accuracy"])
         assert best["alpha"] == 0.7
+
+    @pytest.mark.parametrize("grid, labels", [
+        (None, [f"{i / 10:.2f}" for i in range(11)]),
+        ("0:0.03:0.005", ["0.00", "0.005", "0.01", "0.015", "0.02", "0.025", "0.03"]),
+    ], ids=["default", "fine"])
+    def test_table_prints_alpha_as_the_json_holds_it(self, tmp_path, capsys, grid, labels):
+        out = tmp_path / "s"
+        argv = ["sweep", "--benchmark", str(FIXTURES / "sweep_benchmark.jsonl"),
+                "--backend", SWEEP, "--out", str(out)]
+        assert dispatch(argv + (["--grid", grid] if grid else [])) == 0
+        table = capsys.readouterr().out
+        assert (out / "sweep.txt").read_text() == table
+        results = json.loads((out / "sweep.json").read_text())
+        assert [float(label) for label in labels] == [r["alpha"] for r in results]
+        assert table.splitlines()[1:] == [f"{label:<5}  {r['accuracy']:.4f}"
+                                          for label, r in zip(labels, results)]
 
     def test_grid_stops_at_stop(self, tmp_path):
         out = tmp_path / "s"

@@ -3,6 +3,7 @@ the alpha sweep with trace caching, and report emission."""
 
 import base64
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -17,7 +18,7 @@ import pytest
 from gatemix import backend as backend_module
 from gatemix import evalharness
 from gatemix.backend import (BackendError, BackendRequest, GenerationTrace, MockBackend,
-                             dual_generate, trace_from_dict, trace_to_dict)
+                             build_prompt, dual_generate, trace_from_dict, trace_to_dict)
 from gatemix.evalharness import (
     BenchmarkInstance,
     BenchmarkValidationError,
@@ -147,6 +148,28 @@ class TestLoadBenchmark:
         assert [i.id for i in instances] == ["ok"]
         assert instances[0].options == [("A", "x"), ("B", "y")]
         assert len(errors) == 1 and "line 2" in errors[0] and "pair" in errors[0]
+
+    @pytest.mark.parametrize("field, value", [
+        ("id", 7), ("image_ref", ["x"]), ("question", None), ("gold_answer", None),
+        ("split", 1), ("option letter", None), ("option text", None), ("options", ""),
+        ("options", {}),
+    ])
+    def test_fields_must_be_json_strings(self, tmp_path, field, value):
+        """A non-string field skips its line; it is not turned into text
+        such as ``'None'`` or ``"['x']"``."""
+        path = tmp_path / "bench.jsonl"
+        good = {"id": "ok", "image_ref": "img", "question": "q?",
+                "options": [["A", "x"], ["B", "y"]], "gold_answer": "A", "split": "test"}
+        bad = {**good, "id": "bad", "options": []}  # a free-text gold has no letter to miss
+        if field.startswith("option "):
+            bad["options"] = [["A", "x"], ["B", value] if field == "option text" else [value, "y"]]
+        else:
+            bad[field] = value
+        path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+        instances, errors = load_benchmark(path)
+        assert [i.id for i in instances] == ["ok"]
+        assert len(errors) == 1 and errors[0].startswith("line 2: ")
+        assert ("list" if field == "options" else "string") in errors[0]
 
     def test_gold_must_be_an_option_letter(self, tmp_path):
         path = tmp_path / "bench.jsonl"
@@ -343,28 +366,27 @@ class TestAlphaSweep:
         assert alpha_sweep(sweep_backend, sweep_instances, cache_dir=tmp_path) == cold
         assert calls == {"get": n, "put": 0, "generate": 0}
 
-    def test_one_request_digest_per_instance(self, sweep_backend, sweep_instances, tmp_path,
-                                             monkeypatch):
-        """Each instance's prompts are built into a digest once, whether it
-        misses (no entry, or one made for another template) or hits."""
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_one_modes_digest_per_sweep(self, n, sweep_backend, sweep_instances, tmp_path,
+                                        monkeypatch):
+        """A sweep takes the modes digest once, whatever the number of
+        instances, and whether they miss (no entry, or one made for another
+        template) or hit."""
         calls = []
-        digest = evalharness._request_digest
-
-        def counting_digest(*args):
-            calls.append(args)
-            return digest(*args)
-
-        monkeypatch.setattr(evalharness, "_request_digest", counting_digest)
+        digest = evalharness._modes_digest
+        monkeypatch.setattr(evalharness, "_modes_digest", lambda: calls.append(1) or digest())
+        backend = _Counting(sweep_backend)
+        instances = sweep_instances[:n]
         template, decoding = backend_module.MODES["cot"]
         with monkeypatch.context() as patched:
             patched.setitem(backend_module.MODES, "cot", (template + " ", decoding))
-            alpha_sweep(sweep_backend, sweep_instances, cache_dir=tmp_path)
-        n = len(sweep_instances)
-        assert len(calls) == n  # cold
+            alpha_sweep(backend, instances, cache_dir=tmp_path)
+        counts = [(len(calls), backend.calls)]
         for _ in ("stale", "warm"):
-            calls.clear()
-            alpha_sweep(sweep_backend, sweep_instances, cache_dir=tmp_path)
-            assert len(calls) == n
+            alpha_sweep(backend, instances, cache_dir=tmp_path)
+            counts.append((len(calls), backend.calls))
+        # cold, stale and warm each take one digest; only cold and stale generate
+        assert counts == [(1, 2 * n), (2, 4 * n), (3, 4 * n)]
 
     def test_parallel_sweep_writes_the_same_lines(self, mixed_backend_and_instances, tmp_path):
         """With two workers the lines follow completion order, but they are
@@ -451,12 +473,41 @@ class TestAlphaSweep:
 
 
 class TestTraceCache:
-    def test_request_digest_is_pinned(self):
-        """What ``dual_generate`` sends for a fixed instance, both prompts
-        and decoding configs; a change to either would turn every cached
-        entry into a miss."""
-        assert evalharness._request_digest("img-e1", "question e1") == (
+    def test_request_digest_is_pinned(self, tmp_path):
+        """The digest of every mode's template and decoding config that each
+        entry carries; a change to either would turn every cached entry
+        into a miss."""
+        TraceCache(tmp_path).put("i1", "img", "q?", make_trace("A", 0.5, 0.5, "direct"),
+                                 make_trace("A", 0.5, 0.5, "cot"))
+        [(_, text)] = _log(tmp_path)
+        assert json.loads(text)["request_digest"] == evalharness._modes_digest() == (
+            "7d09f31b4dd4cace36caad80bbfae69403ab6bad5996ec20f97f8cefb5835b9b")
+
+    def test_per_instance_digest_entry_is_rewritten(self, sweep_backend, sweep_instances,
+                                                    tmp_path):
+        """An entry stamped with the earlier per-instance digest of both
+        built prompts and decoding configs is a miss once; the next sweep
+        rewrites it with the modes digest and the one after hits."""
+        def per_instance_digest(question):
+            sent = [(build_prompt(question, mode), decoding)
+                    for mode, (_, decoding) in backend_module.MODES.items()]
+            return hashlib.sha256(repr(sent).encode("utf-8")).hexdigest()
+
+        assert per_instance_digest("question e1") == (
             "5ffca97c722d22c650b7f4daa52c20600eb31cdd981fe88548b407cc4ab6625c")
+        fresh = alpha_sweep(sweep_backend, sweep_instances, cache_dir=tmp_path)
+        lines = _log(tmp_path)
+        inst = sweep_instances[0]
+        entry = json.loads(dict(lines)[inst.id])
+        entry["request_digest"] = per_instance_digest(inst.question)
+        old = json.dumps(entry, sort_keys=True, separators=(",", ":"))
+        _write_log(tmp_path, [(key, old if key == inst.id else text) for key, text in lines])
+        backend = _Counting(sweep_backend)
+        assert alpha_sweep(backend, sweep_instances, cache_dir=tmp_path) == fresh
+        assert backend.calls == 2
+        assert dict(_log(tmp_path)) == dict(lines)
+        assert alpha_sweep(backend, sweep_instances, cache_dir=tmp_path) == fresh
+        assert backend.calls == 2
 
     def test_awkward_ids_are_safe_filenames(self, tmp_path):
         """An id holding a slash, a colon, a tab, a newline, a quote or a

@@ -17,7 +17,6 @@ from gatemix.tensor import (
     finite_diff_check,
     make_rng,
     matmul,
-    mean_pool,
     no_grad,
     sigmoid,
 )
@@ -157,21 +156,15 @@ class TestCosineSim:
 
 
 class TestMeanPool:
+    """Mean pooling of a sequence's rows is ``Tensor.mean(0)``."""
+
     def test_constant_rows(self):
         c = np.array([2.5, -1.0, 7.0])
         x = Tensor(np.tile(c, (4, 1)))
-        np.testing.assert_allclose(mean_pool(x).data, c, atol=1e-15)
+        np.testing.assert_allclose(x.mean(0).data, c, atol=1e-15)
 
     def test_hand_case(self):
-        np.testing.assert_array_equal(
-            mean_pool(Tensor([[1.0, 3.0], [3.0, 1.0]])).data, [2.0, 2.0]
-        )
-
-    def test_matches_sum_over_len_oracle(self):
-        rng = make_rng(42)
-        x = rng.standard_normal((7, 5))
-        oracle = x.sum(axis=0) / 7.0
-        np.testing.assert_allclose(mean_pool(Tensor(x)).data, oracle, atol=1e-12)
+        np.testing.assert_array_equal(Tensor([[1.0, 3.0], [3.0, 1.0]]).mean(0).data, [2.0, 2.0])
 
     @pytest.mark.parametrize("axis", [None, 0, 1])
     def test_mean_is_numpys_mean_bit_for_bit(self, axis):
@@ -182,7 +175,7 @@ class TestMeanPool:
 
     def test_empty_raises(self):
         with pytest.raises(ValueError):
-            mean_pool(Tensor(np.zeros((0, 3))))
+            Tensor(np.zeros((0, 3))).mean(0)
 
 
 class TestBackward:
@@ -461,7 +454,6 @@ def _op_cases() -> dict:
         "sqrt": ("sqrt", [(3, 4)], lambda a: a.sqrt()),
         "concat-0": ("concat", [(2, 4), (3, 4)], lambda a, b: concat([a, b], axis=0)),
         "concat-1": ("concat", [(3, 2), (3, 4)], lambda a, b: concat([a, b], axis=1)),
-        "mean_pool": ("mean", [(3, 4)], mean_pool),
     })
     return cases
 

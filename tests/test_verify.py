@@ -170,6 +170,20 @@ class TestExtractAnswer:
     def test_declaration_with_colon(self):
         assert extract_answer("final answer: B", OPTIONS) == "B"
 
+    @pytest.mark.parametrize("text, want", [
+        ("The answer is 2.5.", "2.5"),
+        ("The answer is 3.14", "3.14"),
+        ("So the answer is $1.50 per item.", "$1.50 per item"),
+        ("The answer is B.", "B"),
+    ])
+    def test_decimal_point_does_not_end_a_declaration(self, text, want):
+        assert extract_answer(text) == want
+
+    @pytest.mark.parametrize("text", ["The total volume is therefore 2.5 liters.",
+                                      "The answer is 2.5 liters."])
+    def test_decimal_point_does_not_end_a_sentence(self, text):
+        assert extract_answer(text, [("A", "1.5 liters"), ("B", "2.5 liters")]) == "B"
+
 
 class TestSelfVerify:
     def test_agreement_returns_cot_answer(self):
