@@ -456,9 +456,7 @@ class RemoteBackend:
         self._head = (f"POST {path} HTTP/1.1\r\nHost: {url.netloc.rpartition('@')[2]}\r\n"
                       "Content-Type: application/json\r\nAccept-Encoding: identity\r\n"
                       + (f"Authorization: Bearer {api_key}\r\n" if api_key else "")).encode("ascii")
-        self.endpoint = endpoint
         self.model = model
-        self.api_key = api_key
         self.timeout = timeout
         self.retries = retries
         self.retry_wait = retry_wait

@@ -25,8 +25,9 @@ import json
 import math
 import os
 import sys
+import time
 from contextlib import closing
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -34,16 +35,8 @@ import numpy as np
 
 from .backend import BackendError, MockBackend, RemoteBackend, dual_generate
 from .connector import ConnectorConfig
-from .curation import SCORE_THRESHOLD, load_records, run_pipeline, write_instances, write_stats
-from .evalharness import (
-    STRATEGIES,
-    alpha_sweep,
-    default_alpha_grid,
-    emit_report,
-    format_alpha,
-    load_benchmark,
-    run_eval,
-)
+from .curation import SCORE_THRESHOLD, load_records, run_pipeline
+from .evalharness import STRATEGIES, alpha_sweep, default_alpha_grid, load_benchmark, run_eval
 from .training import GRAD_CHECK_TOL, DivergenceError, TrainConfig, grad_check, train_stage1
 from .verify import (
     DEFAULT_ALPHA,
@@ -161,6 +154,22 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _write_json(path: Path, value) -> None:
+    """Write ``value`` (a dataclass as its fields) as a byte-stable JSON
+    artifact: sorted keys, two-space indent and a final newline, streamed
+    with no whole-artifact string."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(vars(value) if is_dataclass(value) else value, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _alpha_label(alpha: float) -> str:
+    """``alpha`` as the text tables print it: with two decimals, unless that
+    rounds it, and then as JSON holds it."""
+    text = f"{alpha:.2f}"
+    return text if float(text) == alpha else json.dumps(alpha)
+
+
 _MAX_GRID_POINTS = 10001
 
 
@@ -192,15 +201,15 @@ def _cmd_train_align(args, settings) -> int:
     out = _out_dir(args)
     cfg = TrainConfig(steps=settings["steps"], batch_size=settings["batch_size"],
                       lr=settings["lr"], lam=settings["lambda"], seed=settings["seed"])
+    start = time.perf_counter()
     report = train_stage1(
         cfg, ConnectorConfig(**settings["dims"]), checkpoint_path=out / "gatemixer.ckpt"
     )
-    with open(out / "training_report.json", "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    wall_time_s = time.perf_counter() - start
+    _write_json(out / "training_report.json", report)
     print(
         f"loss {report.initial_loss:.6f} -> {report.final_loss:.6f} over {cfg.steps} steps "
-        f"(grad check {report.grad_check_rel_err:.3e}, {report.wall_time_s:.2f}s)"
+        f"(grad check {report.grad_check_rel_err:.3e}, {wall_time_s:.2f}s)"
     )
     return 0
 
@@ -214,10 +223,7 @@ def _cmd_verify(args, settings) -> int:
     decision = self_verify(
         score_response(direct_trace, options), score_response(cot_trace, options), alpha
     )
-    record = audit_record(decision, alpha)
-    with open(out / "verify_audit.json", "w", encoding="utf-8") as fh:
-        json.dump(record, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "verify_audit.json", audit_record(decision, alpha))
     print(f"final answer: {decision.final_answer} ({decision.chosen_branch})")
     return 0
 
@@ -235,7 +241,14 @@ def _cmd_eval(args, settings) -> int:
     with closing(_make_backend(settings)) as backend:
         report = run_eval(backend, _load_benchmark(args.benchmark), args.strategy,
                           alpha=settings["alpha"], max_workers=settings["workers"])
-    emit_report(report, out / "report.json")
+    _write_json(out / "report.json", report)
+    lines = ["strategy  alpha  instances  correct  accuracy",
+             f"{report.strategy:<8}  {_alpha_label(report.alpha):<5}  {report.n_instances:<9d}  "
+             f"{report.n_correct:<7d}  {report.accuracy:.4f}"]
+    if report.branch_counts:
+        counts = sorted(report.branch_counts.items())
+        lines.append("branches: " + ", ".join(f"{k}={v}" for k, v in counts))
+    (out / "report.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
     failed = sum(r["error"] is not None for r in report.records)
     print(f"{args.strategy} accuracy: {report.accuracy:.4f} on {report.n_instances} instances, "
           f"{failed} failed")
@@ -252,14 +265,11 @@ def _cmd_sweep(args, settings) -> int:
         grid = _parse_grid(args.grid) if args.grid else default_alpha_grid()
         results = alpha_sweep(backend, _load_benchmark(args.benchmark), grid=grid,
                               max_workers=settings["workers"])
-    lines = ["alpha  accuracy"] + [f"{format_alpha(a):<5}  {acc:.4f}" for a, acc in results]
+    lines = ["alpha  accuracy"] + [f"{_alpha_label(a):<5}  {acc:.4f}" for a, acc in results]
     table = "\n".join(lines) + "\n"
     print(table, end="")
-    with open(out / "sweep.json", "w", encoding="utf-8") as fh:
-        json.dump([{"alpha": a, "accuracy": acc} for a, acc in results], fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(out / "sweep.txt", "w", encoding="utf-8") as fh:
-        fh.write(table)
+    _write_json(out / "sweep.json", [{"alpha": a, "accuracy": acc} for a, acc in results])
+    (out / "sweep.txt").write_text(table, encoding="utf-8")
     return 0
 
 
@@ -269,8 +279,10 @@ def _cmd_curate(args, settings) -> int:
         records = load_records(args.records)
         instances, stats = run_pipeline(records, backend.complete_text,
                                         threshold=settings["threshold"])
-    write_instances(instances, out / "curated.jsonl")
-    write_stats(stats, out / "curation_stats.json")
+    with open(out / "curated.jsonl", "w", encoding="utf-8") as fh:
+        for inst in instances:
+            fh.write(json.dumps(vars(inst), sort_keys=True) + "\n")
+    _write_json(out / "curation_stats.json", stats)
     print(f"kept {stats.kept}, dropped {stats.dropped}")
     return 0
 

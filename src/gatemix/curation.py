@@ -8,7 +8,8 @@ faithfulness/relevance/completeness rubric, the higher-scoring CoT wins
 threshold (default ``SCORE_THRESHOLD``) are dropped. Survivors become
 single-turn instruction instances.
 
-Records arrive as JSONL; instances and a stats summary leave as JSONL/JSON.
+Records arrive as JSONL; ``run_pipeline`` returns the instances and a stats
+summary, and the CLI writes them as JSONL and JSON.
 Records tagged with a held-out split are rejected at ingestion so no
 evaluation data can leak into training sets.
 """
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from importlib import resources
 from typing import Callable, Optional
 
@@ -38,8 +39,6 @@ __all__ = [
     "parse_overall_score",
     "score_candidates",
     "run_pipeline",
-    "write_instances",
-    "write_stats",
 ]
 
 SCORE_THRESHOLD = 0.6
@@ -101,9 +100,6 @@ class PipelineStats:
     kept: int
     dropped: int
     score_histogram: list  # ten bins over [0, 1], by chosen score
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _load_template(name: str) -> str:
@@ -241,15 +237,3 @@ def load_records(path) -> list:
                 )
             records.append(rec)
     return records
-
-
-def write_instances(instances: list, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for inst in instances:
-            fh.write(json.dumps(asdict(inst), sort_keys=True) + "\n")
-
-
-def write_stats(stats: PipelineStats, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(stats.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -2,9 +2,10 @@
 
 Loads benchmark instances from JSONL, runs one of three strategies over a
 backend -- direct answering, step-by-step answering, or the full
-self-verification decision -- and reports accuracy with per-instance audit
-records. Backend, trace and cache I/O failures are contained per instance
-(recorded as incorrect-with-error); any other exception propagates.
+self-verification decision -- and returns accuracy with per-instance audit
+records; the CLI writes the report artifacts. Backend, trace and cache I/O
+failures are contained per instance (recorded as incorrect-with-error); any
+other exception propagates.
 
 Each instance is generated and scored once; the alpha sweep re-runs only
 the decision rule per grid point. Traces can be cached on disk, in one
@@ -27,14 +28,14 @@ import threading
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .backend import (MODES, PROMPT_MODES, BackendError, GenerationTrace, dual_generate,
-                      trace_from_dict, trace_to_dict)
+from .backend import (MODES, PROMPT_MODES, BackendError, GenerationTrace, _check_keys,
+                      dual_generate, trace_from_dict, trace_to_dict)
 from .verify import (BRANCHES, DEFAULT_ALPHA, answers_equal, branch_record, score_response,
                      self_verify)
 
@@ -49,8 +50,6 @@ __all__ = [
     "run_eval",
     "alpha_sweep",
     "default_alpha_grid",
-    "format_alpha",
-    "emit_report",
 ]
 
 STRATEGIES = (*PROMPT_MODES, "sv")
@@ -90,18 +89,16 @@ class BenchmarkInstance:
             raise ValueError(
                 f"options must be a list of [letter, text] pairs of strings, got {self.options!r}")
         self.options = [tuple(o) for o in self.options]
-        if self.options:
-            letters = {l.upper() for l, _ in self.options}
-            if self.gold_answer.upper() not in letters:
-                raise ValueError(
-                    f"gold answer {self.gold_answer!r} not among option letters {sorted(letters)}"
-                )
+        if self.options and not any(answers_equal(self.gold_answer, l) for l, _ in self.options):
+            raise ValueError(f"gold answer {self.gold_answer!r} not among option letters "
+                             f"{sorted(l for l, _ in self.options)}")
 
 
 def load_benchmark(path) -> tuple:
     """Load and validate a benchmark JSONL file.
 
-    Returns (instances, errors): malformed lines land in ``errors`` as
+    Returns (instances, errors): malformed lines, a line with a key that is
+    not a ``BenchmarkInstance`` field included, land in ``errors`` as
     human-readable strings instead of aborting the load. Duplicate ids are a
     hard validation error; zero valid instances is an empty-benchmark error.
     """
@@ -123,6 +120,7 @@ def load_benchmark(path) -> tuple:
                     gold_answer=payload["gold_answer"],
                     split=payload.get("split", "test"),
                 )
+                _check_keys(payload, BenchmarkInstance.__dataclass_fields__, "benchmark")
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                 errors.append(f"line {line_no}: {exc}")
                 continue
@@ -144,9 +142,6 @@ class EvalReport:
     accuracy: float
     branch_counts: dict
     records: list
-
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def _modes_digest() -> str:
@@ -424,36 +419,3 @@ def alpha_sweep(
                         for gold, direct, cot in valid)
         results.append((a, (n_correct / n) if n else 0.0))
     return results
-
-
-def format_alpha(alpha: float) -> str:
-    """``alpha`` as text tables print it: with two decimals, unless that
-    rounds it, and then as JSON holds it."""
-    text = f"{alpha:.2f}"
-    return text if float(text) == alpha else json.dumps(alpha)
-
-
-def _format_table(report: EvalReport) -> str:
-    lines = [
-        "strategy  alpha  instances  correct  accuracy",
-        f"{report.strategy:<8}  {format_alpha(report.alpha):<5}  {report.n_instances:<9d}  "
-        f"{report.n_correct:<7d}  {report.accuracy:.4f}",
-    ]
-    if report.branch_counts:
-        parts = [f"{k}={v}" for k, v in sorted(report.branch_counts.items())]
-        lines.append("branches: " + ", ".join(parts))
-    return "\n".join(lines) + "\n"
-
-
-def emit_report(report: EvalReport, path) -> None:
-    """Write the JSON report plus a plain-text summary table next to it.
-
-    Output is bit-stable for identical reports: sorted keys, fixed float
-    formatting, no timestamps.
-    """
-    path = Path(path)
-    with open(path, "w", encoding="utf-8") as fh:  # streamed: no whole-report string
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    text_path = path.with_suffix(".txt") if path.suffix == ".json" else Path(str(path) + ".txt")
-    text_path.write_text(_format_table(report), encoding="utf-8")

@@ -5,12 +5,13 @@ a fixed random linear pooling map plays the decoder, a fixed random readout
 produces token logits over a tiny vocabulary, and synthetic feature/text
 pairs share a per-item latent so that alignment is actually learnable. The
 optimizer is plain gradient descent, which keeps the update rule exactly
-testable (params - lr * grad).
+testable (params - lr * grad). ``train_stage1`` returns its report and the
+CLI writes it; wall time is printed, not stored, so the report is the same
+bytes on every run.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -120,17 +121,6 @@ class TrainingReport:
     initial_loss: float
     final_loss: float
     grad_check_rel_err: float
-    wall_time_s: float
-
-    def to_dict(self) -> dict:
-        # wall_time_s stays out of the serialized artifact so repeated runs
-        # with the same seed emit byte-identical files.
-        return {
-            "loss_curve": self.loss_curve,
-            "initial_loss": self.initial_loss,
-            "final_loss": self.final_loss,
-            "grad_check_rel_err": self.grad_check_rel_err,
-        }
 
 
 class FrozenStandins:
@@ -283,7 +273,6 @@ def train_stage1(
     in the binary checkpoint format.
     """
     ccfg = connector_cfg or ConnectorConfig()
-    start = time.perf_counter()
     rel_err = grad_check(cfg, ccfg)
     if not rel_err <= GRAD_CHECK_TOL:
         raise RuntimeError(
@@ -307,5 +296,4 @@ def train_stage1(
         initial_loss=initial_loss,
         final_loss=final_loss,
         grad_check_rel_err=rel_err,
-        wall_time_s=time.perf_counter() - start,
     )

@@ -97,63 +97,84 @@ def letter_options(texts: Sequence[str]) -> list:
     return list(zip(OPTION_LETTERS, texts))
 
 
+def _fold(text: str) -> str:
+    """Text as answers are matched: trimmed and case-folded."""
+    return text.strip().casefold()
+
+
 def answers_equal(a: str, b: str) -> bool:
     """The one answer-matching rule: equal after trimming, ignoring case."""
-    return a.strip().casefold() == b.strip().casefold()
+    return _fold(a) == _fold(b)
 
 
-# A "." between two digits is a decimal point: it ends neither a declared
-# answer nor a sentence.
+# A "." before a digit is a decimal point: it ends no declared answer. The
+# lookahead keeps the rest of the declaration's line, which can name an
+# option whose text holds a "." (Dr. Smith, U.S.A).
 _ANSWER_DECL = re.compile(
-    r"\banswer\s*(?:is|:)\s*((?:[^\n.!?]+|(?<=\d)\.(?=\d))+)", re.IGNORECASE
+    r"\banswer\s*(?:is|:)\s*(?=([^\n]*))((?:[^\n.!?]+|\.(?=\d))+)", re.IGNORECASE
 )
 _TRAILING_LETTER = re.compile(r"(?<![\w])([A-Za-z])[)\]]*[.!?]?\s*$")
+# A "." between two digits ends no sentence.
 _SENTENCE_SPLIT = re.compile(r"(?:[.!?\n](?:(?<!\d\.)|(?!\d)))+")
+_QUOTES_AND_BRACKETS = ":*\"'()[]"
 
 
-def _normalize_against_options(candidate: str, options) -> str:
-    candidate = candidate.strip().strip(":*\"'()[]").strip()
-    if not options:
-        return candidate
-    letters = {letter.upper() for letter, _ in options}
-    if len(candidate) == 1 and candidate.upper() in letters:
-        return candidate.upper()
-    lowered = candidate.lower()
-    for letter, text in options:
-        if text and lowered == text.strip().lower():
-            return letter.upper()
-    return candidate
+def _option_letter(candidate: str, options, part: int):
+    """The upper-cased letter of the first option whose letter (``part``
+    0) or text (``part`` 1) matches ``candidate`` as ``answers_equal``
+    does, or None."""
+    folded = _fold(candidate)
+    for option in options:
+        if option[part] and _fold(option[part]) == folded:
+            return option[0].upper()
+    return None
 
 
 def extract_answer(text: str, options: Optional[Sequence] = None) -> str:
     """Pull the answer out of a response with a fixed rule cascade.
 
-    1. the last explicit declaration ("answer is X" / "answer: X");
+    1. the last explicit declaration ("answer is X" / "answer: X"),
+       matched against the options by letter, then by the text of the
+       rest of its line less a final ".", "!" or "?" (so an option text
+       may hold a "."), then by its own text;
     2. a trailing standalone option letter (or, without options, a text
        that is itself a single letter);
     3. the unique option whose text appears in the final sentence;
     4. the whole trimmed text.
-    All matching is case-insensitive; rule 3 falls through on ambiguity.
+    All matching folds case as ``answers_equal`` does, and letters come
+    back upper-cased; rule 3 falls through on ambiguity.
     """
     options = [(str(l), str(t)) for l, t in options] if options else []
 
     declarations = _ANSWER_DECL.findall(text)
     if declarations:
-        return _normalize_against_options(declarations[-1], options)
+        line, declared = declarations[-1]
+        declared = declared.strip().strip(_QUOTES_AND_BRACKETS).strip()
+        if not options:
+            return declared
+        letter = _option_letter(declared, options, 0) if len(declared) == 1 else None
+        if letter is None:
+            line = line.rstrip()
+            line = line[:-1] if line.endswith((".", "!", "?")) else line
+            letter = _option_letter(line.strip(_QUOTES_AND_BRACKETS), options, 1)
+        if letter is None:
+            letter = _option_letter(declared, options, 1)
+        return declared if letter is None else letter
 
     stripped = text.strip()
     if options:
         m = _TRAILING_LETTER.search(stripped)
-        if m and m.group(1).upper() in {l.upper() for l, _ in options}:
-            return m.group(1).upper()
+        letter = _option_letter(m.group(1), options, 0) if m else None
+        if letter is not None:
+            return letter
     elif len(stripped) == 1 and stripped.isalpha():
         return stripped.upper()
 
     if options:
         sentences = [s.strip() for s in _SENTENCE_SPLIT.split(text) if s.strip()]
         if sentences:
-            final = sentences[-1].lower()
-            hits = [l.upper() for l, t in options if t and t.strip().lower() in final]
+            final = sentences[-1].casefold()
+            hits = [l.upper() for l, t in options if t and _fold(t) in final]
             if len(hits) == 1:
                 return hits[0]
 

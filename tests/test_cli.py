@@ -1,6 +1,7 @@
 """CLI tests: every subcommand end to end against mock backends, exit-code
 semantics, and config-file precedence."""
 
+import hashlib
 import json
 import shlex
 import socket
@@ -587,6 +588,61 @@ def test_readme_cli_artifacts_are_strict_json(tmp_path, monkeypatch, capsys):
         text = path.read_text(encoding="utf-8")
         for doc in text.splitlines() if path.suffix == ".jsonl" else [text]:
             json.loads(doc, parse_constant=_reject_constant)
+
+
+# The sha256 of every artifact each command writes on the fixtures, so a
+# change to any artifact's bytes fails here, not only in a rerun comparison.
+_ARTIFACT_RUNS = {
+    "train-align": (["train-align", "--steps", "30", "--seed", "0"], {
+        "gatemixer.ckpt": "b6d633d330ceb47ab706c206ede1361012446ce21f977ace19dc39cf0ab92c8b",
+        "training_report.json": "d52bb73ead6c649beaf066524169ceb00824527ada739ecd233bb93e6e4f81b0",
+    }),
+    "verify": (["verify", "--image-ref", "img-h1", "--question", "question h1",
+                "--option", "yes", "--option", "no", "--backend", EASY_HARD], {
+        "verify_audit.json": "c4994449b62b6ce8641e017e4191a099ec2cb4af59eba209235be81019940cd6",
+    }),
+    "eval-sv": (["eval", "--benchmark", str(FIXTURES / "easy_hard_benchmark.jsonl"),
+                 "--strategy", "sv", "--backend", EASY_HARD], {
+        "report.json": "90bb7c29c8757bfe7993388ae192858e36242b32ccc20f159e56ab2a0f06ff3e",
+        "report.txt": "f546b6066679b13c5e3af22112a85f3378b7f608aadadd27e7f0ed21a9fd73e7",
+    }),
+    "eval-direct": (["eval", "--benchmark", str(FIXTURES / "easy_hard_benchmark.jsonl"),
+                     "--strategy", "direct", "--backend", EASY_HARD], {
+        "report.json": "d62e56fef66312d419b3e85d6d46a484bb4b49f7a415b4c0c0fd8ee6c5a04fa6",
+        "report.txt": "5c1ee8c44d825325774cdbf91da2d1d3631d8841e5e97facfaeee2a5b8abc587",
+    }),
+    "eval-cot": (["eval", "--benchmark", str(FIXTURES / "easy_hard_benchmark.jsonl"),
+                  "--strategy", "cot", "--backend", EASY_HARD], {
+        "report.json": "a5a45dbfc28392e3153c5e16af9b4e7f52c92a12b48e2d59697133ccb44c3698",
+        "report.txt": "a6dbd65b725eb3efa36f92c10ac0e4ae6968b351c36bcba0534e3a5b830670d6",
+    }),
+    "eval-alpha": (["eval", "--benchmark", str(FIXTURES / "easy_hard_benchmark.jsonl"),
+                    "--alpha", "0.125", "--backend", EASY_HARD], {
+        "report.json": "4e936557fe18863ff22ee5dce66a6aeded8842b96e0772564e02937c4b4c90a9",
+        "report.txt": "2c9c8a149c285b203354054ad5e151ba36b17ab2ebf2986523526b6fd99b808a",
+    }),
+    "sweep": (["sweep", "--benchmark", str(FIXTURES / "sweep_benchmark.jsonl"), "--backend", SWEEP], {
+        "sweep.json": "ec3389938bd643dcf546b53286031acaa5df602bafeab9fd7e10e4e4fbbda3f1",
+        "sweep.txt": "340268347d7f8c8346f606ce7528aa9b35368e86b2967aeb5ec3adf0b7b3d4c9",
+    }),
+    "sweep-fine": (["sweep", "--benchmark", str(FIXTURES / "sweep_benchmark.jsonl"),
+                    "--grid", "0:0.03:0.005", "--backend", SWEEP], {
+        "sweep.json": "126736e0586fb86a9d7ce013daf7be980b51b5c5116adf70c46339a8e027a3cf",
+        "sweep.txt": "317473439484d2d6b227ef99d09448c7b7336f9a8f122c10b490fb36badf0d16",
+    }),
+    "curate": (["curate", "--records", str(FIXTURES / "curation_records.jsonl"), "--backend", CURATION], {
+        "curated.jsonl": "1092728ac9ffa3b27e35f393ff30d1857d316fa17f6899fc5a2cdf789393b6e3",
+        "curation_stats.json": "f5bcec2abfc8a1a1a828b21e9b0f03176ae4e578ce935ba01106d17750f0603d",
+    }),
+}
+
+
+@pytest.mark.parametrize("name", _ARTIFACT_RUNS)
+def test_fixture_artifacts_are_pinned(tmp_path, capsys, name):
+    argv, pinned = _ARTIFACT_RUNS[name]
+    assert dispatch(argv + ["--out", str(tmp_path)]) == 0
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert written == pinned
 
 
 class TestConfigPrecedence:

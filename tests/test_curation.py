@@ -2,14 +2,19 @@
 parsing, selection/filtering semantics, and end-to-end determinism."""
 
 import copy
+import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 
+from gatemix import cli
+from gatemix.backend import MockBackend
 from gatemix.curation import (
+    CuratedInstance,
     CurationRecord,
     HeldOutSplitError,
+    PipelineStats,
     ScoreParseError,
     build_rewrite_prompt,
     build_score_prompt,
@@ -17,8 +22,6 @@ from gatemix.curation import (
     parse_overall_score,
     run_pipeline,
     score_candidates,
-    write_instances,
-    write_stats,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -351,13 +354,17 @@ class TestRecordsIO:
         with pytest.raises(ValueError, match=f"records.jsonl:2: bad curation record: {key} must be"):
             load_records(path)
 
-    def test_write_outputs(self, tmp_path):
+    def test_write_outputs(self, tmp_path, capsys):
         records = [_record(id="w1", source_kind="ai-generated")]
-        instances, stats = run_pipeline(records, _scripted_llm)
-        out = tmp_path / "curated.jsonl"
-        stats_path = tmp_path / "stats.json"
-        write_instances(instances, out)
-        write_stats(stats, stats_path)
-        reloaded = [json.loads(line) for line in out.read_text().splitlines()]
+        path = tmp_path / "records.jsonl"
+        path.write_text(json.dumps(dataclasses.asdict(records[0])) + "\n")
+        script = tmp_path / "script.json"
+        script.write_text(json.dumps({"default_completion": "Scoring: 0.7\nExplanation: fine."}))
+        instances, stats = run_pipeline(records, MockBackend.from_json(script).complete_text)
+        assert cli.dispatch(["curate", "--records", str(path), "--backend", f"mock:{script}",
+                             "--out", str(tmp_path / "c")]) == 0
+        reloaded = [json.loads(line) for line in (tmp_path / "c" / "curated.jsonl").read_text().splitlines()]
         assert reloaded[0]["id"] == "w1"
-        assert json.loads(stats_path.read_text())["kept"] == 1
+        assert [CuratedInstance(**r) for r in reloaded] == instances
+        assert PipelineStats(**json.loads((tmp_path / "c" / "curation_stats.json").read_text())) == stats
+        assert stats.kept == 1

@@ -16,22 +16,22 @@ from pathlib import Path
 import pytest
 
 from gatemix import backend as backend_module
-from gatemix import evalharness
+from gatemix import cli, evalharness
 from gatemix.backend import (BackendError, BackendRequest, GenerationTrace, MockBackend,
                              build_prompt, dual_generate, trace_from_dict, trace_to_dict)
 from gatemix.evalharness import (
     BenchmarkInstance,
     BenchmarkValidationError,
     EmptyBenchmarkError,
+    EvalReport,
     TraceCache,
     alpha_sweep,
     default_alpha_grid,
-    emit_report,
     load_benchmark,
     run_eval,
 )
 
-from conftest import make_trace
+from conftest import FIXTURES, make_trace
 
 FLOAT_FIELDS = ("token_logprobs", "img_rep", "txt_rep")
 
@@ -171,6 +171,26 @@ class TestLoadBenchmark:
         assert len(errors) == 1 and errors[0].startswith("line 2: ")
         assert ("list" if field == "options" else "string") in errors[0]
 
+    @pytest.mark.parametrize("key", ["optons", "splt"])
+    def test_unknown_key_skips_its_line(self, tmp_path, key):
+        """A misspelt key is not dropped: "optons" would load the item as
+        free text with the gold 'A'."""
+        path = tmp_path / "bench.jsonl"
+        good = {"id": "ok", "image_ref": "img", "question": "q?",
+                "options": [["A", "x"], ["B", "y"]], "gold_answer": "A"}
+        bad = {**good, "id": "bad"}
+        bad[key] = bad.pop("options") if key == "optons" else "train"
+        path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+        instances, errors = load_benchmark(path)
+        assert [i.id for i in instances] == ["ok"]
+        assert errors == [f"line 2: unknown benchmark key {key!r}"]
+
+    @pytest.mark.parametrize("gold, letter", [("b", "B"), (" B ", "B"), ("SS", "ß")],
+                             ids=["lower-case", "padded", "case-fold"])
+    def test_gold_letter_matches_as_answers_do(self, gold, letter):
+        inst = BenchmarkInstance("i", "img", "q?", [("A", "x"), (letter, "y")], gold)
+        assert inst.gold_answer == gold
+
     def test_gold_must_be_an_option_letter(self, tmp_path):
         path = tmp_path / "bench.jsonl"
         row = {"id": "x", "image_ref": "img", "question": "q?",
@@ -248,7 +268,7 @@ class TestRunEval:
     def test_parallel_matches_serial(self, easy_hard_backend, easy_hard_instances):
         serial = run_eval(easy_hard_backend, easy_hard_instances, "sv", max_workers=1)
         parallel = run_eval(easy_hard_backend, easy_hard_instances, "sv", max_workers=4)
-        assert serial.to_dict() == parallel.to_dict()
+        assert serial == parallel
 
     def test_invalid_strategy_rejected(self, easy_hard_backend, easy_hard_instances):
         with pytest.raises(ValueError):
@@ -790,22 +810,28 @@ class TestTraceLog:
 
 
 class TestEmitReport:
+    """The report artifacts ``gatemix eval`` writes."""
+
     def test_roundtrip(self, easy_hard_backend, easy_hard_instances, tmp_path):
         report = run_eval(easy_hard_backend, easy_hard_instances, "sv")
         path = tmp_path / "report.json"
-        emit_report(report, path)
-        assert json.loads(path.read_text()) == report.to_dict()
+        cli._write_json(path, report)
+        assert EvalReport(**json.loads(path.read_text())) == report
 
-    def test_text_table_prints_four_decimals(self, easy_hard_backend, easy_hard_instances, tmp_path):
-        report = run_eval(easy_hard_backend, easy_hard_instances, "sv")
-        emit_report(report, tmp_path / "report.json")
+    @staticmethod
+    def _eval(out: Path) -> None:
+        assert cli.dispatch(["eval", "--benchmark", str(FIXTURES / "easy_hard_benchmark.jsonl"),
+                             "--backend", f"mock:{FIXTURES / 'easy_hard_script.json'}",
+                             "--out", str(out)]) == 0
+
+    def test_text_table_prints_four_decimals(self, tmp_path, capsys):
+        self._eval(tmp_path)
         text = (tmp_path / "report.txt").read_text()
         assert "1.0000" in text
         assert "sv" in text
 
-    def test_emission_is_bit_stable(self, easy_hard_backend, easy_hard_instances, tmp_path):
-        report = run_eval(easy_hard_backend, easy_hard_instances, "sv")
-        emit_report(report, tmp_path / "a.json")
-        emit_report(report, tmp_path / "b.json")
-        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
-        assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
+    def test_emission_is_bit_stable(self, tmp_path, capsys):
+        self._eval(tmp_path / "a")
+        self._eval(tmp_path / "b")
+        for name in ("report.json", "report.txt"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()

@@ -1,13 +1,16 @@
 """Alignment-trainer tests: synthetic pairing, the update rule, freezing,
 and determinism."""
 
+import dataclasses
 import hashlib
+import json
+import re
 
 import numpy as np
 import pytest
 
 from conftest import reference_stage1_loss
-from gatemix import training
+from gatemix import cli, training
 from gatemix.connector import ConnectorConfig, init_params
 from gatemix.tensor import Graph, backward, finite_diff_check, no_grad
 from gatemix.training import (
@@ -15,6 +18,7 @@ from gatemix.training import (
     FrozenStandins,
     GDState,
     TrainConfig,
+    TrainingReport,
     stage1_loss,
     synth_batch,
     train_stage1,
@@ -343,10 +347,13 @@ class TestTrainStage1:
         assert cfg == ConnectorConfig()
         assert params.W2.shape == (cfg.d, cfg.d_llm)
 
-    def test_report_json_excludes_wall_time(self):
-        report = train_stage1(TrainConfig(steps=2))
-        assert "wall_time_s" not in report.to_dict()
-        assert report.wall_time_s > 0
+    def test_report_json_excludes_wall_time(self, tmp_path, capsys):
+        assert "wall_time_s" not in {f.name for f in dataclasses.fields(TrainingReport)}
+        assert cli.dispatch(["train-align", "--steps", "2", "--out", str(tmp_path)]) == 0
+        assert set(json.loads((tmp_path / "training_report.json").read_text())) == {
+            "loss_curve", "initial_loss", "final_loss", "grad_check_rel_err"}
+        assert re.fullmatch(r"loss .* over 2 steps \(grad check .*, \d+\.\d\ds\)\n",
+                            capsys.readouterr().out)
 
 
 class TestTrainConfigValidation:

@@ -175,6 +175,7 @@ class TestExtractAnswer:
         ("The answer is 3.14", "3.14"),
         ("So the answer is $1.50 per item.", "$1.50 per item"),
         ("The answer is B.", "B"),
+        ("The answer is .5.", ".5"),
     ])
     def test_decimal_point_does_not_end_a_declaration(self, text, want):
         assert extract_answer(text) == want
@@ -183,6 +184,29 @@ class TestExtractAnswer:
                                       "The answer is 2.5 liters."])
     def test_decimal_point_does_not_end_a_sentence(self, text):
         assert extract_answer(text, [("A", "1.5 liters"), ("B", "2.5 liters")]) == "B"
+
+    @pytest.mark.parametrize("text, want", [
+        ("The answer is Dr. Smith.", "A"),
+        ("The answer is U.S.A.", "B"),
+        ("The answer is u.s.a", "B"),
+        ('The answer is "Dr. Smith"!', "A"),
+        ("The answer is B.", "B"),
+        ("The answer is B. Because the flag says so.", "B"),
+        ("The answer is Dr. Smith.\nU.S.A is wrong.", "A"),
+    ])
+    def test_declared_line_names_an_option_text_with_a_dot(self, text, want):
+        assert extract_answer(text, [("A", "Dr. Smith"), ("B", "U.S.A")]) == want
+
+    def test_declared_letter_comes_before_option_texts(self):
+        assert extract_answer("The answer is B.", [("A", "B"), ("B", "C")]) == "B"
+
+    @pytest.mark.parametrize("text", ["The answer is STRASSE.", "I pick strasse",
+                                      "The answer is straße"])
+    def test_options_match_with_the_answers_equal_fold(self, text):
+        assert extract_answer(text, [("A", "Straße"), ("B", "Berlin")]) == "A"
+
+    def test_letters_come_back_upper_cased(self):
+        assert extract_answer("The answer is b.", [("a", "x"), ("b", "y")]) == "B"
 
 
 class TestSelfVerify:
