@@ -321,7 +321,8 @@ def _read_line(reader) -> bytes:
 
 def _read_headers(reader) -> dict:
     """The header fields up to the blank line, by lower-case name; the
-    first of repeated fields wins."""
+    first of repeated fields wins. ``Content-Length`` fields that differ
+    leave the body's end unknown (RFC 9112 section 6.3)."""
     headers = {}
     for _ in range(_MAX_HEADERS + 1):
         line = _read_line(reader)
@@ -330,7 +331,9 @@ def _read_headers(reader) -> dict:
         if not line:
             raise _ReplyError("reply ended inside its headers")
         name, _, value = line.decode("latin-1").partition(":")
-        headers.setdefault(name.strip().lower(), value.strip())
+        name, value = name.strip().lower(), value.strip()
+        if headers.setdefault(name, value) != value and name == "content-length":
+            raise _ReplyError(f"differing Content-Length values {headers[name]!r} and {value!r}")
     raise _ReplyError(f"more than {_MAX_HEADERS} reply headers")
 
 

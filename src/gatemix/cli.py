@@ -37,15 +37,8 @@ from .backend import BackendError, MockBackend, RemoteBackend, dual_generate
 from .connector import ConnectorConfig
 from .curation import SCORE_THRESHOLD, load_records, run_pipeline
 from .evalharness import STRATEGIES, alpha_sweep, default_alpha_grid, load_benchmark, run_eval
-from .training import GRAD_CHECK_TOL, DivergenceError, TrainConfig, grad_check, train_stage1
-from .verify import (
-    DEFAULT_ALPHA,
-    ConfigError,
-    audit_record,
-    letter_options,
-    score_response,
-    self_verify,
-)
+from .training import GRAD_CHECK_TOL, TrainConfig, grad_check, train_stage1
+from .verify import DEFAULT_ALPHA, audit_record, letter_options, score_response, self_verify
 
 API_KEY_ENV = "GATEMIX_API_KEY"
 
@@ -217,13 +210,11 @@ def _cmd_train_align(args, settings) -> int:
 def _cmd_verify(args, settings) -> int:
     out = _out_dir(args)
     with closing(_make_backend(settings)) as backend:
-        alpha = settings["alpha"]
         options = letter_options(args.option or [])
         direct_trace, cot_trace = dual_generate(backend, args.image_ref, args.question)
-    decision = self_verify(
-        score_response(direct_trace, options), score_response(cot_trace, options), alpha
-    )
-    _write_json(out / "verify_audit.json", audit_record(decision, alpha))
+    decision = self_verify(score_response(direct_trace, options),
+                           score_response(cot_trace, options), settings["alpha"])
+    _write_json(out / "verify_audit.json", audit_record(decision))
     print(f"final answer: {decision.final_answer} ({decision.chosen_branch})")
     return 0
 
@@ -338,10 +329,10 @@ def dispatch(argv) -> int:
         # service is at fault
         print(f"failure: {exc}", file=sys.stderr)
         return 2
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (DivergenceError, RuntimeError, OSError) as exc:
+    except (RuntimeError, OSError) as exc:
         print(f"failure: {exc}", file=sys.stderr)
         return 2
 

@@ -36,8 +36,8 @@ import numpy as np
 
 from .backend import (MODES, PROMPT_MODES, BackendError, GenerationTrace, _check_keys,
                       dual_generate, trace_from_dict, trace_to_dict)
-from .verify import (BRANCHES, DEFAULT_ALPHA, answers_equal, branch_record, score_response,
-                     self_verify)
+from .verify import (BRANCHES, DEFAULT_ALPHA, answers_equal, branch_record, check_alpha,
+                     score_response, self_verify)
 
 __all__ = [
     "STRATEGIES",
@@ -53,8 +53,6 @@ __all__ = [
 ]
 
 STRATEGIES = (*PROMPT_MODES, "sv")
-
-SV_BRANCHES = (*BRANCHES, "error")
 
 LOG_NAME = "traces.jsonl"
 # Written before the next line when the log ends in a torn line.
@@ -334,7 +332,8 @@ def _eval_one(backend, inst: BenchmarkInstance, strategy: str, alpha: float,
         record["predicted"], record["branch"] = decision.final_answer, decision.chosen_branch
     else:
         record["predicted"], record["branch"] = scored[strategy].answer, strategy
-    record.update((branch, branch_record(resp)) for branch, resp in scored.items())
+    sc_alpha = alpha if strategy == "sv" else None  # a lone branch is weighed at no alpha
+    record.update((branch, branch_record(resp, sc_alpha)) for branch, resp in scored.items())
     record["correct"] = answers_equal(record["predicted"], inst.gold_answer)
     return record
 
@@ -366,13 +365,12 @@ def run_eval(
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
-    if not (0.0 <= alpha <= 1.0):
-        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
+    check_alpha(alpha)
     records = _map(lambda inst: _eval_one(backend, inst, strategy, alpha, cache),
                    instances, max_workers)
     n = len(records)
     n_correct = sum(1 for r in records if r["correct"])
-    branch_counts = ({b: sum(r["branch"] == b for r in records) for b in SV_BRANCHES}
+    branch_counts = ({b: sum(r["branch"] == b for r in records) for b in (*BRANCHES, "error")}
                      if strategy == "sv" else {})
     return EvalReport(
         strategy=strategy,
@@ -406,8 +404,7 @@ def alpha_sweep(
     """
     grid = default_alpha_grid() if grid is None else list(grid)
     for a in grid:
-        if not (0.0 <= a <= 1.0):
-            raise ValueError(f"alpha grid value {a} outside [0, 1]")
+        check_alpha(a)
     with TraceCache(cache_dir) if cache_dir is not None else nullcontext() as cache:
         scored = _map(lambda inst: _score(backend, inst, "sv", cache), instances, max_workers)
     valid = [(inst.gold_answer, pair["direct"], pair["cot"])

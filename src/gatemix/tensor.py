@@ -143,12 +143,6 @@ class Tensor:
     def __rtruediv__(self, other):
         return _binary("div", other, self, np.divide, _div_grad)
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return self * -1.0
-
     def sum(self, axis: Optional[int] = None) -> "Tensor":
         return _reduce("sum", self, axis)
 
@@ -170,9 +164,6 @@ class Tensor:
             raise ValueError("sqrt: requires strictly positive input")
         out_data = np.sqrt(self.data)
         return _op("sqrt", (self,), out_data, _sqrt_grad, out_data)
-
-    def sigmoid(self) -> "Tensor":
-        return sigmoid(self)
 
     def transpose(self) -> "Tensor":
         data = self.data
@@ -282,8 +273,7 @@ def _any_non_positive(a: np.ndarray) -> bool:
 
 
 def _as_tensor(x) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
+    """``x``, which is not a Tensor, as a constant Tensor."""
     if isinstance(x, (float, int)):
         if not math.isfinite(x):
             raise ValueError("tensor data must be finite")

@@ -8,17 +8,18 @@ step-by-step one; otherwise compare the weighted scores
 
 where S is the image/text representation similarity mapped onto [0, 1] and
 C is the exponential of the mean token log-probability (a normalized
-perplexity in (0, 1]). Ties go to the step-by-step branch. A trace's
-values arrive as read-only float64 arrays; C sums the logprobs in token
-order on every Python version, as a last-bit change can flip a tie.
+perplexity in (0, 1]). Ties go to the step-by-step branch. SC is computed
+for each decision at that decision's alpha and stored on no response. A
+trace's values arrive as read-only float64 arrays; C sums the logprobs in
+token order on every Python version, as a last-bit change can flip a tie.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from functools import partial
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -28,10 +29,10 @@ from .tensor import cosine_sim
 __all__ = [
     "DEFAULT_ALPHA",
     "BRANCHES",
-    "ConfigError",
     "InvalidLogProbError",
     "ScoredResponse",
     "VerifyDecision",
+    "check_alpha",
     "confidence",
     "similarity_score",
     "letter_options",
@@ -50,12 +51,15 @@ BRANCHES = ("cot-by-agreement", "cot-by-score", "direct-by-score")
 OPTION_LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 
-class ConfigError(ValueError):
-    """Invalid verification configuration (e.g. alpha outside [0, 1])."""
-
-
 class InvalidLogProbError(ValueError):
     """Token log-probabilities are empty, positive or NaN."""
+
+
+def check_alpha(alpha: float) -> None:
+    """The one range check of a weighting alpha: outside [0, 1], NaN
+    included, is a ValueError."""
+    if not (0.0 <= alpha <= 1.0):
+        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
 
 
 def _mean_logprob(token_logprobs) -> float:
@@ -181,16 +185,18 @@ def extract_answer(text: str, options: Optional[Sequence] = None) -> str:
     return text.strip()
 
 
-@dataclass
-class ScoredResponse:
-    """A response with its extracted answer and the two raw scores; ``sc``
-    is filled once a weighting alpha is applied."""
+class ScoredResponse(NamedTuple):
+    """A response with its extracted answer and the two raw scores; each
+    decision computes ``sc`` at its own alpha, so none is stored."""
 
     trace: GenerationTrace
     answer: str
     s: float
     c: float
-    sc: Optional[float] = None
+
+    def sc(self, alpha: float) -> float:
+        """The weighted score the decision rule compares at ``alpha``."""
+        return (1.0 - alpha) * self.s + alpha * self.c
 
 
 def score_response(trace: GenerationTrace, options: Optional[Sequence] = None) -> ScoredResponse:
@@ -203,12 +209,20 @@ def score_response(trace: GenerationTrace, options: Optional[Sequence] = None) -
     )
 
 
-@dataclass
-class VerifyDecision:
+class VerifyDecision(NamedTuple):
+    """The rule's immutable outcome at ``alpha``: the final answer, the
+    member of ``BRANCHES`` that gave it, and the two responses it weighed."""
+
     final_answer: str
     chosen_branch: str
     direct: ScoredResponse
     cot: ScoredResponse
+    alpha: float
+
+
+# Skips VerifyDecision's generated __new__, a Python-level call: a sweep
+# decides once per instance and grid point.
+_new_decision = partial(tuple.__new__, VerifyDecision)
 
 
 def self_verify(
@@ -217,32 +231,35 @@ def self_verify(
     """Decide the final answer between the two branches.
 
     Agreement short-circuits to the step-by-step answer. On disagreement,
-    each branch gets SC = (1 - alpha) * S + alpha * C and the step-by-step
-    answer wins ties (SC_cot >= SC_direct).
+    the step-by-step answer wins unless the direct branch has the higher
+    ``sc(alpha)`` (ties go to step-by-step). Neither response is changed.
     """
-    if not (0.0 <= alpha <= 1.0):
-        raise ConfigError(f"alpha must be in [0, 1], got {alpha}")
-    direct.sc = (1.0 - alpha) * direct.s + alpha * direct.c
-    cot.sc = (1.0 - alpha) * cot.s + alpha * cot.c
+    check_alpha(alpha)
     if answers_equal(cot.answer, direct.answer):
-        return VerifyDecision(cot.answer, "cot-by-agreement", direct, cot)
-    if cot.sc >= direct.sc:
-        return VerifyDecision(cot.answer, "cot-by-score", direct, cot)
-    return VerifyDecision(direct.answer, "direct-by-score", direct, cot)
+        branch = BRANCHES[0]
+    elif cot.sc(alpha) >= direct.sc(alpha):
+        branch = BRANCHES[1]
+    else:
+        return _new_decision((direct.answer, BRANCHES[2], direct, cot, alpha))
+    return _new_decision((cot.answer, branch, direct, cot, alpha))
 
 
-def branch_record(resp: ScoredResponse) -> dict:
-    """The answer and scores of one branch, as eval and audit records hold them."""
-    return {"answer": resp.answer, "s": resp.s, "c": resp.c, "sc": resp.sc}
+def branch_record(resp: ScoredResponse, alpha: Optional[float]) -> dict:
+    """The answer and scores of one branch, as eval and audit records hold
+    them; ``sc`` is the score at the decision's ``alpha``, None without one."""
+    return {"answer": resp.answer, "s": resp.s, "c": resp.c,
+            "sc": None if alpha is None else resp.sc(alpha)}
 
 
-def audit_record(decision: VerifyDecision, alpha: float) -> dict:
-    """One JSON-ready object per verified instance, for offline audit: each
-    branch's ``branch_record`` plus its text, token count and mean logprob."""
-    record = {"alpha": alpha, "final_answer": decision.final_answer,
+def audit_record(decision: VerifyDecision) -> dict:
+    """One JSON-ready object per verified instance, for offline audit: the
+    decision's alpha and, for each branch, its ``branch_record`` at that
+    alpha plus its text, token count and mean logprob."""
+    record = {"alpha": decision.alpha, "final_answer": decision.final_answer,
               "chosen_branch": decision.chosen_branch}
     for name, resp in (("direct", decision.direct), ("cot", decision.cot)):
         lps = resp.trace.token_logprobs
-        record[name] = {**branch_record(resp), "text": resp.trace.text, "n_tokens": len(lps),
+        record[name] = {**branch_record(resp, decision.alpha), "text": resp.trace.text,
+                        "n_tokens": len(lps),
                         "mean_logprob": _mean_logprob(lps) if len(lps) else None}
     return record

@@ -466,6 +466,13 @@ class TestRemoteBackend:
         assert code == 2
         assert "not a valid trace" in capsys.readouterr().err
 
+    def test_reply_without_text_is_backend_error(self, stub_server):
+        endpoint, handler = stub_server
+        handler.reply = {"logprobs": [-0.1]}
+        with pytest.raises(BackendError, match="lacks 'text'"):
+            RemoteBackend(endpoint).generate(BackendRequest("img1", QUESTION, "direct"))
+        assert len(handler.requests) == 1
+
     def test_missing_embeddings_degrades_to_neutral(self, stub_server, caplog):
         endpoint, handler = stub_server
         handler.reply = {"text": "B", "logprobs": [-0.1]}
@@ -780,14 +787,43 @@ class TestWire:
         (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n5\r\n{\"te", "IncompleteRead"),
         (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\n", "bad chunk size"),
         (b"HTTP/1.1 200 OK\r\nContent-Length: -1\r\n\r\n", "bad Content-Length"),
+        (b"HTTP/1.1 200 OK\r\nContent-Length: 13\r\nContent-Length: 2\r\n\r\n{\"text\": \"B\"}",
+         "differing Content-Length values '13' and '2'"),
+        (b"HTTP/1.1 200 OK\r\nContent-Length: 13\r\n", "reply ended inside its headers"),
+        (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n2\r\n{}XX\r\n0\r\n\r\n",
+         "chunk data not followed by a line end"),
+        (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: gzip\r\n\r\n", "unsupported Transfer-Encoding"),
     ], ids=["not-http", "four-digit-status", "long-line", "101-headers", "truncated-chunk",
-            "bad-chunk-size", "bad-length"])
+            "bad-chunk-size", "bad-length", "differing-lengths", "ends-in-headers",
+            "chunk-without-line-end", "gzip-coding"])
     def test_broken_reply_spends_an_attempt(self, wire_server, reply, message):
         wire_server.replies = [(reply, True)] * 2
         with pytest.raises(RetryableTransportError, match=message) as exc:
             _calls(wire_server, 1, retries=2)
         assert exc.value.attempts == 2
         assert (wire_server.connections, len(wire_server.requests)) == (2, 2)
+
+    def test_identical_content_lengths_are_accepted(self, wire_server):
+        reply = b"HTTP/1.1 200 OK\r\nContent-Length: 13\r\ncontent-length:13\r\n\r\n{\"text\": \"B\"}"
+        wire_server.replies = [(reply, False)]
+        assert _calls(wire_server, 2) == ["B", "B"]
+        assert wire_server.connections == 1
+
+    # a 204 reply has no body, whatever its headers say
+    @pytest.mark.parametrize("reply", [
+        b"HTTP/1.1 204 No Content\r\nContent-Length: 3\r\n\r\n",
+        b"HTTP/1.1 200 OK\r\nContent-Length: 3\r\n\r\nnot",
+    ], ids=["204", "not-json"])
+    def test_2xx_body_that_is_not_json_is_not_retried(self, wire_server, reply):
+        wire_server.replies = [(reply, False)]
+        backend = RemoteBackend(wire_server.url, retry_wait=0.0, retries=3)
+        try:
+            with pytest.raises(BackendError, match="malformed JSON"):
+                backend.complete_text("score this")
+            assert backend.complete_text("score this") == "B"
+        finally:
+            backend.close()
+        assert (wire_server.connections, len(wire_server.requests)) == (1, 2)
 
     def test_http_client_and_ssl_are_not_imported(self):
         # ssl loads only for an https endpoint; http.client not at all

@@ -5,6 +5,8 @@ import hashlib
 import json
 import shlex
 import socket
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -133,6 +135,17 @@ class TestEval:
         assert json.loads((out / "report.json").read_text())["alpha"] == float(alpha)
         row = (out / "report.txt").read_text().splitlines()[1]
         assert row.startswith(f"sv        {label}  4 ")
+
+    def test_malformed_benchmark_line_is_a_warning(self, tmp_path, capsys):
+        benchmark = tmp_path / "bench.jsonl"
+        lines = (FIXTURES / "easy_hard_benchmark.jsonl").read_text().splitlines()
+        benchmark.write_text("\n".join(lines[:2] + ["{not json"] + lines[2:]) + "\n")
+        code = dispatch(["eval", "--benchmark", str(benchmark), "--backend", EASY_HARD,
+                         "--out", str(tmp_path / "e")])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert captured.err.startswith("warning: skipped line 3: ")
+        assert captured.out == "sv accuracy: 1.0000 on 4 instances, 0 failed\n"
 
     def test_dead_service_fails_every_instance_and_exits_2(self, tmp_path, capsys):
         with socket.socket() as sock:  # a loopback port that nothing listens on
@@ -339,8 +352,12 @@ class TestExitCodes:
           "--backend", EASY_HARD], "workers must be >= 1"),
         (["sweep", "--workers", "-2", "--benchmark", str(FIXTURES / "sweep_benchmark.jsonl"),
           "--backend", SWEEP], "workers must be >= 1"),
+        (["sweep", "--grid", "0:1", "--benchmark", str(FIXTURES / "sweep_benchmark.jsonl"),
+          "--backend", SWEEP], "grid must look like start:stop:step"),
+        (["verify", "--alpha", "1.5", "--image-ref", "img-h1", "--question", "question h1",
+          "--backend", EASY_HARD], "alpha must be in [0, 1], got 1.5"),
     ], ids=["negative-seed", "nan-lambda", "inf-lambda", "negative-lambda", "zero-eval-workers",
-            "negative-sweep-workers"])
+            "negative-sweep-workers", "two-part-grid", "verify-alpha"])
     def test_bad_setting_is_named(self, tmp_path, capsys, argv, message):
         out = [] if argv[0] == "gradcheck" else ["--out", str(tmp_path / "x")]
         assert dispatch(argv + out) == 1
@@ -464,6 +481,12 @@ class TestExitCodes:
                                  "--out", str(tmp_path / "x")]
         assert dispatch(["--config", str(path)] + command) == 1
         assert f"config key {key}" in capsys.readouterr().err
+
+    def test_config_file_that_is_not_an_object_is_validation_error(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps([{"alpha": 0.7}]))
+        assert dispatch(["--config", str(path), "gradcheck"]) == 1
+        assert "config file must hold a JSON object" in capsys.readouterr().err
 
 
 class _Reads(dict):
@@ -674,3 +697,16 @@ class TestConfigPrecedence:
         assert code == 0
         report = json.loads((out / "report.json").read_text())
         assert report["alpha"] == 0.9
+
+
+class TestEntryPoint:
+    def test_module_runs_as_the_console_script(self, capsys):
+        # pyproject.toml installs gatemix = gatemix.cli:main
+        result = subprocess.run([sys.executable, "-m", "gatemix.cli", "gradcheck", "--seed", "0"],
+                                capture_output=True, text=True, timeout=120,
+                                env={"PYTHONPATH": str(Path(cli.__file__).parents[1])})
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.startswith("max relative error: ")
+        assert result.stdout.endswith(" (tolerance 1e-04)\n")
+        assert cli.main(["--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: gatemix")

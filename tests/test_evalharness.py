@@ -274,6 +274,14 @@ class TestRunEval:
         with pytest.raises(ValueError):
             run_eval(easy_hard_backend, easy_hard_instances, "beam")
 
+    @pytest.mark.parametrize("alpha", [-0.01, 1.5, math.nan])
+    def test_alpha_has_one_range_check(self, easy_hard_backend, easy_hard_instances, alpha):
+        for strategy in ("direct", "sv"):
+            with pytest.raises(ValueError, match=r"alpha must be in \[0, 1\]"):
+                run_eval(easy_hard_backend, easy_hard_instances, strategy, alpha=alpha)
+        with pytest.raises(ValueError, match=r"alpha must be in \[0, 1\]"):
+            alpha_sweep(easy_hard_backend, easy_hard_instances, grid=[0.5, alpha])
+
 
 class TestAlphaSweep:
     def test_default_grid_has_eleven_points(self, easy_hard_backend, easy_hard_instances):

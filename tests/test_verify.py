@@ -12,7 +12,6 @@ import pytest
 from gatemix.backend import GenerationTrace
 from gatemix.tensor import DegenerateVectorError
 from gatemix.verify import (
-    ConfigError,
     InvalidLogProbError,
     ScoredResponse,
     audit_record,
@@ -142,6 +141,9 @@ class TestExtractAnswer:
 
     def test_option_text_resolves_to_letter(self):
         assert extract_answer("The answer is green.", OPTIONS) == "B"
+        # the rest of the line names no option, the declared text does
+        assert extract_answer("The answer is no. It is the only one left.",
+                              [("A", "yes"), ("B", "no")]) == "B"
 
     def test_unique_option_in_final_sentence(self):
         text = "Looking closely at the image. The region must be yellow"
@@ -224,8 +226,8 @@ class TestSelfVerify:
         decision = self_verify(direct, cot, alpha=0.7)
         assert decision.chosen_branch == "direct-by-score"
         assert decision.final_answer == "A"
-        assert direct.sc == pytest.approx(0.87)
-        assert cot.sc == pytest.approx(0.845)
+        assert direct.sc(0.7) == pytest.approx(0.87)
+        assert cot.sc(0.7) == pytest.approx(0.845)
 
     def test_exact_tie_goes_to_cot(self):
         direct = _scored("A", s=0.6, c=0.6)
@@ -238,8 +240,27 @@ class TestSelfVerify:
         direct = _scored("A", s=0.5, c=0.5)
         cot = _scored("B", s=0.5, c=0.5)
         for bad in (-0.01, 1.01, 2.0):
-            with pytest.raises(ConfigError):
+            with pytest.raises(ValueError, match="alpha must be in"):
                 self_verify(direct, cot, alpha=bad)
+
+    def test_a_later_decision_leaves_an_earlier_one_as_it_was(self):
+        # at 0.7 SC_direct = 0.3*0.8 + 0.7*0.9 = 0.87 beats SC_cot = 0.69;
+        # at 0.0 SC_cot = 0.9 beats SC_direct = 0.8
+        direct, cot = _scored("A", s=0.8, c=0.9), _scored("B", s=0.9, c=0.6)
+        first = self_verify(direct, cot, 0.7)
+        assert self_verify(direct, cot, 0.0).chosen_branch == "cot-by-score"
+        record = audit_record(first)
+        assert (record["alpha"], record["chosen_branch"]) == (0.7, "direct-by-score")
+        assert record["direct"]["sc"] == pytest.approx(0.87)
+        assert record["cot"]["sc"] == pytest.approx(0.69)
+        assert record["direct"]["sc"] > record["cot"]["sc"]
+
+    def test_responses_and_decisions_are_frozen(self):
+        direct, cot = _scored("A", s=0.8, c=0.9), _scored("B", s=0.9, c=0.6)
+        decision = self_verify(direct, cot, 0.7)
+        for obj, field in ((direct, "s"), (cot, "answer"), (decision, "alpha")):
+            with pytest.raises(AttributeError):
+                setattr(obj, field, 0.0)
 
     def test_alpha_zero_ignores_confidence(self):
         for c_direct in (0.05, 0.5, 0.95):
@@ -268,13 +289,12 @@ class TestSelfVerify:
         assert scored.answer == "B"
         assert scored.c == pytest.approx(0.5, abs=1e-12)
         assert scored.s == pytest.approx(0.75, abs=1e-12)
-        assert scored.sc is None
 
     def test_audit_record_extends_branch_record(self):
         decision = self_verify(_scored("A", s=0.8, c=0.9), _scored("B", s=0.6, c=0.95), 0.7)
-        record = audit_record(decision, 0.7)
+        record = audit_record(decision)
         for name in ("direct", "cot"):
-            short = branch_record(getattr(decision, name))
+            short = branch_record(getattr(decision, name), 0.7)
             assert set(short) == {"answer", "s", "c", "sc"}
             assert {k: record[name][k] for k in short} == short
             assert set(record[name]) - set(short) == {"text", "n_tokens", "mean_logprob"}
@@ -284,7 +304,7 @@ class TestSelfVerify:
         lps = [-rng.expovariate(1.0) for _ in range(200)]
         cot = GenerationTrace("B", lps, (1.0, 0.0), (1.0, 0.0))
         zeros = GenerationTrace("A", (-0.0, -0.0), (1.0, 0.0), (1.0, 0.0))
-        record = audit_record(self_verify(score_response(zeros), score_response(cot), 0.7), 0.7)
+        record = audit_record(self_verify(score_response(zeros), score_response(cot), 0.7))
         # reduce adds in order on every Python version; sum does not from 3.12 on
         assert record["cot"]["mean_logprob"] == functools.reduce(operator.add, lps, 0.0) / 200
         assert math.copysign(1.0, record["direct"]["mean_logprob"]) == 1.0  # 0.0, as sum gives
