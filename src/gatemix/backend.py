@@ -46,6 +46,7 @@ __all__ = [
     "build_prompt",
     "MockBackend",
     "RemoteBackend",
+    "generate_branch",
     "dual_generate",
     "trace_to_dict",
     "trace_from_dict",
@@ -602,14 +603,15 @@ class RemoteBackend:
         return text
 
 
+def generate_branch(backend, image_ref: str, question: str, mode: str) -> GenerationTrace:
+    """Run one task prompt for one instance. A failure raises a BackendError
+    naming the mode."""
+    try:
+        return backend.generate(BackendRequest(image_ref, question, mode))
+    except BackendError as exc:
+        raise BackendError(f"{mode} branch failed: {exc}") from exc
+
+
 def dual_generate(backend, image_ref: str, question: str) -> tuple:
-    """Run both task prompts for one instance; returns (direct, cot) traces.
-    A failing branch raises a BackendError naming the mode.
-    """
-    traces = []
-    for mode in MODES:
-        try:
-            traces.append(backend.generate(BackendRequest(image_ref, question, mode)))
-        except BackendError as exc:
-            raise BackendError(f"{mode} branch failed: {exc}") from exc
-    return tuple(traces)
+    """Run both task prompts for one instance; returns (direct, cot) traces."""
+    return tuple(generate_branch(backend, image_ref, question, mode) for mode in MODES)

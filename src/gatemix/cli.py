@@ -38,7 +38,8 @@ from .connector import ConnectorConfig
 from .curation import SCORE_THRESHOLD, load_records, run_pipeline
 from .evalharness import STRATEGIES, alpha_sweep, default_alpha_grid, load_benchmark, run_eval
 from .training import GRAD_CHECK_TOL, TrainConfig, grad_check, train_stage1
-from .verify import DEFAULT_ALPHA, audit_record, letter_options, score_response, self_verify
+from .verify import (DEFAULT_ALPHA, audit_record, check_alpha, letter_options, score_response,
+                     self_verify)
 
 API_KEY_ENV = "GATEMIX_API_KEY"
 
@@ -208,6 +209,7 @@ def _cmd_train_align(args, settings) -> int:
 
 
 def _cmd_verify(args, settings) -> int:
+    check_alpha(settings["alpha"])
     out = _out_dir(args)
     with closing(_make_backend(settings)) as backend:
         options = letter_options(args.option or [])

@@ -35,7 +35,7 @@ from typing import Optional
 import numpy as np
 
 from .backend import (MODES, PROMPT_MODES, BackendError, GenerationTrace, _check_keys,
-                      dual_generate, trace_from_dict, trace_to_dict)
+                      dual_generate, generate_branch, trace_from_dict, trace_to_dict)
 from .verify import (BRANCHES, DEFAULT_ALPHA, answers_equal, branch_record, check_alpha,
                      score_response, self_verify)
 
@@ -310,8 +310,12 @@ def _get_traces(backend, inst: BenchmarkInstance, cache: Optional[TraceCache]) -
 
 def _score(backend, inst: BenchmarkInstance, strategy: str, cache: Optional[TraceCache]):
     """``{branch: ScoredResponse}`` for the branches the strategy uses, or
-    the error text if the instance failed."""
+    the error text if the instance failed. Without a cache a direct or cot
+    eval requests only its own branch; a cache entry holds both."""
     try:
+        if cache is None and strategy in PROMPT_MODES:
+            trace = generate_branch(backend, inst.image_ref, inst.question, strategy)
+            return {strategy: score_response(trace, inst.options)}
         pair = zip(PROMPT_MODES, _get_traces(backend, inst, cache))
         return {b: score_response(t, inst.options) for b, t in pair if strategy in ("sv", b)}
     except (BackendError, ValueError, KeyError, OSError) as exc:

@@ -22,8 +22,9 @@ Conventions:
     return its incoming gradient itself, so one array can stand for
     several inputs; ``backward`` never mutates a gradient entry in place,
     it only rebinds the entry to a new sum;
-  * Python number constants in arithmetic (``1.0 - t``, ``t * lam``) are
-    checked with ``math.isfinite`` and wrapped without a validating copy;
+  * ops take tensors; the one other operand is a Python number constant in
+    arithmetic (``1.0 - t``, ``t * lam``), checked with ``math.isfinite``
+    and wrapped without a validating copy;
   * random initialisation goes through ``make_rng`` (numpy's PCG64), so
     every draw is reproducible from an integer seed.
 """
@@ -272,13 +273,11 @@ def _any_non_positive(a: np.ndarray) -> bool:
     return low <= 0.0 or (low != low and (a <= 0.0).any())
 
 
-def _as_tensor(x) -> Tensor:
-    """``x``, which is not a Tensor, as a constant Tensor."""
-    if isinstance(x, (float, int)):
-        if not math.isfinite(x):
-            raise ValueError("tensor data must be finite")
-        return Tensor._raw(np.array(x, dtype=np.float64))
-    return Tensor(x)
+def _as_tensor(x: float) -> Tensor:
+    """The Python number ``x`` as a constant Tensor."""
+    if not math.isfinite(x):
+        raise ValueError("tensor data must be finite")
+    return Tensor._raw(np.array(x, dtype=np.float64))
 
 
 def _reduce_to(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -335,10 +334,6 @@ def _div_grad(a, b, g):
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product of two rank-2 tensors; inner dimensions must agree."""
-    if not isinstance(a, Tensor):
-        a = _as_tensor(a)
-    if not isinstance(b, Tensor):
-        b = _as_tensor(b)
     ad = a.data
     bd = b.data
     if ad.ndim != 2 or bd.ndim != 2:
@@ -367,8 +362,6 @@ def sigmoid(x: Tensor) -> Tensor:
     With ``e = exp(-|v|)`` (never overflows) the value is ``1 / (1 + e)``
     for ``v >= 0`` and ``e / (1 + e)`` below zero.
     """
-    if not isinstance(x, Tensor):
-        x = _as_tensor(x)
     v = x.data
     e = np.exp(-np.abs(v))
     out_data = np.where(v >= 0, 1.0, e)
@@ -425,7 +418,7 @@ def _reduce_grad(shape, axis, n, g):
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     """Concatenate rank-1 or rank-2 tensors along the given axis."""
-    ts = tuple(t if isinstance(t, Tensor) else _as_tensor(t) for t in tensors)
+    ts = tuple(tensors)
     if not ts:
         raise ValueError("concat: empty input list")
     datas = [t.data for t in ts]

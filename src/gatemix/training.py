@@ -224,15 +224,13 @@ def train_step(
     batch: SyntheticBatch,
     opt_state: GDState,
     cfg: TrainConfig,
-    standins: FrozenStandins | None = None,
+    standins: FrozenStandins,
 ) -> tuple:
     """One gradient-descent step on the connector parameters only.
 
     Returns (loss value, params, new opt state); params update in place to
     exactly ``p - lr * grad``.
     """
-    if standins is None:
-        standins = FrozenStandins(params.W2.shape[1])
     params.zero_grads()
     with Graph() as g:
         loss, value = _checked_loss(params, batch, standins, cfg.lam, opt_state.step)

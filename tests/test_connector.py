@@ -1,6 +1,8 @@
 """Connector tests: init determinism, gate semantics, forward composition,
 invariants, and the checkpoint format."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,15 @@ class TestGateMix:
                 Tensor(np.zeros(d)),
             )
 
+    @pytest.mark.parametrize("h_c, b_g, message", [
+        ((2, 4), (4,), "stream shapes differ: (3, 4) vs (2, 4)"),
+        ((3, 4), (1, 4), "b_g must be (4,), got (1, 4)"),
+    ], ids=["streams", "bias"])
+    def test_stream_and_bias_shapes_validated(self, h_c, b_g, message):
+        with pytest.raises(ShapeError, match=re.escape(message)):
+            gate_mix(Tensor(np.zeros((3, 4))), Tensor(np.zeros(h_c)), Tensor(np.zeros((4, 8))),
+                     Tensor(np.zeros(b_g)))
+
     def test_elementwise_boundedness(self):
         rng = make_rng(42)
         d = 8
@@ -180,6 +191,14 @@ class TestForward:
                 v_c=Tensor(rng.standard_normal((cfg.n_tokens + 1, cfg.d_c))),
             )
 
+    def test_rank_1_features_rejected(self):
+        with pytest.raises(ShapeError, match="encoder features must be rank 2"):
+            EncoderFeatures(v_v=Tensor(np.ones((9, 12))), v_c=Tensor(np.ones(20)))
+
+    def test_zero_dimension_rejected(self):
+        with pytest.raises(ValueError, match=r"ConnectorConfig\.d must be >= 1"):
+            ConnectorConfig(d=0)
+
 
 class TestCheckpoint:
     def test_roundtrip_bit_exact(self, tmp_path):
@@ -192,6 +211,12 @@ class TestCheckpoint:
         for a, b in zip(params.tensors(), params2.tensors()):
             np.testing.assert_array_equal(a.data, b.data)
             assert b.requires_grad
+
+    def test_params_of_another_config_rejected(self, tmp_path):
+        path = tmp_path / "connector.ckpt"
+        with pytest.raises(ShapeError, match=r"checkpoint: W1_v has shape \(12, 8\), config implies \(6, 8\)"):
+            save_checkpoint(path, ConnectorConfig(d_v=6), init_params(ConnectorConfig(), 0))
+        assert not path.exists()
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.ckpt"

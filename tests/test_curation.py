@@ -317,6 +317,15 @@ class TestRecordsIO:
         with pytest.raises(HeldOutSplitError, match="leak"):
             load_records(path)
 
+    def test_blank_lines_skipped_but_counted(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        path.write_text('\n{"id": "r1", "image_ref": "i", "question": "Q?", "options": [], '
+                        '"raw_cot": "cot"}\n  \n{"id": "r2"}\n')
+        with pytest.raises(ValueError, match="records.jsonl:4: "):
+            load_records(path)
+        path.write_text(path.read_text().replace('{"id": "r2"}', ""))
+        assert [r.id for r in load_records(path)] == ["r1"]
+
     def test_malformed_line_rejected_with_location(self, tmp_path):
         path = tmp_path / "records.jsonl"
         path.write_text('{"id": "r1"}\n')
@@ -344,6 +353,7 @@ class TestRecordsIO:
         ("rewritten_cot", 5),
         ("image_description", ["a cat"]),
         ("split", ["test"]),
+        ("source_kind", "human"),
     ])
     def test_field_of_wrong_json_type_rejected_with_location(self, tmp_path, key, value):
         row = {"id": "r2", "image_ref": "img/2.jpg", "question": "Q?", "options": ["x"],

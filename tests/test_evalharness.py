@@ -122,6 +122,15 @@ class TestLoadBenchmark:
         assert [i.id for i in instances] == ["ok"]
         assert len(errors) == 1 and "line 2" in errors[0]
 
+    def test_blank_lines_skipped_but_counted(self, tmp_path):
+        path = tmp_path / "bench.jsonl"
+        good = {"id": "ok", "image_ref": "img", "question": "q?", "options": [],
+                "gold_answer": "42"}
+        path.write_text("\n" + json.dumps(good) + "\n  \nnot json\n\n")
+        instances, errors = load_benchmark(path)
+        assert [i.id for i in instances] == ["ok"]
+        assert len(errors) == 1 and errors[0].startswith("line 4: ")
+
     def test_duplicate_ids_rejected(self, tmp_path):
         path = tmp_path / "bench.jsonl"
         row = {"id": "dup", "image_ref": "img", "question": "q?", "options": [],
@@ -249,6 +258,23 @@ class TestRunEval:
 
         with pytest.raises(TypeError, match="a bug"):
             run_eval(BuggyBackend(), easy_hard_instances, "sv")
+
+    @pytest.mark.parametrize("strategy, down", [("direct", "cot"), ("cot", "direct")])
+    def test_lone_branch_sends_one_request_per_instance(self, easy_hard_backend,
+                                                       easy_hard_instances, strategy, down):
+        """Without a cache a direct or cot eval requests only its own branch,
+        so a failing other branch costs it neither requests nor accuracy."""
+        class OneModeDown:
+            def generate(self, req):
+                if req.prompt_mode == down:
+                    raise BackendError("service down")
+                return easy_hard_backend.generate(req)
+
+        backend = _Counting(OneModeDown())
+        report = run_eval(backend, easy_hard_instances, strategy)
+        assert backend.calls == len(easy_hard_instances) == 4
+        assert report.accuracy == 0.5
+        assert [r["error"] for r in report.records] == [None] * 4
 
     @pytest.mark.parametrize("strategy", ["direct", "cot", "sv"])
     def test_branch_records_hold_answer_and_scores_only(self, easy_hard_backend,
@@ -788,6 +814,26 @@ class TestTraceLog:
             assert [reader.get(k, "img", "q?") for k in ("i1", "i2", "i3")] == [
                 self.OLD, self.OLD, self.NEW]
         assert [key for key, _ in _log(tmp_path)] == ["i2", "i1", "i3"]
+
+    def test_failed_compaction_leaves_the_old_log(self, tmp_path, monkeypatch):
+        """A compaction whose rename fails leaves the log as it was, its
+        entries still hit, and no temp file is left behind."""
+        log = tmp_path / "traces.jsonl"
+        cache = TraceCache(tmp_path)
+        for pair in (self.OLD, self.NEW, self.OLD):  # two of three lines dead
+            cache.put("i1", "img", "q?", *pair)
+        before = log.read_bytes()
+
+        def refuse(src, dst):
+            raise OSError("no space left on device")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(evalharness.os, "replace", refuse)
+            with pytest.raises(OSError, match="no space left"):
+                TraceCache(tmp_path)
+        assert log.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["traces.jsonl"]
+        assert TraceCache(tmp_path).get("i1", "img", "q?") == self.OLD
 
     def test_concurrent_puts_keep_every_line_whole(self, tmp_path):
         """Eight threads putting into one cache, with a short switch

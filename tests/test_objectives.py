@@ -2,6 +2,7 @@
 cross-entropy, and their composition."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from gatemix.objectives import (
 from gatemix.tensor import (
     DegenerateVectorError,
     Graph,
+    ShapeError,
     Tensor,
     backward,
     cosine_sim,
@@ -70,6 +72,20 @@ class TestSimilarityMatrix:
     def test_bad_tau_rejected(self):
         with pytest.raises(ValueError):
             similarity_matrix(_reps(np.eye(2), np.eye(2)), tau=0.0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: _reps(np.ones(2), np.ones(2)), "batch representations must be rank 2"),
+    (lambda: _reps(np.ones((2, 3)), np.ones((3, 3))),
+     "img/txt representation shapes differ: (2, 3) vs (3, 3)"),
+    (lambda: generation_loss(Tensor(np.zeros(4)), [0]),
+     "generation_loss: logits must be rank 2, got (4,)"),
+    (lambda: generation_loss(Tensor(np.zeros((3, 4))), [0, 1]),
+     "generation_loss: 2 targets for 3 logit rows"),
+], ids=["rank-1-reps", "unequal-reps", "rank-1-logits", "too-few-targets"])
+def test_shape_guard(call, message):
+    with pytest.raises(ShapeError, match=re.escape(message)):
+        call()
 
 
 class TestGuardsWithoutRecording:

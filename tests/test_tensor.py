@@ -18,6 +18,7 @@ from gatemix.tensor import (
     make_rng,
     matmul,
     no_grad,
+    scaled_uniform,
     sigmoid,
 )
 
@@ -192,6 +193,17 @@ class TestBackward:
         with Graph() as g:
             loss = (x * x).sum()
         backward(g, loss)
+        np.testing.assert_array_equal(y.grad, [0.0, 0.0])
+
+    def test_record_off_the_loss_path_is_skipped(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        y = Tensor([3.0, 4.0], requires_grad=True)
+        with Graph() as g:
+            y * 3.0  # recorded, but its output gets no gradient from the loss
+            loss = (x * x).sum()
+        backward(g, loss)
+        assert [r.op for r in g.records] == ["mul", "mul", "sum"]
+        np.testing.assert_array_equal(x.grad, [2.0, 4.0])
         np.testing.assert_array_equal(y.grad, [0.0, 0.0])
 
     def test_non_scalar_loss_raises(self):
@@ -580,6 +592,56 @@ class TestGuardOutcomes:
                     call(np.array(values))
             else:
                 assert isinstance(call(np.array(values)), Tensor)
+
+
+def _exp_sum(ps):
+    return ps[0].exp().sum()
+
+
+# (call, error, message) for each check of an op's shapes or arguments
+_ARGUMENT_GUARDS = {
+    "item-of-a-vector": (lambda: Tensor([1.0, 2.0]).item(), ShapeError,
+                         "item() needs a single element, shape is (2,)"),
+    "transpose-of-a-vector": (lambda: Tensor([1.0, 2.0]).transpose(), ShapeError,
+                              "transpose: needs rank 2, got (2,)"),
+    "add-without-broadcast": (lambda: Tensor(np.ones((2, 3))) + Tensor(np.ones((2, 2))),
+                              ShapeError, "add: incompatible shapes (2, 3) and (2, 2)"),
+    "matmul-of-a-vector": (lambda: matmul(Tensor([1.0, 2.0]), Tensor(np.ones((2, 2)))),
+                           ShapeError, "matmul: needs rank-2 operands, got (2,) and (2, 2)"),
+    "sum-axis-2": (lambda: Tensor(np.ones((2, 2))).sum(axis=2), ValueError,
+                   "sum: axis must be None, 0 or 1, got 2"),
+    "mean-axis-of-a-vector": (lambda: Tensor([1.0, 2.0]).mean(axis=0), ShapeError,
+                              "mean over an axis needs rank 2, got (2,)"),
+    "concat-of-nothing": (lambda: concat([]), ValueError, "concat: empty input list"),
+    "concat-of-mixed-ranks": (lambda: concat([Tensor([1.0]), Tensor([[1.0]])]), ShapeError,
+                              "concat: operands must all be rank 1 or all rank 2"),
+    "concat-axis-1-of-vectors": (lambda: concat([Tensor([1.0]), Tensor([2.0])], axis=1),
+                                 ShapeError, "concat: axis 1 invalid for rank 1"),
+    "cosine-sim-of-unequal-lengths": (lambda: cosine_sim([1.0, 2.0], [1.0, 2.0, 3.0]),
+                                      ShapeError, "needs matching rank-1 vectors, got (2,) and (3,)"),
+    "check-of-a-constant": (lambda: finite_diff_check(_exp_sum, [Tensor([1.0])]), ValueError,
+                            "finite_diff_check: every param must require grad"),
+    "check-of-a-vector-objective": (
+        lambda: finite_diff_check(lambda ps: ps[0] * 2.0, [Tensor([1.0], requires_grad=True)]),
+        ShapeError, "finite_diff_check: objective must return a scalar tensor"),
+    "check-of-an-infinite-objective": (
+        lambda: finite_diff_check(_exp_sum, [Tensor([710.0], requires_grad=True)]),
+        ValueError, "finite_diff_check: objective returned a non-finite value"),
+    # exp(709.7) is finite, exp(710.7) is not
+    "check-probing-into-infinity": (
+        lambda: finite_diff_check(_exp_sum, [Tensor([709.7], requires_grad=True)], eps=1.0),
+        ValueError, "finite_diff_check: non-finite value during probing"),
+    "scaled-uniform-fan-in-0": (lambda: scaled_uniform(make_rng(0), (2,), 0), ValueError,
+                                "scaled_uniform: fan_in must be >= 1"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", list(_ARGUMENT_GUARDS.values()),
+                         ids=list(_ARGUMENT_GUARDS))
+def test_argument_guard(call, error, message):
+    with np.errstate(over="ignore"), pytest.raises(error) as info:
+        call()
+    assert str(info.value).endswith(message)
 
 
 class TestTensorBasics:

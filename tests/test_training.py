@@ -44,6 +44,10 @@ class TestSynthBatch:
         assert len(batch.feats) == 1
         assert batch.txt_reps.shape == (1, CFG.d_llm)
 
+    def test_empty_batch_rejected(self):
+        with pytest.raises(ValueError, match="batch size must be >= 1"):
+            synth_batch(0, 0, CFG)
+
     def test_latent_sharing(self):
         # within an item the feature latent and the text latent are the same
         # vector (correlation 1); across items they are independent draws
@@ -228,7 +232,8 @@ class TestTrainStep:
         params = init_params(CFG, 0)
         batch = synth_batch(0, 4, CFG)
         before = [t.data.copy() for t in params.tensors()]
-        loss, params, state = train_step(params, batch, GDState(), TrainConfig(lr=0.0))
+        loss, params, state = train_step(params, batch, GDState(), TrainConfig(lr=0.0),
+                                         FrozenStandins(CFG.d_llm))
         assert np.isfinite(loss)
         for prev, t in zip(before, params.tensors()):
             np.testing.assert_array_equal(prev, t.data)
@@ -267,7 +272,18 @@ class TestTrainStep:
         batch = synth_batch(0, 2, CFG)
         with np.errstate(all="ignore"):
             with pytest.raises(DivergenceError, match="step 7"):
-                train_step(params, batch, GDState(step=7), TrainConfig(lr=0.1))
+                train_step(params, batch, GDState(step=7), TrainConfig(lr=0.1),
+                           FrozenStandins(CFG.d_llm))
+
+    def test_failed_loss_reports_step_and_cause(self):
+        # a zeroed W2 pools every item to a zero row, which the similarity rejects
+        params = init_params(CFG, 0)
+        params.W2.data[:] = 0.0
+        with pytest.raises(DivergenceError, match=re.escape(
+                "loss computation failed at step 0 (batch of 4): "
+                "similarity_matrix: zero-norm img row")):
+            train_step(params, synth_batch(0, 4, CFG), GDState(), TrainConfig(),
+                       FrozenStandins(CFG.d_llm))
 
 
 class TestTrainStage1:
@@ -370,6 +386,14 @@ class TestTrainConfigValidation:
     def test_lambda_outside_finite_non_negative_rejected(self, lam):
         with pytest.raises(ValueError, match="lambda must be finite and >= 0"):
             TrainConfig(lam=lam)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("steps", -1, "steps must be >= 0"),
+        ("batch_size", 0, "batch_size must be >= 1"),
+    ])
+    def test_count_below_its_minimum_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            TrainConfig(**{field: value})
 
     @pytest.mark.parametrize("seed", [-1, 1.5, "0"])
     def test_seed_must_be_non_negative_integer(self, seed):
