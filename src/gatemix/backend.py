@@ -22,13 +22,16 @@ similarity score is exactly 0.5) with a logged warning.
 
 from __future__ import annotations
 
+import io
 import json
 import logging
 import math
+import re
 import socket
 import threading
 import time
 import urllib.parse
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +49,7 @@ __all__ = [
     "build_prompt",
     "MockBackend",
     "RemoteBackend",
-    "generate_branch",
+    "branch_traces",
     "dual_generate",
     "trace_to_dict",
     "trace_from_dict",
@@ -111,6 +114,8 @@ MODES = {
     ),
 }
 PROMPT_MODES = tuple(MODES)
+# complete_text's requests take the defaults
+_TEXT_DECODING = DecodingConfig()
 
 
 def build_prompt(question: str, mode: str) -> str:
@@ -267,6 +272,16 @@ class MockBackend:
         key = (req.image_ref, req.question, req.prompt_mode)
         return self._script.get(key, self._default)
 
+    def generate_all(self, requests, window: int = 1):
+        """``generate`` over the requests, one at a time: each request's
+        trace, or the ``BackendError`` it raised, in request order. A script
+        answers at once, so the window changes nothing."""
+        for req in requests:
+            try:
+                yield self.generate(req)
+            except BackendError as exc:
+                yield exc
+
     def complete_text(self, prompt: str) -> str:
         for contains, reply in self._completions:
             if contains in prompt:
@@ -288,6 +303,7 @@ _QUICKACK = getattr(socket, "TCP_QUICKACK", None)
 # A reply line longer than this, or more header lines, is a broken reply.
 _MAX_LINE = 65536
 _MAX_HEADERS = 100
+_TOKEN = re.compile(rb"[-!#$%&'*+.^_`|~0-9A-Za-z]+")
 # A body is read this many bytes at a time, so a false length cannot make
 # the client allocate more than the server sends.
 _READ_SIZE = 1 << 20
@@ -298,19 +314,39 @@ class _ReplyError(Exception):
     transport failure: it spends an attempt."""
 
 
-class _Connection:
-    """A kept-alive connection: its socket and the one buffered reader that
-    every reply on it is read through."""
-
-    __slots__ = ("sock", "reader")
+class _Connection(io.RawIOBase):
+    """A kept-alive connection: its socket and the one buffered ``reader``
+    that every reply on it is read through, so a reply never takes a byte
+    of the next. Each socket read waits only for the time left before
+    ``deadline``, a ``time.monotonic()`` value. ``used`` is set when it
+    goes back to the idle pool."""
 
     def __init__(self, sock: socket.socket):
+        super().__init__()
         self.sock = sock
-        self.reader = sock.makefile("rb")
+        self.deadline, self.used = 0.0, False
+        self.reader = io.BufferedReader(self)
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        left = self.deadline - time.monotonic()
+        if left <= 0:
+            raise TimeoutError("reply not read within the timeout")
+        self.sock.settimeout(left)
+        return self.sock.recv_into(buffer)
 
     def close(self) -> None:
-        self.reader.close()
+        super().close()
         self.sock.close()
+
+    def send(self, data: bytes, timeout: float) -> None:
+        self.sock.settimeout(timeout)
+        self.sock.sendall(data)
+        if _QUICKACK is not None:
+            # the kernel leaves quick-ACK mode on its own, so set it per send
+            self.sock.setsockopt(socket.IPPROTO_TCP, _QUICKACK, 1)
 
 
 def _read_line(reader) -> bytes:
@@ -329,10 +365,14 @@ def _read_headers(reader) -> dict:
         line = _read_line(reader)
         if line in (b"\r\n", b"\n"):
             return headers
-        if not line:
+        if not line.endswith(b"\n"):
             raise _ReplyError("reply ended inside its headers")
-        name, _, value = line.decode("latin-1").partition(":")
-        name, value = name.strip().lower(), value.strip()
+        name, colon, value = line.partition(b":")
+        # a name that is not a token (RFC 9110 section 5.1) leaves it unclear
+        # where the headers, and so the reply, end
+        if not colon or not _TOKEN.fullmatch(name):
+            raise _ReplyError(f"bad header line {line[:80]!r}")
+        name, value = name.decode("ascii").lower(), value.strip().decode("latin-1")
         if headers.setdefault(name, value) != value and name == "content-length":
             raise _ReplyError(f"differing Content-Length values {headers[name]!r} and {value!r}")
     raise _ReplyError(f"more than {_MAX_HEADERS} reply headers")
@@ -365,11 +405,12 @@ def _read_chunked(reader) -> bytes:
             raise _ReplyError("chunk data not followed by a line end")
 
 
-def _read_reply(reader) -> tuple:
+def _read_reply(conn: _Connection) -> tuple:
     """One HTTP/1.1 reply: ``(status, reason, headers, body, keep_open)``.
     Interim 1xx replies are skipped. The body is delimited by chunked
     encoding, by ``Content-Length`` or by the end of the stream; a
     connection that ends before any status line raises ``ConnectionError``."""
+    reader = conn.reader
     line = _read_line(reader)
     if not line:
         raise ConnectionResetError("server closed the connection without replying")
@@ -399,28 +440,81 @@ def _read_reply(reader) -> tuple:
         body = _read_exact(reader, int(length))
     else:
         body, keep_open = reader.read(), False
-    reason = parts[2].strip().decode("latin-1") if len(parts) == 3 else ""
+    reason = parts[2].decode("latin-1").strip() if len(parts) == 3 else ""
     return status, reason, headers, body, keep_open
+
+
+def _json_object(body: bytes):
+    """The reply body as a JSON object, or the ``BackendError`` it is."""
+    try:
+        reply = json.loads(body.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        return BackendError(f"service returned malformed JSON: {exc}")
+    if not isinstance(reply, dict):
+        return BackendError(f"service reply is not a JSON object: {type(reply).__name__}")
+    return reply
+
+
+def _trace_of(reply: dict) -> GenerationTrace:
+    if "text" not in reply:
+        raise BackendError("service reply lacks 'text'")
+    logprobs = reply.get("logprobs")
+    if logprobs is None:
+        raise CapabilityError("service reply lacks logprobs; cannot score confidence")
+    trace = {"text": reply["text"], "token_logprobs": logprobs}
+    embeddings = reply.get("embeddings")
+    if isinstance(embeddings, dict) and "prompt" in embeddings and "completion" in embeddings:
+        trace.update(img_rep=embeddings["prompt"], txt_rep=embeddings["completion"])
+    else:
+        log.warning(
+            "service reply lacks embeddings; falling back to neutral "
+            "representations (similarity score pinned at 0.5)"
+        )
+    try:
+        return trace_from_dict(trace)
+    except ValueError as exc:
+        raise MalformedReplyError(f"service reply is not a valid trace: {exc}") from exc
+
+
+def _only(results):
+    """The result of a one-request exchange; a ``BackendError`` is raised."""
+    result = next(results)
+    if isinstance(result, BackendError):
+        raise result
+    return result
 
 
 class RemoteBackend:
     """Client for a logprob-capable HTTP inference service.
 
+    ``generate_all`` keeps up to ``window`` requests in flight, each on a
+    kept-alive connection of its own, so the service can work on all of
+    them at once. It sends the next request as each reply is read, and
+    yields one trace or ``BackendError`` per request, in request order,
+    from the one thread that iterates it. A connection carries one request
+    at a time: requests are never pipelined (RFC 9112 section 9.3.2).
+    ``generate`` and ``complete_text`` are one-request uses of the same
+    exchange.
+
     Makes up to ``retries`` attempts on transport failures, 5xx and 429
-    replies and bounds the number of in-flight requests, so one instance
-    can be shared across eval workers. Before attempt k+1 it waits
-    ``retry_wait * 2**(k-1)`` seconds, or what a 429 or 503 reply's
-    delta-seconds ``Retry-After`` asks, capped at ``timeout``. Any other
-    non-2xx reply, a redirect included, is a ``BackendError``. Logprobs are
+    replies. Before attempt k+1 it waits ``retry_wait * 2**(k-1)`` seconds,
+    or what a 429 or 503 reply's delta-seconds ``Retry-After`` asks, capped
+    at ``timeout``. Any other non-2xx reply, a redirect included, fails its
+    own request with a ``BackendError``. A reply must be read whole within
+    ``timeout`` of its turn to be read: each socket read waits only for the
+    time that is left. A failure on a pooled idle connection before its
+    reply means the server closed it while it sat in the pool: the request
+    goes once more on a new connection, which costs no attempt. Logprobs are
     never fabricated: a reply without them raises ``CapabilityError``.
 
     It speaks HTTP/1.1 on its own sockets: each request goes out in one
     write, and a reply's body may be delimited by ``Content-Length``,
     chunked encoding or the end of the stream; only the identity content
-    coding is asked for. Connections are kept alive and reused: at most
-    ``max_in_flight`` of them, idle ones in a pool that ``close()`` empties.
-    The endpoint must be a printable-ASCII http or https URL with a host;
-    proxy settings are not read.
+    coding is asked for. It is safe to share across threads: at most
+    ``max_in_flight`` requests are outstanding across all callers, and at
+    most that many connections are open, idle ones in a pool that
+    ``close()`` empties. The endpoint must be a printable-ASCII http or
+    https URL with a host; proxy settings are not read.
     """
 
     def __init__(
@@ -464,6 +558,8 @@ class RemoteBackend:
         self.timeout = timeout
         self.retries = retries
         self.retry_wait = retry_wait
+        self.max_in_flight = max_in_flight
+        # One slot per outstanding request, across all callers.
         self._slots = threading.Semaphore(max_in_flight)
         # Idle kept-alive connections, last used first. A connection is made
         # only when none is idle, and only by a holder of a slot, so there
@@ -490,77 +586,123 @@ class RemoteBackend:
             sock.close()
             raise
 
-    def _exchange(self, conn: _Connection, request: bytes) -> tuple:
-        """Send ``request`` on ``conn`` and read the whole reply: its
-        status, reason, headers and body. ``conn`` goes back to the idle
-        pool after a 2xx reply that leaves it open; otherwise, and on any
-        failure, it is closed."""
-        keep = False
+    def _open(self, fresh: bool = False) -> _Connection:
+        """An idle connection, or a new one if none is idle or ``fresh`` is
+        set. Only a holder of a slot may open one."""
+        if not fresh:
+            with self._idle_lock:
+                if self._idle:
+                    return self._idle.pop()
+        return self._connect()
+
+    def _send(self, request: bytes):
+        """A connection that carries ``request``, or None if sending it
+        failed: the request then goes again when its reply is due."""
+        conn = None
         try:
-            conn.sock.sendall(request)
-            if _QUICKACK is not None:
-                # the kernel leaves quick-ACK mode on its own, so set it per request
-                conn.sock.setsockopt(socket.IPPROTO_TCP, _QUICKACK, 1)
-            status, reason, headers, body, keep_open = _read_reply(conn.reader)
-            keep = 200 <= status < 300 and keep_open
-        finally:
-            if keep:
+            conn = self._open()
+            conn.send(request, self.timeout)
+            return conn
+        except OSError:
+            if conn is not None:
+                conn.close()
+            return None
+
+    def _round_trip(self, request: bytes, conn) -> tuple:
+        """Status, reason, headers and body of the reply to ``request``,
+        which is on ``conn`` already unless that is None. ``conn`` goes back
+        to the idle pool after a 2xx reply that leaves it open; otherwise,
+        and on any failure, it is closed. A ``ConnectionError`` on a pooled
+        connection means the server closed it while it sat idle, so the
+        request goes once more on a new one; any failure on a new
+        connection is the caller's."""
+        fresh = False
+        while True:
+            try:
+                if conn is None:
+                    conn = self._open(fresh)
+                    conn.send(request, self.timeout)
+                conn.deadline = time.monotonic() + self.timeout
+                status, reason, headers, body, keep_open = _read_reply(conn)
+            except BaseException as exc:
+                if conn is None:
+                    raise
+                conn.close()
+                if not (isinstance(exc, ConnectionError) and conn.used and not fresh):
+                    raise
+                conn, fresh = None, True
+                continue
+            if 200 <= status < 300 and keep_open:
+                conn.used = True
                 with self._idle_lock:
                     self._idle.append(conn)
             else:
                 conn.close()
-        return status, reason, headers, body
+            return status, reason, headers, body
 
-    def _round_trip(self, request: bytes) -> tuple:
-        """One request on an idle connection if there is one, else on a new
-        one. A ``ConnectionError`` on an idle connection means the server
-        closed it while it sat in the pool, so the request goes once more on
-        a new connection; any failure on a new connection is the caller's."""
-        with self._idle_lock:
-            conn = self._idle.pop() if self._idle else None
-        if conn is not None:
-            try:
-                return self._exchange(conn, request)
-            except ConnectionError:
-                pass
-        return self._exchange(self._connect(), request)
-
-    def _post(self, payload: dict) -> dict:
-        body = json.dumps(payload).encode("utf-8")
-        request = b"%sContent-Length: %d\r\n\r\n%s" % (self._head, len(body), body)
+    def _reply(self, request: bytes, conn):
+        """The reply to ``request`` as a JSON object, or the ``BackendError``
+        it ended in, after up to ``retries`` attempts (see the class
+        docstring). ``conn`` carries the request already unless it is None."""
         last_error = None
         for attempt in range(1, self.retries + 1):
             wait = self.retry_wait * 2 ** (attempt - 1)
             try:
-                with self._slots:
-                    status, reason, headers, raw = self._round_trip(request)
+                status, reason, headers, raw = self._round_trip(request, conn)
             except (OSError, _ReplyError) as exc:
                 last_error = exc
             else:
                 if 200 <= status < 300:
-                    break
+                    return _json_object(raw)
                 if status < 500 and status != 429:
-                    raise BackendError(f"service rejected request: HTTP {status} {reason}")
+                    return BackendError(f"service rejected request: HTTP {status} {reason}")
                 retry_after = headers.get("retry-after", "")
                 if status in (429, 503) and retry_after.isascii() and retry_after.isdigit():
                     wait = min(float(retry_after), self.timeout)
                 last_error = f"HTTP {status} {reason}"
+            conn = None
             if attempt < self.retries:
                 time.sleep(wait)
-        else:
-            raise RetryableTransportError(
-                f"transport failed after {self.retries} attempts: {last_error}",
-                attempts=self.retries,
-            )
-        try:
-            reply = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise BackendError(f"service returned malformed JSON: {exc}") from exc
-        if not isinstance(reply, dict):
-            raise BackendError(f"service reply is not a JSON object: {type(reply).__name__}")
-        return reply
+        return RetryableTransportError(
+            f"transport failed after {self.retries} attempts: {last_error}", attempts=self.retries)
 
-    def _payload(self, prompt: str, decoding: DecodingConfig, image_ref: str | None) -> dict:
+    def _replies(self, requests, window: int):
+        """Send each request and yield, in order, its reply as a JSON object
+        or the ``BackendError`` it ended in, with up to ``window`` of them
+        (at most ``max_in_flight``) in flight, each on its own connection."""
+        if window < 1:
+            raise ValueError(f"window must be >= 1, got {window}")
+        todo = iter(requests)
+        window = min(window, self.max_in_flight)
+        # Each request taken and not answered, oldest first, with the
+        # connection it was sent on, or None if sending it failed: it is
+        # sent again when its reply is due.
+        flight, more = deque(), True
+        try:
+            while True:
+                # a slot per request taken; wait for one only when holding none
+                while more and len(flight) < window and self._slots.acquire(not flight):
+                    request = next(todo, None)
+                    if request is None:
+                        self._slots.release()
+                        more = False
+                    else:
+                        flight.append((request, self._send(request)))
+                if not flight:
+                    return
+                request, conn = flight.popleft()
+                try:
+                    reply = self._reply(request, conn)
+                finally:
+                    self._slots.release()
+                yield reply
+        finally:
+            for _, conn in flight:
+                if conn is not None:
+                    conn.close()
+                self._slots.release()
+
+    def _request(self, prompt: str, decoding: DecodingConfig, image_ref: str | None) -> bytes:
         payload = {
             "model": self.model,
             "prompt": prompt,
@@ -572,46 +714,43 @@ class RemoteBackend:
         }
         if image_ref is not None:
             payload["image_ref"] = image_ref
-        return payload
+        body = json.dumps(payload).encode("utf-8")
+        return b"%sContent-Length: %d\r\n\r\n%s" % (self._head, len(body), body)
+
+    def generate_all(self, requests, window: int = 1):
+        """One trace or ``BackendError`` per request, in request order, with
+        up to ``window`` requests (at most ``max_in_flight``) in flight."""
+        wire = (self._request(req.prompt, req.decoding, req.image_ref) for req in requests)
+        for reply in self._replies(wire, window):
+            if not isinstance(reply, BackendError):
+                try:
+                    reply = _trace_of(reply)
+                except BackendError as exc:
+                    reply = exc
+            yield reply
 
     def generate(self, req: BackendRequest) -> GenerationTrace:
-        reply = self._post(self._payload(req.prompt, req.decoding, req.image_ref))
-        if "text" not in reply:
-            raise BackendError("service reply lacks 'text'")
-        logprobs = reply.get("logprobs")
-        if logprobs is None:
-            raise CapabilityError("service reply lacks logprobs; cannot score confidence")
-        trace = {"text": reply["text"], "token_logprobs": logprobs}
-        embeddings = reply.get("embeddings")
-        if isinstance(embeddings, dict) and "prompt" in embeddings and "completion" in embeddings:
-            trace.update(img_rep=embeddings["prompt"], txt_rep=embeddings["completion"])
-        else:
-            log.warning(
-                "service reply lacks embeddings; falling back to neutral "
-                "representations (similarity score pinned at 0.5)"
-            )
-        try:
-            return trace_from_dict(trace)
-        except ValueError as exc:
-            raise MalformedReplyError(f"service reply is not a valid trace: {exc}") from exc
+        return _only(self.generate_all([req]))
 
     def complete_text(self, prompt: str) -> str:
-        reply = self._post(self._payload(prompt, DecodingConfig(), image_ref=None))
-        text = reply.get("text")
+        text = _only(self._replies([self._request(prompt, _TEXT_DECODING, None)], 1)).get("text")
         if not isinstance(text, str):
             raise MalformedReplyError(f"service reply lacks a string 'text': {text!r}")
         return text
 
 
-def generate_branch(backend, image_ref: str, question: str, mode: str) -> GenerationTrace:
-    """Run one task prompt for one instance. A failure raises a BackendError
-    naming the mode."""
-    try:
-        return backend.generate(BackendRequest(image_ref, question, mode))
-    except BackendError as exc:
-        raise BackendError(f"{mode} branch failed: {exc}") from exc
+def branch_traces(modes, results) -> tuple:
+    """Each mode's trace from its request's result, in order; the first
+    failed request raises a ``BackendError`` naming its mode."""
+    traces = []
+    for mode, result in zip(modes, results):
+        if isinstance(result, BackendError):
+            raise BackendError(f"{mode} branch failed: {result}") from result
+        traces.append(result)
+    return tuple(traces)
 
 
 def dual_generate(backend, image_ref: str, question: str) -> tuple:
     """Run both task prompts for one instance; returns (direct, cot) traces."""
-    return tuple(generate_branch(backend, image_ref, question, mode) for mode in MODES)
+    requests = [BackendRequest(image_ref, question, mode) for mode in MODES]
+    return branch_traces(MODES, backend.generate_all(requests, len(requests)))

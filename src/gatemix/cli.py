@@ -61,6 +61,7 @@ def _default(fn, name: str):
 class _Setting(NamedTuple):
     default: object  # None: a string with no default; a dict: an object of nested settings
     commands: tuple = ()  # the subcommands that take a --flag for it
+    help: str = None
 
 
 _TRAIN = ("gradcheck", "train-align")
@@ -79,7 +80,8 @@ _SETTINGS = {
     "lr": _Setting(TrainConfig.lr, ("train-align",)),
     "lambda": _Setting(TrainConfig.lam, _TRAIN),
     "alpha": _Setting(DEFAULT_ALPHA, ("verify", "eval")),
-    "workers": _Setting(_default(run_eval, "max_workers"), ("eval", "sweep")),
+    "workers": _Setting(_default(run_eval, "max_workers"), ("eval", "sweep"),
+                        "instances in flight at the backend"),
     "threshold": _Setting(SCORE_THRESHOLD, ("curate",)),
 }
 
@@ -299,7 +301,7 @@ def _build_parser() -> _Parser:
             commands[name].add_argument("--out", default="out")
     for key, s in _SETTINGS.items():
         for name in s.commands:
-            commands[name].add_argument("--" + key.replace("_", "-"), default=None,
+            commands[name].add_argument("--" + key.replace("_", "-"), default=None, help=s.help,
                                         type=str if s.default is None else type(s.default))
 
     p = commands["verify"]

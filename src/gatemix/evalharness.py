@@ -26,7 +26,6 @@ import json
 import os
 import threading
 import weakref
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
@@ -34,8 +33,11 @@ from typing import Optional
 
 import numpy as np
 
-from .backend import (MODES, PROMPT_MODES, BackendError, GenerationTrace, _check_keys,
-                      dual_generate, generate_branch, trace_from_dict, trace_to_dict)
+from .backend import (MODES, PROMPT_MODES, BackendError, BackendRequest, GenerationTrace,
+                      _check_keys, branch_traces, trace_from_dict, trace_to_dict)
+# The one-instance form of what ``_scored`` streams. The eval no longer
+# calls it, but perfbench's tracer wraps it under this module's name.
+from .backend import dual_generate  # noqa: F401
 from .verify import (BRANCHES, DEFAULT_ALPHA, answers_equal, branch_record, check_alpha,
                      score_response, self_verify)
 
@@ -162,9 +164,10 @@ class TraceCache:
     Opening the cache scans the log once into an index from each id to the
     offset and length of its last whole line, so a process sees only the
     lines that were in the log when it opened it, and its own. A ``put``
-    appends one whole line with one ``os.write``, under a lock shared by the
-    worker threads: with more than one worker the lines follow completion
-    order, and each id's line has the same bytes. A put of the line already
+    appends one whole line with one ``os.write``, under a lock, so threads
+    may share a cache. An eval or sweep puts each pair as its instance
+    completes, in one thread and in input order, and each id's line has
+    the same bytes whatever the order. A put of the line already
     indexed for its id appends nothing. A line torn by a failed or
     interrupted write is never read, so the id keeps the entry it had: only
     lines that end in ``}`` and a newline are indexed, and the next put
@@ -181,7 +184,7 @@ class TraceCache:
     number of float64s, a trace that ``trace_from_dict`` rejects (one with
     a key it does not know included), or an entry made for another image
     ref or question or under another modes digest: together they fix the
-    prompts and decoding configs ``dual_generate`` sends."""
+    prompts and decoding configs of the two requests."""
 
     def __init__(self, cache_dir):
         directory = Path(cache_dir)
@@ -298,35 +301,41 @@ def _scan(fd: int) -> tuple:
     return index, size - live, size, torn
 
 
-def _get_traces(backend, inst: BenchmarkInstance, cache: Optional[TraceCache]) -> tuple:
-    if cache is None:
-        return dual_generate(backend, inst.image_ref, inst.question)
-    pair = cache.get(inst.id, inst.image_ref, inst.question)
-    if pair is None:
-        pair = dual_generate(backend, inst.image_ref, inst.question)
-        cache.put(inst.id, inst.image_ref, inst.question, *pair)
-    return pair
+def _scored(backend, instances: list, strategy: str, cache: Optional[TraceCache],
+            max_workers: int):
+    """Each instance with its ``{branch: ScoredResponse}`` for the branches
+    the strategy uses, or the error text if it failed, in input order.
+
+    The cache is read first, and every hit's pair is held until its
+    instance's turn comes, so with a warm cache all the traces are in
+    memory at once. The requests of the misses then stream through
+    ``backend.generate_all`` with ``max_workers`` instances in flight, and
+    each pair is put into the cache as it completes. Without a cache a
+    direct or cot eval requests only its own branch; a cache entry holds
+    both."""
+    if max_workers < 1:
+        raise ValueError(f"workers must be >= 1, got {max_workers}")
+    modes = (strategy,) if cache is None and strategy in PROMPT_MODES else PROMPT_MODES
+    cached = [None if cache is None else cache.get(inst.id, inst.image_ref, inst.question)
+              for inst in instances]
+    requests = (BackendRequest(inst.image_ref, inst.question, mode)
+                for inst, pair in zip(instances, cached) if pair is None for mode in modes)
+    results = backend.generate_all(requests, max_workers * len(modes))
+    for inst, pair in zip(instances, cached):
+        try:
+            if pair is None:
+                pair = branch_traces(modes, [next(results) for _ in modes])
+                if cache is not None:
+                    cache.put(inst.id, inst.image_ref, inst.question, *pair)
+            yield inst, {b: score_response(t, inst.options) for b, t in zip(modes, pair) if strategy in ("sv", b)}
+        except (BackendError, ValueError, KeyError, OSError) as exc:
+            yield inst, f"{type(exc).__name__}: {exc}"
 
 
-def _score(backend, inst: BenchmarkInstance, strategy: str, cache: Optional[TraceCache]):
-    """``{branch: ScoredResponse}`` for the branches the strategy uses, or
-    the error text if the instance failed. Without a cache a direct or cot
-    eval requests only its own branch; a cache entry holds both."""
-    try:
-        if cache is None and strategy in PROMPT_MODES:
-            trace = generate_branch(backend, inst.image_ref, inst.question, strategy)
-            return {strategy: score_response(trace, inst.options)}
-        pair = zip(PROMPT_MODES, _get_traces(backend, inst, cache))
-        return {b: score_response(t, inst.options) for b, t in pair if strategy in ("sv", b)}
-    except (BackendError, ValueError, KeyError, OSError) as exc:
-        return f"{type(exc).__name__}: {exc}"
-
-
-def _eval_one(backend, inst: BenchmarkInstance, strategy: str, alpha: float,
-              cache: Optional[TraceCache]) -> dict:
-    """One instance's eval record at ``alpha``. An eval worker builds it, so
-    the instance's traces are dropped as soon as it is done."""
-    scored = _score(backend, inst, strategy, cache)
+def _eval_one(inst: BenchmarkInstance, scored, strategy: str, alpha: float) -> dict:
+    """One instance's eval record at ``alpha`` from its scored branches or
+    error text. ``run_eval`` builds each record as its instance's turn
+    comes and keeps only the record."""
     record = {"id": inst.id, "gold": inst.gold_answer, "error": None}
     if isinstance(scored, str):
         record.update(predicted=None, branch="error", correct=False, error=scored)
@@ -342,16 +351,6 @@ def _eval_one(backend, inst: BenchmarkInstance, strategy: str, alpha: float,
     return record
 
 
-def _map(fn, instances: list, max_workers: int) -> list:
-    """``fn`` over the instances in order; more than one worker uses a thread pool."""
-    if max_workers < 1:
-        raise ValueError(f"workers must be >= 1, got {max_workers}")
-    if max_workers == 1:
-        return [fn(inst) for inst in instances]
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        return list(pool.map(fn, instances))
-
-
 def run_eval(
     backend,
     instances: list,
@@ -363,15 +362,16 @@ def run_eval(
     """Evaluate one strategy over the instances.
 
     Correctness is a case-insensitive match of the extracted answer against
-    the gold answer (exact after trimming for free-text golds). Results are
-    reduced in input order, so reports are deterministic for a deterministic
-    backend regardless of worker scheduling.
+    the gold answer (exact after trimming for free-text golds). Instances
+    are handled in one thread and in input order, with ``max_workers`` of
+    them in flight at the backend, so reports are deterministic for a
+    deterministic backend at any ``max_workers``.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
     check_alpha(alpha)
-    records = _map(lambda inst: _eval_one(backend, inst, strategy, alpha, cache),
-                   instances, max_workers)
+    records = [_eval_one(inst, scored, strategy, alpha)
+               for inst, scored in _scored(backend, instances, strategy, cache, max_workers)]
     n = len(records)
     n_correct = sum(1 for r in records if r["correct"])
     branch_counts = ({b: sum(r["branch"] == b for r in records) for b in (*BRANCHES, "error")}
@@ -410,9 +410,9 @@ def alpha_sweep(
     for a in grid:
         check_alpha(a)
     with TraceCache(cache_dir) if cache_dir is not None else nullcontext() as cache:
-        scored = _map(lambda inst: _score(backend, inst, "sv", cache), instances, max_workers)
-    valid = [(inst.gold_answer, pair["direct"], pair["cot"])
-             for inst, pair in zip(instances, scored) if not isinstance(pair, str)]
+        valid = [(inst.gold_answer, pair["direct"], pair["cot"])
+                 for inst, pair in _scored(backend, instances, "sv", cache, max_workers)
+                 if not isinstance(pair, str)]
     n = len(instances)
     results = []
     for a in grid:

@@ -256,7 +256,10 @@ def _op(op: str, inputs: tuple, out_data: np.ndarray, grad_rule, *ctx) -> Tensor
     out.data = out_data
     out.grad = None
     stack = getattr(_graph_state, "stack", None)
-    if stack and stack[-1] is not None and any(t.requires_grad for t in inputs):
+    # every op but concat has one or two inputs: test their flags directly
+    if stack and stack[-1] is not None and (
+            inputs[0].requires_grad or inputs[-1].requires_grad
+            or len(inputs) > 2 and any(t.requires_grad for t in inputs)):
         out.requires_grad = True
         stack[-1].records.append(_OpRecord(op, inputs, out, grad_rule, ctx))
     else:

@@ -1,14 +1,17 @@
 """Backend tests: scripted mock, remote client against a loopback stub,
 prompt templates, and the dual-generation contract."""
 
+import http.client
 import json
 import math
+import random
 import socket
 import socketserver
 import struct
 import subprocess
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 from pathlib import Path
@@ -664,7 +667,10 @@ def wire_server():
     ``(reply, close)`` in ``server.replies``, or with a kept-alive 200 once
     they are used up; ``close`` ends the connection after the reply.
     ``server.requests`` holds the raw bytes of each request and
-    ``server.connections`` counts connections."""
+    ``server.connections`` counts connections. A request whose
+    ``image_ref`` has replies left in ``server.by_image`` takes the next of
+    those instead, and each reply is sent ``server.delay`` seconds after
+    its request was read."""
 
     class Handler(socketserver.StreamRequestHandler):
         timeout = 5  # an idle connection left open ends its thread
@@ -680,9 +686,14 @@ def wire_server():
                         return
                     head += line
                 length = int(head.lower().split(b"content-length: ")[1].split(b"\r\n")[0])
+                body = self.rfile.read(length)
+                image = json.loads(body).get("image_ref") if body.startswith(b"{") else None
                 with server.lock:
-                    server.requests.append(head + self.rfile.read(length))
-                    reply, close = server.replies.pop(0) if server.replies else (_OK, False)
+                    server.requests.append(head + body)
+                    script = server.by_image.get(image) or server.replies
+                    reply, close = script.pop(0) if script else (_OK, False)
+                if server.delay:
+                    time.sleep(server.delay)
                 self.wfile.write(reply)
                 if close:
                     return
@@ -691,6 +702,7 @@ def wire_server():
     server.daemon_threads = False  # so server_close joins the connection threads
     server.lock = threading.Lock()
     server.replies, server.requests, server.connections = [], [], 0
+    server.by_image, server.delay = {}, 0.0
     server.url = f"http://127.0.0.1:{server.server_address[1]}"
     # shutdown() waits for the loop's next poll, 0.5 s by default
     thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
@@ -877,3 +889,327 @@ class TestDualGenerate:
         assert (direct_req["temperature"], direct_req["top_p"]) == (1.0, 1.0)
         assert (cot_req["temperature"], cot_req["top_p"]) == (0.4, 0.9)
         assert direct_req["image_ref"] == cot_req["image_ref"] == "img1"
+
+
+def _reply(text: str, head: bytes = b"HTTP/1.1 200 OK\r\n") -> bytes:
+    body = json.dumps({"text": text, "logprobs": [-0.1]}).encode()
+    return b"%sContent-Length: %d\r\n\r\n%s" % (head, len(body), body)
+
+
+class TestWindow:
+    """Requests kept in flight at once, each on a connection of its own."""
+
+    @staticmethod
+    def _generate_all(server, n: int, monkeypatch, window: int = 4, **settings) -> tuple:
+        """The results of ``n`` requests for images img0, img1, ..., and the
+        client's writes."""
+        port = server.server_address[1]
+        writes = []
+        sendall = socket.socket.sendall
+
+        def recording_sendall(sock, data, *flags):
+            if sock.getpeername()[1] == port:
+                writes.append(bytes(data))
+            return sendall(sock, data, *flags)
+
+        monkeypatch.setattr(socket.socket, "sendall", recording_sendall)
+        backend = RemoteBackend(server.url, retry_wait=0.0, **settings)
+        try:
+            requests = [BackendRequest(f"img{k}", QUESTION, "direct") for k in range(n)]
+            return list(backend.generate_all(requests, window=window)), writes
+        finally:
+            backend.close()
+
+    @staticmethod
+    def _sent_images(server) -> list:
+        return [json.loads(r.split(b"\r\n\r\n", 1)[1])["image_ref"] for r in server.requests]
+
+    @pytest.mark.parametrize("window, max_in_flight, connections", [(1, 4, 1), (4, 4, 4), (4, 2, 2)])
+    def test_each_request_in_flight_has_a_connection_of_its_own(self, wire_server, monkeypatch,
+                                                                window, max_in_flight, connections):
+        results, writes = self._generate_all(wire_server, 6, monkeypatch, window, max_in_flight=max_in_flight)
+        assert [t.text for t in results] == ["B"] * 6
+        assert sorted(self._sent_images(wire_server)) == [f"img{k}" for k in range(6)]
+        assert [w.count(b"POST ") for w in writes] == [1] * 6  # never pipelined
+        assert wire_server.connections == connections
+
+    def test_a_slow_service_works_on_the_whole_window_at_once(self, wire_server, monkeypatch):
+        """Each reply takes 0.3 s; four requests in a window of four are
+        answered in about 0.3 s, not 1.2 s, and still in request order."""
+        wire_server.delay = 0.3
+        wire_server.by_image = {"img0": [(_reply("0"), False)], "img3": [(_reply("3"), False)]}
+        start = time.monotonic()
+        results, _ = self._generate_all(wire_server, 4, monkeypatch)
+        assert time.monotonic() - start < 0.9
+        assert [t.text for t in results] == ["0", "B", "B", "3"]
+
+    @pytest.mark.parametrize("ending", [b"HTTP/1.1 200 OK\r\nConnection: close\r\n", b"HTTP/1.0 200 OK\r\n"],
+                             ids=["connection-close", "end-of-stream"])
+    def test_a_reply_that_ends_its_connection_sends_the_next_request_on_a_new_one(
+            self, wire_server, monkeypatch, ending):
+        last = _reply("2", ending)
+        if ending.startswith(b"HTTP/1.0"):  # framed by the end of the stream
+            last = last.replace(b"Content-Length: 35\r\n", b"")
+        wire_server.replies = [(_reply("1"), False), (last, True)]
+        results, _ = self._generate_all(wire_server, 4, monkeypatch, window=1)
+        assert [t.text for t in results] == ["1", "2", "B", "B"]
+        assert self._sent_images(wire_server) == [f"img{k}" for k in range(4)]
+        assert wire_server.connections == 2
+
+    def test_a_failed_reply_spends_only_its_own_attempt(self, wire_server, monkeypatch, sleeps):
+        """With one attempt each, the 503 fails its request; the requests
+        in flight beside it succeed."""
+        busy = b"HTTP/1.1 503 Busy\r\nContent-Length: 0\r\n\r\n"
+        wire_server.by_image = {"img2": [(busy, False)]}
+        results, _ = self._generate_all(wire_server, 6, monkeypatch, retries=1)
+        assert isinstance(results[2], RetryableTransportError) and "HTTP 503 Busy" in str(results[2])
+        assert [r.text for k, r in enumerate(results) if k != 2] == ["B"] * 5
+        assert sleeps == []
+
+    def test_a_dropped_connection_is_retried_on_a_new_one(self, wire_server, monkeypatch, sleeps):
+        """A new connection that ends before its reply spends one attempt."""
+        wire_server.by_image = {"img1": [(b"", True)]}
+        results, _ = self._generate_all(wire_server, 4, monkeypatch, retries=2)
+        assert [t.text for t in results] == ["B"] * 4
+        assert sorted(self._sent_images(wire_server)) == ["img0", "img1", "img1", "img2", "img3"]
+        assert sleeps == [0.0]
+
+    def test_a_window_below_one_is_rejected(self):
+        backend = RemoteBackend("http://127.0.0.1:9")
+        with pytest.raises(ValueError, match="window must be >= 1"):
+            list(backend.generate_all([BackendRequest("img0", QUESTION, "direct")], window=0))
+
+    def test_a_4xx_reply_fails_only_its_own_request(self, wire_server, monkeypatch):
+        rejected = b"HTTP/1.1 400 Bad Request\r\nContent-Length: 0\r\n\r\n"
+        wire_server.by_image = {"img1": [(rejected, False)]}
+        results, _ = self._generate_all(wire_server, 5, monkeypatch, retries=3)
+        assert isinstance(results[1], BackendError) and "HTTP 400" in str(results[1])
+        assert [r.text for k, r in enumerate(results) if k != 1] == ["B"] * 4
+        assert len(wire_server.requests) == 5
+
+    def test_a_trickled_reply_fails_within_the_timeout(self):
+        """The timeout bounds the whole reply, not each socket read: a body
+        sent one byte per 0.1 s fails the request after 0.3 s."""
+        listener = socket.create_server(("127.0.0.1", 0))
+        stop = threading.Event()
+
+        def serve():
+            conn, _ = listener.accept()
+            with conn:
+                conn.recv(65536)
+                conn.sendall(b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n" % len(_REPLY_BODY))
+                for byte in _REPLY_BODY:
+                    if stop.wait(0.1):
+                        return
+                    try:
+                        conn.sendall(bytes([byte]))
+                    except OSError:
+                        return
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        backend = RemoteBackend(f"http://127.0.0.1:{listener.getsockname()[1]}", timeout=0.3, retries=1)
+        start = time.monotonic()
+        try:
+            with pytest.raises(RetryableTransportError, match="after 1 attempts: .*time"):
+                backend.complete_text("score this")
+            elapsed = time.monotonic() - start
+        finally:
+            stop.set()
+            thread.join(timeout=5)
+            listener.close()
+            backend.close()
+        assert elapsed < 0.3 + 0.2
+
+
+# Replies the reader is compared on: each framing, interim and error replies.
+_TABLE = {
+    "length": b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 33\r\n\r\n" + _REPLY_BODY,
+    "chunked": (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n5;ext=1\r\n" + _REPLY_BODY[:5]
+                + b"\r\n1c\r\n" + _REPLY_BODY[5:] + b"\r\n0\r\nX-Trailer: 1\r\n\r\n"),
+    "end-of-stream": b"HTTP/1.0 200 OK\r\nContent-Type: application/json\r\n\r\n" + _REPLY_BODY,
+    "connection-close": b"HTTP/1.1 200 OK\r\nConnection: close\r\nContent-Length: 33\r\n\r\n" + _REPLY_BODY,
+    "continue": b"HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 200 OK\r\nContent-Length: 33\r\n\r\n" + _REPLY_BODY,
+    "busy": b"HTTP/1.1 503 Service Unavailable\r\nRetry-After: 2\r\nContent-Length: 4\r\n\r\nbusy",
+    "no-content": b"HTTP/1.1 204 No Content\r\nContent-Length: 3\r\n\r\n",
+    "1.0-keep-alive": b"HTTP/1.0 200 OK\r\nConnection: keep-alive\r\nContent-Length: 33\r\n\r\n" + _REPLY_BODY,
+    "bare-line-feeds": b"HTTP/1.1 200 OK\nContent-Length: 33\n\n" + _REPLY_BODY,
+}
+# The replies that leave the connection open, so another may follow.
+_KEPT = ["length", "chunked", "continue", "busy", "no-content", "1.0-keep-alive", "bare-line-feeds"]
+
+
+def _fed(data: bytes) -> tuple:
+    """A socket pair whose second end reads ``data`` and then the end of the stream."""
+    ours, theirs = socket.socketpair()
+    ours.sendall(data)
+    ours.shutdown(socket.SHUT_WR)
+    return ours, theirs
+
+
+def _read_ours(conn) -> tuple:
+    """``(status, reason, body, keep_open)`` of the next reply, or None if it is broken."""
+    try:
+        status, reason, _, body, keep_open = backend_module._read_reply(conn)
+    except (backend_module._ReplyError, ConnectionError):
+        return None
+    return status, reason, body, keep_open
+
+
+def _ours(data: bytes):
+    writer, reader = _fed(data)
+    with writer, reader:
+        conn = backend_module._Connection(reader)
+        conn.deadline = time.monotonic() + 5
+        return _read_ours(conn)
+
+
+def _reference(data: bytes):
+    """What ``http.client`` reads from the same bytes, in the same shape."""
+    writer, reader = _fed(data)
+    with writer, reader:
+        resp = http.client.HTTPResponse(reader)
+        try:
+            resp.begin()
+            body = resp.read()
+        except (http.client.HTTPException, ValueError, OSError):
+            return None
+        finally:
+            resp.close()
+        return resp.status, resp.reason, body, not resp.will_close
+
+
+def _mutations(data: bytes, rng: random.Random):
+    """Every truncation, 150 seeded byte flips and each header line twice."""
+    for end in range(len(data)):
+        yield data[:end]
+    for _ in range(150):
+        at = rng.randrange(len(data))
+        yield data[:at] + bytes([data[at] ^ rng.randrange(1, 256)]) + data[at + 1:]
+    lines = data.split(b"\r\n")
+    for at, line in enumerate(lines):
+        if b": " in line:
+            yield b"\r\n".join(lines[:at + 1] + [line] + lines[at + 1:])
+            name, value = line.split(b": ", 1)
+            yield b"\r\n".join(lines[:at + 1] + [name + b": 1" + value] + lines[at + 1:])
+
+
+class TestReplyReaderAgainstHttpClient:
+    """A differential test of the reply reader against ``http.client``.
+    The reader may refuse what ``http.client`` accepts. What it accepts,
+    ``http.client`` reads with the same status, reason and body, and a
+    connection it keeps open ``http.client`` keeps open too."""
+
+    @pytest.mark.parametrize("name", list(_TABLE))
+    def test_table_and_mutations(self, name):
+        expected = _reference(_TABLE[name])
+        assert expected is not None and _ours(_TABLE[name]) == expected
+        accepted = 0
+        for data in _mutations(_TABLE[name], random.Random(name)):
+            got = _ours(data)
+            if got is None:
+                continue
+            accepted += 1
+            want = _reference(data)
+            assert want is not None and got[:3] == want[:3], data
+            assert want[3] or not got[3], data
+        assert accepted > 0
+
+    @pytest.mark.parametrize("first", _KEPT)
+    def test_back_to_back_replies_are_each_read_exactly(self, first):
+        for second in _TABLE:
+            writer, reader = _fed(_TABLE[first] + _TABLE[second])
+            with writer, reader:
+                conn = backend_module._Connection(reader)
+                conn.deadline = time.monotonic() + 5
+                assert _read_ours(conn) == _reference(_TABLE[first])
+                assert conn.reader.read() == _TABLE[second]  # not one byte of it was taken
+
+    def test_a_header_name_that_is_not_a_token_is_refused(self):
+        # http.client ends the headers at such a line and reads the body to
+        # the end of the stream; keeping the connection would misframe
+        data = _TABLE["length"].replace(b"Content-Type", b"Content\xdaType")
+        assert _reference(data)[3] is False
+        assert _ours(data) is None
+
+
+@pytest.fixture()
+def script_server():
+    """An HTTP/1.1 keep-alive service that answers each generation request
+    with the trace the ``easy_hard`` mock script holds for it, as JSON.
+    ``server.rejected`` names ``(image_ref, mode)`` pairs to answer with a
+    400 instead; ``server.counts`` counts connections and requests."""
+    mock = MockBackend.from_json(Path(__file__).parent / "fixtures" / "easy_hard_script.json")
+    lock = threading.Lock()
+
+    class Handler(BaseHTTPRequestHandler):
+        protocol_version = "HTTP/1.1"
+        timeout = 5  # an idle connection left open ends its thread
+
+        def setup(self):
+            super().setup()
+            with lock:
+                server.counts["connections"] += 1
+
+        def do_POST(self):
+            request = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+            with lock:
+                server.counts["requests"] += 1
+            question = request["prompt"].split("Question: ", 1)[1].split("\n", 1)[0]
+            mode = next(m for m in MODES if build_prompt(question, m) == request["prompt"])
+            if (request["image_ref"], mode) in server.rejected:
+                self.send_response(400)
+                body = b"{}"
+            else:
+                trace = mock.generate(BackendRequest(request["image_ref"], question, mode))
+                self.send_response(200)
+                body = json.dumps({"text": trace.text, "logprobs": trace.token_logprobs.tolist(),
+                                   "embeddings": {"prompt": trace.img_rep.tolist(),
+                                                  "completion": trace.txt_rep.tolist()}}).encode()
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+        def log_message(self, *args):
+            pass
+
+    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    server.daemon_threads = False  # so server_close joins the connection threads
+    server.rejected, server.counts = set(), {"connections": 0, "requests": 0}
+    server.url = f"http://127.0.0.1:{server.server_port}/v1"
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+class TestRemoteEval:
+    BENCHMARK = str(Path(__file__).parent / "fixtures" / "easy_hard_benchmark.jsonl")
+
+    def _eval(self, server, out: Path, workers: int) -> bytes:
+        assert dispatch(["eval", "--benchmark", self.BENCHMARK, "--strategy", "sv", "--workers", str(workers),
+                         "--backend", f"remote:{server.url}", "--out", str(out)]) == 0
+        return (out / "report.json").read_bytes()
+
+    def test_workers_change_neither_the_report_nor_the_requests(self, script_server, tmp_path, capsys):
+        mock = tmp_path / "mock"
+        assert dispatch(["eval", "--benchmark", self.BENCHMARK, "--strategy", "sv", "--backend",
+                         f"mock:{Path(__file__).parent / 'fixtures' / 'easy_hard_script.json'}",
+                         "--out", str(mock)]) == 0
+        for workers in (1, 2, 4):
+            script_server.counts.update(connections=0, requests=0)
+            report = self._eval(script_server, tmp_path / str(workers), workers)
+            assert report == (mock / "report.json").read_bytes()
+            # a window of two requests per instance in flight, at most max_in_flight (4)
+            assert script_server.counts == {"connections": min(2 * workers, 4), "requests": 2 * 4}
+
+    def test_a_4xx_reply_in_mid_stream_fails_only_its_instance(self, script_server, tmp_path, capsys):
+        script_server.rejected = {("img-e2", "cot")}  # the 4th of 8 requests
+        report = json.loads(self._eval(script_server, tmp_path, 2))
+        assert [r["branch"] == "error" for r in report["records"]] == [False, True, False, False]
+        assert report["records"][1]["error"] == (
+            "BackendError: cot branch failed: service rejected request: HTTP 400 Bad Request")
+        assert capsys.readouterr().out == "sv accuracy: 0.7500 on 4 instances, 1 failed\n"

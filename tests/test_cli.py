@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gatemix import cli, evalharness
+from gatemix import cli
 from gatemix.backend import BackendError, MalformedReplyError, MockBackend
 from gatemix.cli import dispatch
 
@@ -166,14 +166,14 @@ class TestEval:
         assert (out / "report.txt").exists()
 
     def test_one_failed_instance_is_counted_and_exits_0(self, tmp_path, monkeypatch, capsys):
-        real = evalharness.dual_generate
+        real = MockBackend.generate
 
-        def flaky(backend, image_ref, question):
-            if image_ref == "img-h2":
+        def flaky(backend, req):
+            if req.image_ref == "img-h2":
                 raise BackendError("service unavailable")
-            return real(backend, image_ref, question)
+            return real(backend, req)
 
-        monkeypatch.setattr(evalharness, "dual_generate", flaky)
+        monkeypatch.setattr(MockBackend, "generate", flaky)
         out = tmp_path / "e"
         code = dispatch(["eval", "--benchmark", str(FIXTURES / "easy_hard_benchmark.jsonl"),
                          "--backend", EASY_HARD, "--out", str(out)])
@@ -721,6 +721,12 @@ class TestEntryPoint:
         assert result.stdout.endswith(" (tolerance 1e-04)\n")
         assert cli.main(["--help"]) == 0
         assert capsys.readouterr().out.startswith("usage: gatemix")
+
+    @pytest.mark.parametrize("command", ["eval", "sweep"])
+    def test_workers_help_says_instances_in_flight(self, command, capsys):
+        assert cli.main([command, "--help"]) == 0
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "--workers WORKERS instances in flight at the backend " in help_text
 
     def test_package_import_loads_its_six_modules(self):
         # `import gatemix` is what the benchmark's set-up time measures, so

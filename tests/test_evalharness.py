@@ -61,6 +61,8 @@ class _Counting:
         self.inner = inner
         self.calls = 0
 
+    generate_all = MockBackend.generate_all
+
     def generate(self, req):
         self.calls += 1
         return self.inner.generate(req)
@@ -72,6 +74,8 @@ class _FailingFor:
     def __init__(self, inner, failing):
         self.inner = inner
         self.failing = set(failing)
+
+    generate_all = MockBackend.generate_all
 
     def generate(self, req):
         if req.image_ref in self.failing:
@@ -243,6 +247,8 @@ class TestRunEval:
 
     def test_backend_errors_contained(self, easy_hard_instances):
         class FailingBackend:
+            generate_all = MockBackend.generate_all
+
             def generate(self, req: BackendRequest):
                 raise BackendError("service down")
 
@@ -253,6 +259,8 @@ class TestRunEval:
 
     def test_programming_errors_propagate(self, easy_hard_instances):
         class BuggyBackend:
+            generate_all = MockBackend.generate_all
+
             def generate(self, req: BackendRequest):
                 raise TypeError("a bug, not a service failure")
 
@@ -295,6 +303,14 @@ class TestRunEval:
         serial = run_eval(easy_hard_backend, easy_hard_instances, "sv", max_workers=1)
         parallel = run_eval(easy_hard_backend, easy_hard_instances, "sv", max_workers=4)
         assert serial == parallel
+
+    @pytest.mark.parametrize("instances", [[], None], ids=["no-instances", "easy-hard"])
+    def test_no_instance_in_flight_is_rejected(self, easy_hard_backend, easy_hard_instances, instances):
+        instances = easy_hard_instances if instances is None else instances
+        for run in (lambda: run_eval(easy_hard_backend, instances, "sv", max_workers=0),
+                    lambda: alpha_sweep(easy_hard_backend, instances, max_workers=0)):
+            with pytest.raises(ValueError, match="workers must be >= 1"):
+                run()
 
     def test_invalid_strategy_rejected(self, easy_hard_backend, easy_hard_instances):
         with pytest.raises(ValueError):
@@ -394,6 +410,8 @@ class TestAlphaSweep:
         first = alpha_sweep(sweep_backend, sweep_instances, cache_dir=cache_dir)
 
         class ExplodingBackend:
+            generate_all = MockBackend.generate_all
+
             def generate(self, req):
                 raise AssertionError("cache should have satisfied this request")
 
@@ -443,15 +461,15 @@ class TestAlphaSweep:
         assert counts == [(1, 2 * n), (2, 4 * n), (3, 4 * n)]
 
     def test_parallel_sweep_writes_the_same_lines(self, mixed_backend_and_instances, tmp_path):
-        """With two workers the lines follow completion order, but they are
-        the lines one worker writes."""
+        """With two instances in flight the log holds the lines one writes,
+        in the same input order."""
         backend, instances = mixed_backend_and_instances
         logs = []
         for workers in (1, 2):
             alpha_sweep(backend, instances, max_workers=workers, cache_dir=tmp_path / str(workers))
             logs.append((tmp_path / str(workers) / "traces.jsonl").read_bytes().splitlines())
         serial, parallel = logs
-        assert sorted(serial) == sorted(parallel) and len(serial) == 44
+        assert serial == parallel and len(serial) == 44
 
     def test_old_layout_files_are_ignored(self, sweep_backend, sweep_instances, tmp_path):
         """``<id>.json`` files of the one-file-per-instance layout are each a

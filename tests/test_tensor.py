@@ -328,6 +328,16 @@ class TestStructuralOps:
         np.testing.assert_array_equal(cat.data[0:2], a.data)
         np.testing.assert_array_equal(cat.data[2:6], b.data)
 
+    def test_concat_records_when_only_a_middle_operand_requires_grad(self):
+        ends = [Tensor(np.ones((1, 2))) for _ in range(2)]
+        x = Tensor([[2.0, 3.0]], requires_grad=True)
+        with Graph() as g:
+            out = concat([ends[0], x, ends[1]], axis=0)
+            loss = out.sum()
+        assert out.requires_grad and [r.op for r in g.records] == ["concat", "sum"]
+        backward(g, loss)
+        np.testing.assert_array_equal(x.grad, [[1.0, 1.0]])
+
     def test_concat_axis1(self):
         a = Tensor(np.ones((2, 2)))
         b = Tensor(np.zeros((2, 3)))
