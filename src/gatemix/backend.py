@@ -33,6 +33,7 @@ import time
 import urllib.parse
 from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -510,11 +511,11 @@ class RemoteBackend:
     It speaks HTTP/1.1 on its own sockets: each request goes out in one
     write, and a reply's body may be delimited by ``Content-Length``,
     chunked encoding or the end of the stream; only the identity content
-    coding is asked for. It is safe to share across threads: at most
-    ``max_in_flight`` requests are outstanding across all callers, and at
-    most that many connections are open, idle ones in a pool that
-    ``close()`` empties. The endpoint must be a printable-ASCII http or
-    https URL with a host; proxy settings are not read.
+    coding is asked for. It is safe to share across threads: each caller
+    keeps its own requests in flight, on connections taken from or added
+    to one pool of idle ones that ``close()`` empties. The endpoint must be
+    a printable-ASCII http or https URL with a host; proxy settings are not
+    read.
     """
 
     def __init__(
@@ -525,14 +526,11 @@ class RemoteBackend:
         timeout: float = 30.0,
         retries: int = 3,
         retry_wait: float = 0.1,
-        max_in_flight: int = 4,
     ):
-        # no request slot would make every call wait forever; a socket
-        # cannot hold a timeout past TIMEOUT_MAX (it overflows time_t)
-        if retries < 1 or max_in_flight < 1 or not 0 < timeout <= threading.TIMEOUT_MAX:
-            raise ValueError(f"need retries >= 1, max_in_flight >= 1 and "
-                             f"0 < timeout <= {threading.TIMEOUT_MAX:.0f}, "
-                             f"got {retries}, {max_in_flight} and {timeout}")
+        # a socket cannot hold a timeout past TIMEOUT_MAX (it overflows time_t)
+        if retries < 1 or not 0 < timeout <= threading.TIMEOUT_MAX:
+            raise ValueError(f"need retries >= 1 and 0 < timeout <= {threading.TIMEOUT_MAX:.0f}, "
+                             f"got {retries} and {timeout}")
         url = urllib.parse.urlsplit(endpoint)
         if url.scheme not in ("http", "https") or not url.hostname:
             raise ValueError(f"endpoint must be an http:// or https:// URL with a host, got {endpoint!r}")
@@ -558,12 +556,8 @@ class RemoteBackend:
         self.timeout = timeout
         self.retries = retries
         self.retry_wait = retry_wait
-        self.max_in_flight = max_in_flight
-        # One slot per outstanding request, across all callers.
-        self._slots = threading.Semaphore(max_in_flight)
         # Idle kept-alive connections, last used first. A connection is made
-        # only when none is idle, and only by a holder of a slot, so there
-        # are never more than max_in_flight of them.
+        # only when none is idle.
         self._idle = []
         self._idle_lock = threading.Lock()
 
@@ -587,8 +581,7 @@ class RemoteBackend:
             raise
 
     def _open(self, fresh: bool = False) -> _Connection:
-        """An idle connection, or a new one if none is idle or ``fresh`` is
-        set. Only a holder of a slot may open one."""
+        """An idle connection, or a new one if none is idle or ``fresh`` is set."""
         if not fresh:
             with self._idle_lock:
                 if self._idle:
@@ -669,38 +662,26 @@ class RemoteBackend:
     def _replies(self, requests, window: int):
         """Send each request and yield, in order, its reply as a JSON object
         or the ``BackendError`` it ended in, with up to ``window`` of them
-        (at most ``max_in_flight``) in flight, each on its own connection."""
+        in flight, each on its own connection."""
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
         todo = iter(requests)
-        window = min(window, self.max_in_flight)
-        # Each request taken and not answered, oldest first, with the
+        # Each request sent and not answered, oldest first, with the
         # connection it was sent on, or None if sending it failed: it is
         # sent again when its reply is due.
-        flight, more = deque(), True
+        flight = deque()
         try:
             while True:
-                # a slot per request taken; wait for one only when holding none
-                while more and len(flight) < window and self._slots.acquire(not flight):
-                    request = next(todo, None)
-                    if request is None:
-                        self._slots.release()
-                        more = False
-                    else:
-                        flight.append((request, self._send(request)))
+                flight.extend((request, self._send(request))
+                              for request in islice(todo, window - len(flight)))
                 if not flight:
                     return
                 request, conn = flight.popleft()
-                try:
-                    reply = self._reply(request, conn)
-                finally:
-                    self._slots.release()
-                yield reply
+                yield self._reply(request, conn)
         finally:
             for _, conn in flight:
                 if conn is not None:
                     conn.close()
-                self._slots.release()
 
     def _request(self, prompt: str, decoding: DecodingConfig, image_ref: str | None) -> bytes:
         payload = {
@@ -719,7 +700,7 @@ class RemoteBackend:
 
     def generate_all(self, requests, window: int = 1):
         """One trace or ``BackendError`` per request, in request order, with
-        up to ``window`` requests (at most ``max_in_flight``) in flight."""
+        up to ``window`` requests in flight."""
         wire = (self._request(req.prompt, req.decoding, req.image_ref) for req in requests)
         for reply in self._replies(wire, window):
             if not isinstance(reply, BackendError):

@@ -35,7 +35,7 @@ import numpy as np
 
 from .backend import BackendError, MockBackend, RemoteBackend, dual_generate
 from .connector import ConnectorConfig
-from .curation import SCORE_THRESHOLD, load_records, run_pipeline
+from .curation import SCORE_THRESHOLD, ScoreParseError, load_records, run_pipeline
 from .evalharness import STRATEGIES, alpha_sweep, default_alpha_grid, load_benchmark, run_eval
 from .training import GRAD_CHECK_TOL, TrainConfig, grad_check, train_stage1
 from .verify import (DEFAULT_ALPHA, audit_record, check_alpha, letter_options, score_response,
@@ -72,7 +72,7 @@ _SETTINGS = {
     "backend": _Setting(None, _BACKEND),
     "api_key_env": _Setting(API_KEY_ENV),
     "remote": _Setting({name: _default(RemoteBackend, name)
-                        for name in ("model", "timeout", "retries", "max_in_flight")}),
+                        for name in ("model", "timeout", "retries")}),
     "dims": _Setting({f.name: f.default for f in fields(ConnectorConfig)}),
     "seed": _Setting(TrainConfig.seed, _TRAIN),
     "steps": _Setting(TrainConfig.steps, ("train-align",)),
@@ -325,20 +325,14 @@ def dispatch(argv) -> int:
         args = parser.parse_args(argv)
         with np.errstate(all="ignore"):  # the finiteness checks report a diverging run
             return args.func(args, _resolve(args, _load_config(args.config)))
-    except _ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except BackendError as exc:
-        # before ValueError: a malformed service reply is both, and the
-        # service is at fault
+    except (BackendError, ScoreParseError, RuntimeError, OSError) as exc:
+        # before ValueError: a malformed service or scorer reply is both,
+        # and the service is at fault
         print(f"failure: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (_ValidationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (RuntimeError, OSError) as exc:
-        print(f"failure: {exc}", file=sys.stderr)
-        return 2
 
 
 def main(argv=None) -> int:

@@ -121,6 +121,8 @@ _TRAILING_LETTER = re.compile(r"(?<![\w])([A-Za-z])[)\]]*[.!?]?\s*$")
 # A "." between two digits ends no sentence.
 _SENTENCE_SPLIT = re.compile(r"(?:[.!?\n](?:(?<!\d\.)|(?!\d)))+")
 _QUOTES_AND_BRACKETS = ":*\"'()[]"
+# The characters that can end a sentence, as characters that end none.
+_MASK = str.maketrans(".!?\n", "\0\1\2\3")
 
 
 def _option_letter(candidate: str, options, part: int):
@@ -141,12 +143,18 @@ def extract_answer(text: str, options: Optional[Sequence] = None) -> str:
        matched against the options by letter, then by the text of the
        rest of its line less a final ".", "!" or "?" (so an option text
        may hold a "."), then by its own text;
-    2. a trailing standalone option letter (or, without options, a text
-       that is itself a single letter);
-    3. the unique option whose text appears in the final sentence;
-    4. the whole trimmed text.
-    All matching folds case as ``answers_equal`` does, and letters come
-    back upper-cased; rule 3 falls through on ambiguity.
+    2. the longest option text that ends the text (less a final ".",
+       "!" or "?") with no letter or digit before it, unless another
+       option's text comes before it in the final sentence;
+    3. unless an option text ends the text, a trailing standalone option
+       letter (or, without options, a text that is itself a single
+       letter);
+    4. the unique option whose text appears in the final sentence;
+    5. the whole trimmed text.
+    No sentence ends inside an option text, but one does end at the "."
+    of an abbreviation outside every option text ("e.g. B."). All
+    matching folds case as ``answers_equal`` does, and letters come back
+    upper-cased; rules 2 and 4 fall through on ambiguity.
     """
     options = [(str(l), str(t)) for l, t in options] if options else []
 
@@ -166,23 +174,39 @@ def extract_answer(text: str, options: Optional[Sequence] = None) -> str:
         return declared if letter is None else letter
 
     stripped = text.strip()
-    if options:
-        m = _TRAILING_LETTER.search(stripped)
+    if not options:
+        return stripped.upper() if len(stripped) == 1 and stripped.isalpha() else stripped
+
+    folded = [_fold(t) for _, t in options]
+    # casefold never shortens a text, so this tail holds the longest option
+    # text and the character before it
+    tail = stripped[:-1].rstrip() if stripped.endswith((".", "!", "?")) else stripped
+    tail = tail[-max(map(len, folded)) - 1:].casefold()
+    ends = [k for k, option in enumerate(folded)
+            if option and tail.endswith(option) and not tail[:len(tail) - len(option)][-1:].isalnum()]
+    if not ends:
+        # only ")", "]" and one ".", "!" or "?" may follow the letter
+        m = _TRAILING_LETTER.search(stripped, max(len(stripped.rstrip(".!?)]")) - 1, 0))
         letter = _option_letter(m.group(1), options, 0) if m else None
         if letter is not None:
             return letter
-    elif len(stripped) == 1 and stripped.isalpha():
-        return stripped.upper()
 
-    if options:
-        sentences = [s.strip() for s in _SENTENCE_SPLIT.split(text) if s.strip()]
-        if sentences:
-            final = sentences[-1].casefold()
-            hits = [l.upper() for l, t in options if t and _fold(t) in final]
-            if len(hits) == 1:
-                return hits[0]
-
-    return text.strip()
+    # Mask the ".", "!", "?" and line ends of each option text, in it and in
+    # the text, so that no sentence ends inside one (the "." of "Dr. Smith").
+    masked = text.casefold()
+    for k, option in enumerate(folded):
+        if _SENTENCE_SPLIT.search(option):
+            folded[k] = option.translate(_MASK)
+            masked = masked.replace(option, folded[k])
+    sentences = [s.strip() for s in _SENTENCE_SPLIT.split(masked) if s.strip()]
+    final = sentences[-1] if sentences else ""
+    named = [k for k, option in enumerate(folded) if option and option in final]
+    if ends:
+        end = max(ends, key=lambda k: len(folded[k]))
+        head = final[:max(final.rfind(folded[end]), 0)]
+        if not any(folded[k] in head for k in named if k != end):
+            return options[end][0].upper()
+    return options[named[0]][0].upper() if len(named) == 1 else stripped
 
 
 class ScoredResponse(NamedTuple):

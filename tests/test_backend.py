@@ -488,7 +488,7 @@ class TestRemoteBackend:
         assert any("embeddings" in rec.message for rec in caplog.records)
 
     # 1e400 parses to inf; 1e12 s overflows a socket's time_t timeout
-    @pytest.mark.parametrize("setting", [{"retries": 0}, {"max_in_flight": 0}, {"timeout": 0.0},
+    @pytest.mark.parametrize("setting", [{"retries": 0}, {"timeout": 0.0},
                                          {"timeout": 1e400}, {"timeout": 1e12}])
     def test_settings_that_cannot_serve_are_rejected(self, setting):
         with pytest.raises(ValueError, match=">= 1"):
@@ -639,9 +639,9 @@ class TestConnectionReuse:
         assert counts["requests"] == 3
         assert len(sleeps) == 2
 
-    def test_shared_backend_opens_at_most_max_in_flight_connections(self, keepalive_server):
+    def test_shared_backend_opens_at_most_one_connection_per_thread(self, keepalive_server):
         endpoint, counts = keepalive_server
-        backend = RemoteBackend(endpoint, max_in_flight=3)
+        backend = RemoteBackend(endpoint)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -653,7 +653,7 @@ class TestConnectionReuse:
             backend.close()
         assert texts == ["B"] * 200
         assert counts["requests"] == 200
-        assert 1 <= counts["connections"] <= 3
+        assert 1 <= counts["connections"] <= 8
 
 
 _REPLY_BODY = b'{"text": "B", "logprobs": [-0.1]}'
@@ -924,14 +924,13 @@ class TestWindow:
     def _sent_images(server) -> list:
         return [json.loads(r.split(b"\r\n\r\n", 1)[1])["image_ref"] for r in server.requests]
 
-    @pytest.mark.parametrize("window, max_in_flight, connections", [(1, 4, 1), (4, 4, 4), (4, 2, 2)])
-    def test_each_request_in_flight_has_a_connection_of_its_own(self, wire_server, monkeypatch,
-                                                                window, max_in_flight, connections):
-        results, writes = self._generate_all(wire_server, 6, monkeypatch, window, max_in_flight=max_in_flight)
+    @pytest.mark.parametrize("window", [1, 2, 4, 6])
+    def test_each_request_in_flight_has_a_connection_of_its_own(self, wire_server, monkeypatch, window):
+        results, writes = self._generate_all(wire_server, 6, monkeypatch, window)
         assert [t.text for t in results] == ["B"] * 6
         assert sorted(self._sent_images(wire_server)) == [f"img{k}" for k in range(6)]
         assert [w.count(b"POST ") for w in writes] == [1] * 6  # never pipelined
-        assert wire_server.connections == connections
+        assert wire_server.connections == window
 
     def test_a_slow_service_works_on_the_whole_window_at_once(self, wire_server, monkeypatch):
         """Each reply takes 0.3 s; four requests in a window of four are
@@ -1203,8 +1202,8 @@ class TestRemoteEval:
             script_server.counts.update(connections=0, requests=0)
             report = self._eval(script_server, tmp_path / str(workers), workers)
             assert report == (mock / "report.json").read_bytes()
-            # a window of two requests per instance in flight, at most max_in_flight (4)
-            assert script_server.counts == {"connections": min(2 * workers, 4), "requests": 2 * 4}
+            # a window of two requests per instance in flight
+            assert script_server.counts == {"connections": 2 * workers, "requests": 2 * 4}
 
     def test_a_4xx_reply_in_mid_stream_fails_only_its_instance(self, script_server, tmp_path, capsys):
         script_server.rejected = {("img-e2", "cot")}  # the 4th of 8 requests

@@ -304,6 +304,17 @@ class TestCurate:
         assert code == 1
         assert f"records.jsonl:1: bad curation record: {key} must be" in capsys.readouterr().err
 
+    def test_scorer_reply_without_a_score_is_a_service_failure(self, tmp_path, capsys):
+        script = tmp_path / "scorer.json"
+        script.write_text(json.dumps({"default_completion": "I cannot score this."}))
+        out = tmp_path / "c"
+        code = dispatch(["curate", "--records", str(FIXTURES / "curation_records.jsonl"),
+                         "--backend", f"mock:{script}", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "failure: no 'Scoring:'/'Overall' value found in reply\n")
+        assert list(out.iterdir()) == []
+
 
 class TestExitCodes:
     def test_unknown_subcommand_is_usage_error(self, capsys):
@@ -480,9 +491,12 @@ class TestExitCodes:
         ({"alpha": "0.7"}, ["gradcheck"], "'alpha'"),
         ({"remote": {"retires": 9}}, ["eval", "--backend", EASY_HARD], "'retires' in 'remote'"),
         ({"dims": [8]}, ["eval", "--backend", EASY_HARD], "'dims'"),
+        # --workers alone bounds the requests in flight
+        ({"remote": {"max_in_flight": 4}}, ["eval", "--backend", "remote:http://127.0.0.1:9"],
+         "'max_in_flight' in 'remote' is not a setting"),
     ], ids=["unknown-dim", "string-dim", "list-remote", "string-retries", "string-alpha",
             "int-backend", "unknown-key", "unknown-remote-key", "unread-string-alpha",
-            "unread-unknown-remote-key", "unread-list-dims"])
+            "unread-unknown-remote-key", "unread-list-dims", "dropped-max-in-flight"])
     def test_config_value_of_wrong_shape_is_validation_error(self, tmp_path, capsys, config,
                                                              command, key):
         path = tmp_path / "config.json"

@@ -788,6 +788,47 @@ class TestTraceLog:
         expected.update(i4=self.NEW, i5=self.NEW)
         assert {k: final.get(k, "img", "q?") for k in expected} == expected
 
+    def test_a_log_cut_at_any_byte_reads_back_only_whole_lines(self, tmp_path):
+        """Cut the log of i1 (old), i2 and i1 (new), each put with its own
+        image ref, at every byte and reopen it. Each id reads back the entry
+        of its last line that the cut left whole, or misses, and never
+        another line's traces; a put after the cut reads back and leaves
+        the other ids as they read."""
+        puts = [("i1", "img-old", self.OLD), ("i2", "img-2", self.OLD), ("i1", "img-new", self.NEW)]
+        later = ("i3", "img-3", self.NEW)
+        ends = []  # the log's size after each put
+        with TraceCache(tmp_path / "whole") as whole:
+            for key, ref, pair in puts:
+                whole.put(key, ref, "q?", *pair)
+                ends.append((tmp_path / "whole" / "traces.jsonl").stat().st_size)
+        log = (tmp_path / "whole" / "traces.jsonl").read_bytes()
+        assert ends[-1] == len(log)
+        (tmp_path / "cut").mkdir()
+        cut_log = tmp_path / "cut" / "traces.jsonl"
+
+        # a get hits only the line put with its id and image ref, so a read
+        # of another line would show as a miss
+        pairs = [(key, ref) for key, ref, _ in puts + [later]]
+
+        def reads(cache) -> dict:
+            return {(key, ref): cache.get(key, ref, "q?") for key, ref in pairs}
+
+        for cut in range(len(log) + 1):
+            cut_log.write_bytes(log[:cut])
+            last = {}  # each id's last line that the cut left whole
+            for (key, ref, pair), end in zip(puts, ends):
+                if end <= cut:
+                    last[key] = (ref, pair)
+            expected = dict.fromkeys(pairs)
+            expected.update({(key, ref): pair for key, (ref, pair) in last.items()})
+            with TraceCache(tmp_path / "cut") as cache:
+                assert reads(cache) == expected, cut
+                cache.put(*later[:2], "q?", *later[2])
+                assert cache.get(*later[:2], "q?") == later[2], cut
+                expected[later[:2]] = later[2]
+            with TraceCache(tmp_path / "cut") as reopened:
+                assert reads(reopened) == expected, cut
+
     def test_later_line_supersedes_earlier(self, tmp_path):
         cache = TraceCache(tmp_path)
         for instance_id, pair in (("i1", self.OLD), ("i2", self.OLD), ("i1", self.NEW)):

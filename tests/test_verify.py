@@ -199,6 +199,19 @@ class TestExtractAnswer:
     def test_declared_line_names_an_option_text_with_a_dot(self, text, want):
         assert extract_answer(text, [("A", "Dr. Smith"), ("B", "U.S.A")]) == want
 
+    @pytest.mark.parametrize("text, want", [
+        ("Clearly U.S.A.", "B"),  # the final "A" of U.S.A is no standalone letter
+        ("I pick U.S.A", "B"),
+        ("It must be Dr. Smith", "A"),
+        ("It must be Dr. Smith, I think.", "A"),  # no sentence ends inside Dr. Smith
+        ("Not Dr. Smith but U.S.A.", "Not Dr. Smith but U.S.A."),
+    ])
+    def test_undeclared_option_text_with_a_dot_is_one_unit(self, text, want):
+        assert extract_answer(text, [("A", "Dr. Smith"), ("B", "U.S.A")]) == want
+
+    def test_longest_option_text_ending_the_text_wins(self):
+        assert extract_answer("It must be Dr. Smith", [("A", "Smith"), ("B", "Dr. Smith")]) == "B"
+
     def test_declared_letter_comes_before_option_texts(self):
         assert extract_answer("The answer is B.", [("A", "B"), ("B", "C")]) == "B"
 
