@@ -13,8 +13,8 @@ overrides built-in defaults (alpha 0.7, 24 prefix rows). Backends are
 selected with "mock:<script.json>" or "remote:<url>"; remote credentials
 come from the GATEMIX_API_KEY environment variable. All artifacts land
 under the --out directory. Exit codes: 0 success, 1 validation error, 2
-runtime failure, which includes an eval whose every instance failed (its
-report is still written).
+runtime failure, which includes an eval or sweep whose every instance
+failed (its artifacts are still written).
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import numpy as np
 from .backend import BackendError, MockBackend, RemoteBackend, dual_generate
 from .connector import ConnectorConfig
 from .curation import SCORE_THRESHOLD, ScoreParseError, load_records, run_pipeline
-from .evalharness import STRATEGIES, alpha_sweep, default_alpha_grid, load_benchmark, run_eval
+from .evalharness import STRATEGIES, default_alpha_grid, load_benchmark, run_eval, sweep_table
 from .training import GRAD_CHECK_TOL, TrainConfig, grad_check, train_stage1
 from .verify import (DEFAULT_ALPHA, audit_record, check_alpha, letter_options, score_response,
                      self_verify)
@@ -231,6 +231,15 @@ def _load_benchmark(path) -> list:
     return instances
 
 
+def _failed_exit(n_instances: int, errors: list) -> int:
+    """2 when each of the ``n_instances`` failed, naming the first error
+    on stderr, else 0."""
+    if errors and len(errors) == n_instances:
+        print(f"failure: every instance failed, the first with {errors[0]}", file=sys.stderr)
+        return 2
+    return 0
+
+
 def _cmd_eval(args, settings) -> int:
     out = _out_dir(args)
     with closing(_make_backend(settings)) as backend:
@@ -244,28 +253,26 @@ def _cmd_eval(args, settings) -> int:
         counts = sorted(report.branch_counts.items())
         lines.append("branches: " + ", ".join(f"{k}={v}" for k, v in counts))
     (out / "report.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    failed = sum(r["error"] is not None for r in report.records)
+    errors = [r["error"] for r in report.records if r["error"] is not None]
     print(f"{args.strategy} accuracy: {report.accuracy:.4f} on {report.n_instances} instances, "
-          f"{failed} failed")
-    if failed and failed == report.n_instances:
-        print(f"failure: every instance failed, the first with {report.records[0]['error']}",
-              file=sys.stderr)
-        return 2
-    return 0
+          f"{len(errors)} failed")
+    return _failed_exit(report.n_instances, errors)
 
 
 def _cmd_sweep(args, settings) -> int:
     out = _out_dir(args)
     with closing(_make_backend(settings)) as backend:
         grid = _parse_grid(args.grid) if args.grid else default_alpha_grid()
-        results = alpha_sweep(backend, _load_benchmark(args.benchmark), grid=grid,
-                              max_workers=settings["workers"])
+        table = sweep_table(backend, _load_benchmark(args.benchmark),
+                            max_workers=settings["workers"])
+    results = [(a, table.accuracy(a)) for a in grid]
     lines = ["alpha  accuracy"] + [f"{_alpha_label(a):<5}  {acc:.4f}" for a, acc in results]
-    table = "\n".join(lines) + "\n"
-    print(table, end="")
+    text = "\n".join(lines) + "\n"
+    print(text, end="")
     _write_json(out / "sweep.json", [{"alpha": a, "accuracy": acc} for a, acc in results])
-    (out / "sweep.txt").write_text(table, encoding="utf-8")
-    return 0
+    (out / "sweep.txt").write_text(text, encoding="utf-8")
+    print(f"swept {table.n_instances} instances, {len(table.errors)} failed")
+    return _failed_exit(table.n_instances, table.errors)
 
 
 def _cmd_curate(args, settings) -> int:

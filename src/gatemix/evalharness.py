@@ -7,8 +7,10 @@ records; the CLI writes the report artifacts. Backend, trace and cache I/O
 failures are contained per instance (recorded as incorrect-with-error); any
 other exception propagates.
 
-Each instance is generated and scored once; the alpha sweep re-runs only
-the decision rule per grid point. Traces can be cached on disk, in one
+Each instance is generated and scored once; the alpha sweep matches each
+instance's branches against each other and against the gold once, and
+re-runs only the decision rule per grid point, on the instances whose
+branches disagree. Traces can be cached on disk, in one
 append-only log per cache directory, ``traces.jsonl``: each line is an
 instance id and a compact JSON entry holding each branch's trace under its
 mode's name, with each trace's float fields packed as base64 text of their
@@ -29,7 +31,7 @@ import weakref
 from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -50,6 +52,8 @@ __all__ = [
     "TraceCache",
     "load_benchmark",
     "run_eval",
+    "SweepTable",
+    "sweep_table",
     "alpha_sweep",
     "default_alpha_grid",
 ]
@@ -392,6 +396,51 @@ def default_alpha_grid() -> list:
     return [round(i / 10, 1) for i in range(11)]
 
 
+class SweepTable(NamedTuple):
+    """A sweep's instances, each matched once: ``agreed_right`` counts the
+    instances whose two branches agree on an answer that matches the gold;
+    ``disagreeing`` holds ``(direct, cot, direct_right, cot_right)`` for
+    each instance whose branches disagree, with whether each branch's
+    answer matches the gold; ``errors`` holds the error text of each failed
+    instance, which is wrong at every alpha."""
+
+    n_instances: int
+    agreed_right: int
+    disagreeing: list
+    errors: list
+
+    def accuracy(self, alpha: float) -> float:
+        """``run_eval(..., "sv", alpha=alpha)``'s accuracy over the same
+        instances. An agreeing instance's answer does not depend on alpha,
+        so only the disagreeing ones go through ``self_verify``."""
+        check_alpha(alpha)
+        n_correct = self.agreed_right
+        for direct, cot, direct_right, cot_right in self.disagreeing:
+            direct_won = self_verify(direct, cot, alpha).chosen_branch == BRANCHES[2]
+            n_correct += direct_right if direct_won else cot_right
+        n = self.n_instances
+        return (n_correct / n) if n else 0.0
+
+
+def sweep_table(backend, instances: list, max_workers: int = 1, cache_dir=None) -> SweepTable:
+    """Score each instance's two branches once and build its ``SweepTable``
+    row. ``cache_dir`` keeps the traces on disk for later sweeps."""
+    agreed_right, disagreeing, errors = 0, [], []
+    with TraceCache(cache_dir) if cache_dir is not None else nullcontext() as cache:
+        for inst, pair in _scored(backend, instances, "sv", cache, max_workers):
+            if isinstance(pair, str):
+                errors.append(pair)
+                continue
+            direct, cot = pair["direct"], pair["cot"]
+            cot_right = answers_equal(cot.answer, inst.gold_answer)
+            if answers_equal(cot.answer, direct.answer):
+                agreed_right += cot_right
+            else:
+                disagreeing.append(
+                    (direct, cot, answers_equal(direct.answer, inst.gold_answer), cot_right))
+    return SweepTable(len(instances), agreed_right, disagreeing, errors)
+
+
 def alpha_sweep(
     backend,
     instances: list,
@@ -401,22 +450,12 @@ def alpha_sweep(
 ) -> list:
     """Self-verification accuracy across a grid of alpha values.
 
-    Each instance is scored once and only ``self_verify`` runs per grid
-    point, so each accuracy equals ``run_eval(..., "sv", alpha=a)``'s; a
-    failed instance is wrong at every point. ``cache_dir`` keeps the traces
-    on disk for later sweeps.
+    Each instance is scored once into a ``SweepTable``, and each accuracy
+    equals ``run_eval(..., "sv", alpha=a)``'s; a failed instance is wrong at
+    every point. ``cache_dir`` keeps the traces on disk for later sweeps.
     """
     grid = default_alpha_grid() if grid is None else list(grid)
     for a in grid:
         check_alpha(a)
-    with TraceCache(cache_dir) if cache_dir is not None else nullcontext() as cache:
-        valid = [(inst.gold_answer, pair["direct"], pair["cot"])
-                 for inst, pair in _scored(backend, instances, "sv", cache, max_workers)
-                 if not isinstance(pair, str)]
-    n = len(instances)
-    results = []
-    for a in grid:
-        n_correct = sum(answers_equal(self_verify(direct, cot, a).final_answer, gold)
-                        for gold, direct, cot in valid)
-        results.append((a, (n_correct / n) if n else 0.0))
-    return results
+    table = sweep_table(backend, instances, max_workers, cache_dir)
+    return [(a, table.accuracy(a)) for a in grid]

@@ -8,6 +8,13 @@ regulariser over batch-pooled image/text representations,
 where S holds pairwise similarities between pooled image rows and pooled
 text rows. Raw cosine can be negative or zero, which leaves the logs
 undefined, so the similarity is exp(cos/tau), which is always positive.
+
+The operands that do not depend on the trained parameters are prepared
+once, with their checks: ``token_targets`` turns target ids into the
+one-hot matrix ``generation_loss`` takes, and ``text_side`` turns text rows
+into the transpose and row norms ``similarity_matrix`` takes. A training
+loop builds them once per batch; each loss call then computes only what
+depends on the parameters.
 """
 
 from __future__ import annotations
@@ -26,8 +33,12 @@ from .tensor import (
 
 __all__ = [
     "InvalidSimilarityError",
+    "TokenTargets",
+    "TextSide",
     "BatchRepresentations",
     "SimilarityMatrix",
+    "token_targets",
+    "text_side",
     "similarity_matrix",
     "creg_loss",
     "generation_loss",
@@ -38,19 +49,43 @@ class InvalidSimilarityError(ValueError):
     """Similarity entries unusable for the contrastive loss."""
 
 
+@dataclass(frozen=True)
+class TextSide:
+    """Text rows prepared for ``similarity_matrix``: the b x d rows, their
+    d x b transpose and their 1 x b row of norms."""
+
+    rows: Tensor
+    rows_t: Tensor
+    norms: Tensor
+
+
+def text_side(txt: Tensor) -> TextSide:
+    """Prepare the b x d text rows ``txt``; a zero-norm row is a
+    ``DegenerateVectorError``. The transpose and norms are built with
+    tensor ops, so they record when ``txt`` requires grad."""
+    if txt.ndim != 2:
+        raise ShapeError("batch representations must be rank 2")
+    squared = (txt * txt).sum(axis=1)
+    if not squared.data.all():
+        raise DegenerateVectorError("similarity_matrix: zero-norm txt row")
+    return TextSide(rows=txt, rows_t=txt.transpose(),
+                    norms=squared.sqrt().reshape((1, txt.shape[0])))
+
+
 @dataclass
 class BatchRepresentations:
-    """Pooled per-item representations: img and txt are both b x d_llm."""
+    """Pooled per-item representations: img is b x d_llm, txt the prepared
+    text side of b rows of the same width."""
 
     img: Tensor
-    txt: Tensor
+    txt: TextSide
 
     def __post_init__(self):
-        if self.img.ndim != 2 or self.txt.ndim != 2:
+        if self.img.ndim != 2:
             raise ShapeError("batch representations must be rank 2")
-        if self.img.shape != self.txt.shape:
+        if self.img.shape != self.txt.rows.shape:
             raise ShapeError(
-                f"img/txt representation shapes differ: {self.img.shape} vs {self.txt.shape}"
+                f"img/txt representation shapes differ: {self.img.shape} vs {self.txt.rows.shape}"
             )
 
     @property
@@ -67,19 +102,17 @@ class SimilarityMatrix:
 
 def similarity_matrix(reps: BatchRepresentations, tau: float = 1.0) -> SimilarityMatrix:
     """Pairwise similarities S_ij = exp(cos(img_i, txt_j) / tau) between img
-    row i and txt row j, strictly positive. Differentiable end to end.
+    row i and txt row j, strictly positive. Differentiable end to end; the
+    text side arrives prepared, so only the img rows' norms are computed.
     """
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
-    b = reps.b
-    dots = matmul(reps.img, reps.txt.transpose())                    # b x b
-    norms = []
-    for name, t, shape in (("img", reps.img, (b, 1)), ("txt", reps.txt, (1, b))):
-        squared = (t * t).sum(axis=1)
-        if not squared.data.all():
-            raise DegenerateVectorError(f"similarity_matrix: zero-norm {name} row")
-        norms.append(squared.sqrt().reshape(shape))
-    cos = dots / matmul(*norms)
+    img = reps.img
+    dots = matmul(img, reps.txt.rows_t)                               # b x b
+    squared = (img * img).sum(axis=1)
+    if not squared.data.all():
+        raise DegenerateVectorError("similarity_matrix: zero-norm img row")
+    cos = dots / matmul(squared.sqrt().reshape((reps.b, 1)), reps.txt.norms)
     return SimilarityMatrix(S=(cos / tau).exp())
 
 
@@ -105,16 +138,17 @@ def creg_loss(sm: SimilarityMatrix) -> Tensor:
     return terms.sum() * (-1.0 / (2.0 * b))
 
 
-def generation_loss(logits: Tensor, targets) -> Tensor:
-    """Mean negative log-softmax probability of the target ids.
+@dataclass(frozen=True)
+class TokenTargets:
+    """Target ids prepared for ``generation_loss``: the T x V one-hot
+    matrix of T ids over a vocabulary of V."""
 
-    ``logits`` is T x V; ``targets`` is a sequence or array of T integer
-    ids below V. The log-sum-exp is computed with a constant per-row shift,
-    so gradients are exact.
-    """
-    if logits.ndim != 2:
-        raise ShapeError(f"generation_loss: logits must be rank 2, got {logits.shape}")
-    t_count, vocab = logits.shape
+    onehot: Tensor
+
+
+def token_targets(targets, t_count: int, vocab: int) -> TokenTargets:
+    """Prepare ``targets``, a sequence or array of ``t_count`` integer ids
+    below ``vocab``, for logits of ``t_count`` rows and ``vocab`` columns."""
     ids = np.asarray(targets)
     if ids.shape != (t_count,):
         raise ShapeError(
@@ -125,7 +159,24 @@ def generation_loss(logits: Tensor, targets) -> Tensor:
         raise ValueError(f"generation_loss: target id {tid} out of range for vocab {vocab}")
     onehot = np.zeros((t_count, vocab))
     onehot[np.arange(t_count), ids] = 1.0
-    picked = (logits * Tensor._raw(onehot)).sum(axis=1)               # (T,)
+    return TokenTargets(onehot=Tensor._raw(onehot))
+
+
+def generation_loss(logits: Tensor, targets: TokenTargets) -> Tensor:
+    """Mean negative log-softmax probability of the target ids.
+
+    ``logits`` is T x V and ``targets`` the prepared T x V one-hot
+    matrix. The log-sum-exp is computed with a constant per-row shift, so
+    gradients are exact.
+    """
+    if logits.ndim != 2:
+        raise ShapeError(f"generation_loss: logits must be rank 2, got {logits.shape}")
+    onehot = targets.onehot
+    if logits.shape != onehot.shape:
+        raise ShapeError(
+            f"generation_loss: targets of shape {onehot.shape} for logits of shape {logits.shape}"
+        )
+    picked = (logits * onehot).sum(axis=1)                            # (T,)
     row_max = np.maximum.reduce(logits.data, 1, keepdims=True)        # constant shift
     shift = Tensor._raw(row_max)
     lse = (logits - shift).exp().sum(axis=1).log() + Tensor._raw(row_max.reshape(-1))

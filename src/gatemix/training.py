@@ -13,21 +13,27 @@ bytes on every run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .connector import ConnectorConfig, EncoderFeatures, GateMixerParams, forward, init_params
 from .objectives import (
     BatchRepresentations,
+    TextSide,
+    TokenTargets,
     creg_loss,
     generation_loss,
     similarity_matrix,
     stage1_objective,
+    text_side,
+    token_targets,
 )
 from .tensor import Graph, Tensor, backward, finite_diff_check, make_rng, matmul
 
 __all__ = [
     "DivergenceError",
+    "Stage1Constants",
     "SyntheticBatch",
     "TrainConfig",
     "TrainingReport",
@@ -56,6 +62,16 @@ class DivergenceError(RuntimeError):
     """Training produced a non-finite loss."""
 
 
+class Stage1Constants(NamedTuple):
+    """What ``stage1_loss`` needs of a batch that no parameter changes."""
+
+    feats: EncoderFeatures  # every item's feature streams, row-stacked
+    pool: Tensor            # b x (n_prefix + total tokens) mean-pooling matrix
+    tile: Tensor            # total targets x b matrix tiling each item's logit row
+    targets: TokenTargets   # the flat target ids as a one-hot matrix
+    text: TextSide          # the text rows with their transpose and norms
+
+
 @dataclass
 class SyntheticBatch:
     """Paired synthetic features and text representations.
@@ -72,9 +88,9 @@ class SyntheticBatch:
     latents: np.ndarray
     _stage1: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def stage1_constants(self, n_prefix: int) -> tuple:
-        """(stacked features, pooling matrix, tiling matrix, flat targets) of
-        ``stage1_loss`` for a connector with ``n_prefix`` prefix rows."""
+    def stage1_constants(self, n_prefix: int) -> Stage1Constants:
+        """The constants of ``stage1_loss`` for a connector with ``n_prefix``
+        prefix rows. The target and text checks fire here, on first use."""
         if n_prefix not in self._stage1:
             b = len(self.feats)
             stacked = EncoderFeatures(
@@ -85,8 +101,10 @@ class SyntheticBatch:
             pool = np.hstack([np.ones((b, n_prefix)), np.repeat(np.eye(b), n_tokens, axis=1)])
             pool /= (n_prefix + n_tokens)[:, None]
             tile = np.repeat(np.eye(b), [len(t) for t in self.target_tokens], axis=0)
-            targets = np.array([t for targets in self.target_tokens for t in targets], dtype=int)
-            self._stage1[n_prefix] = (stacked, Tensor(pool), Tensor(tile), targets)
+            targets = [t for targets in self.target_tokens for t in targets]
+            self._stage1[n_prefix] = Stage1Constants(
+                stacked, Tensor(pool), Tensor(tile),
+                token_targets(targets, len(targets), VOCAB_SIZE), text_side(self.txt_reps))
         return self._stage1[n_prefix]
 
 
@@ -193,15 +211,16 @@ def stage1_loss(
     ``pool_map`` and ``readout`` once; a constant one-hot matrix tiles each
     item's logit row over its targets, and one token loss averages over all
     targets, which is the mean of per-item losses as every item carries
-    ``TARGET_LEN`` targets. The stacked streams and both constant matrices
-    are built once per batch (see ``SyntheticBatch.stage1_constants``).
+    ``TARGET_LEN`` targets. The stacked streams, both constant matrices,
+    the one-hot targets and the frozen text side are built once per batch
+    (see ``SyntheticBatch.stage1_constants``).
     """
-    stacked, pool, tile, targets = batch.stage1_constants(params.h_p.shape[0])
+    stacked, pool, tile, targets, text = batch.stage1_constants(params.h_p.shape[0])
     h_img0 = forward(stacked, params).h_img0  # (n_prefix + sum n_i) x d_llm
     img = matmul(matmul(pool, h_img0), standins.pool_map)  # b x d_llm
     logits = matmul(tile, matmul(img, standins.readout))  # sum T_i x V
     gen = generation_loss(logits, targets)
-    creg = creg_loss(similarity_matrix(BatchRepresentations(img=img, txt=batch.txt_reps)))
+    creg = creg_loss(similarity_matrix(BatchRepresentations(img=img, txt=text)))
     return stage1_objective(gen, creg, lam)
 
 

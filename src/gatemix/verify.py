@@ -136,6 +136,18 @@ def _option_letter(candidate: str, options, part: int):
     return None
 
 
+def _named_at(text: str, option: str) -> int:
+    """Where ``option`` first stands in ``text`` with no letter or digit
+    touching it on either side, or -1."""
+    i = text.find(option)
+    while i >= 0:
+        j = i + len(option)
+        if not (text[i - 1:i].isalnum() or text[j:j + 1].isalnum()):
+            return i
+        i = text.find(option, i + 1)
+    return -1
+
+
 def extract_answer(text: str, options: Optional[Sequence] = None) -> str:
     """Pull the answer out of a response with a fixed rule cascade.
 
@@ -145,11 +157,14 @@ def extract_answer(text: str, options: Optional[Sequence] = None) -> str:
        may hold a "."), then by its own text;
     2. the longest option text that ends the text (less a final ".",
        "!" or "?") with no letter or digit before it, unless another
-       option's text comes before it in the final sentence;
+       option's text is named before it in the final sentence, as rule 4
+       names it;
     3. unless an option text ends the text, a trailing standalone option
        letter (or, without options, a text that is itself a single
        letter);
-    4. the unique option whose text appears in the final sentence;
+    4. the unique option whose text appears in the final sentence with no
+       letter or digit touching it on either side ("red" is not in
+       "bored");
     5. the whole trimmed text.
     No sentence ends inside an option text, but one does end at the "."
     of an abbreviation outside every option text ("e.g. B."). All
@@ -200,11 +215,13 @@ def extract_answer(text: str, options: Optional[Sequence] = None) -> str:
             masked = masked.replace(option, folded[k])
     sentences = [s.strip() for s in _SENTENCE_SPLIT.split(masked) if s.strip()]
     final = sentences[-1] if sentences else ""
-    named = [k for k, option in enumerate(folded) if option and option in final]
+    named_at = {k: _named_at(final, option) for k, option in enumerate(folded)
+                if option and option in final}
+    named = [k for k, at in named_at.items() if at >= 0]
     if ends:
         end = max(ends, key=lambda k: len(folded[k]))
-        head = final[:max(final.rfind(folded[end]), 0)]
-        if not any(folded[k] in head for k in named if k != end):
+        head = max(final.rfind(folded[end]), 0)
+        if not any(named_at[k] + len(folded[k]) <= head for k in named if k != end):
             return options[end][0].upper()
     return options[named[0]][0].upper() if len(named) == 1 else stripped
 

@@ -13,6 +13,8 @@ from gatemix.objectives import (
     generation_loss,
     similarity_matrix,
     stage1_objective,
+    text_side,
+    token_targets,
 )
 from gatemix.tensor import Tensor, concat, matmul
 
@@ -50,10 +52,10 @@ def reference_stage1_loss(params, batch, standins, lam: float = 1.0) -> Tensor:
     gen = None
     for row, targets in zip(rows, batch.target_tokens):
         logits = matmul(Tensor(np.ones((len(targets), 1))), matmul(row, standins.readout))
-        term = generation_loss(logits, targets)
+        term = generation_loss(logits, token_targets(targets, *logits.shape))
         gen = term if gen is None else gen + term
     gen = gen * (1.0 / len(rows))
-    reps = BatchRepresentations(img=concat(rows, axis=0), txt=batch.txt_reps)
+    reps = BatchRepresentations(img=concat(rows, axis=0), txt=text_side(batch.txt_reps))
     return stage1_objective(gen, creg_loss(similarity_matrix(reps)), lam)
 
 

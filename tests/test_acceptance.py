@@ -25,7 +25,8 @@ from gatemix.curation import (
     run_pipeline,
 )
 from gatemix.evalharness import alpha_sweep, load_benchmark, run_eval
-from gatemix.objectives import SimilarityMatrix, creg_loss, similarity_matrix, BatchRepresentations
+from gatemix.objectives import (SimilarityMatrix, creg_loss, similarity_matrix, BatchRepresentations,
+                                text_side)
 from gatemix.tensor import Tensor, finite_diff_check, make_rng
 from gatemix.training import (
     FrozenStandins,
@@ -98,7 +99,7 @@ def test_criterion_2_gate_invariants():
 def test_criterion_3_contrastive_loss_oracle():
     with _criterion(3, "contrastive loss matches the hand-derived cases and is permutation-invariant"):
         single = similarity_matrix(
-            BatchRepresentations(img=Tensor([[1.0, 2.0]]), txt=Tensor([[0.3, -0.7]]))
+            BatchRepresentations(img=Tensor([[1.0, 2.0]]), txt=text_side(Tensor([[0.3, -0.7]])))
         )
         assert abs(creg_loss(single).item()) <= 1e-12
 

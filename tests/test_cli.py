@@ -207,7 +207,9 @@ class TestSweep:
             ]
         )
         assert code == 0
-        lines = [l for l in capsys.readouterr().out.splitlines() if l.strip()]
+        *table, count = capsys.readouterr().out.splitlines()
+        assert count == "swept 4 instances, 0 failed"
+        lines = [l for l in table if l.strip()]
         assert len(lines) == 12  # header + 11 grid rows
         results = json.loads((out / "sweep.json").read_text())
         assert len(results) == 11
@@ -223,7 +225,9 @@ class TestSweep:
         argv = ["sweep", "--benchmark", str(FIXTURES / "sweep_benchmark.jsonl"),
                 "--backend", SWEEP, "--out", str(out)]
         assert dispatch(argv + (["--grid", grid] if grid else [])) == 0
-        table = capsys.readouterr().out
+        *rows, count = capsys.readouterr().out.splitlines(keepends=True)
+        assert count == "swept 4 instances, 0 failed\n"
+        table = "".join(rows)
         assert (out / "sweep.txt").read_text() == table
         results = json.loads((out / "sweep.json").read_text())
         assert [float(label) for label in labels] == [r["alpha"] for r in results]
@@ -243,6 +247,42 @@ class TestSweep:
         )
         assert code == 0
         assert [r["alpha"] for r in json.loads((out / "sweep.json").read_text())] == [0.0, 0.6]
+
+    def test_dead_service_fails_every_instance_and_exits_2(self, tmp_path, capsys):
+        with socket.socket() as sock:  # a loopback port that nothing listens on
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"remote": {"retries": 1}}))
+        out = tmp_path / "s"
+        code = dispatch(["--config", str(config), "sweep",
+                         "--benchmark", str(FIXTURES / "easy_hard_benchmark.jsonl"),
+                         "--backend", f"remote:http://127.0.0.1:{port}/v1", "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out.endswith("1.00   0.0000\nswept 4 instances, 4 failed\n")
+        assert "failure: every instance failed, the first with BackendError" in captured.err
+        results = json.loads((out / "sweep.json").read_text())
+        assert [r["accuracy"] for r in results] == [0.0] * 11
+        assert (out / "sweep.txt").read_text() == captured.out[:captured.out.rindex("swept")]
+
+    def test_one_failed_instance_is_counted_and_exits_0(self, tmp_path, monkeypatch, capsys):
+        real = MockBackend.generate
+
+        def flaky(backend, req):
+            if req.image_ref == "img-h2":
+                raise BackendError("service unavailable")
+            return real(backend, req)
+
+        monkeypatch.setattr(MockBackend, "generate", flaky)
+        out = tmp_path / "s"
+        code = dispatch(["sweep", "--benchmark", str(FIXTURES / "easy_hard_benchmark.jsonl"),
+                         "--backend", EASY_HARD, "--out", str(out)])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert captured.out.endswith("\nswept 4 instances, 1 failed\n")
+        assert captured.err == ""
+        assert max(r["accuracy"] for r in json.loads((out / "sweep.json").read_text())) == 0.75
 
     # 0:1:1e-12 would be about 1e12 points: it is rejected before any is built.
     @pytest.mark.parametrize("grid", ["0:inf:0.1", "nan:1:0.1", "0:1:inf", "0:1.5:0.1", "0:1:1e-12"])

@@ -29,7 +29,9 @@ from gatemix.evalharness import (
     default_alpha_grid,
     load_benchmark,
     run_eval,
+    sweep_table,
 )
+from gatemix.verify import BRANCHES, answers_equal
 
 from conftest import FIXTURES, make_trace
 
@@ -385,6 +387,40 @@ class TestAlphaSweep:
             calls.clear()
             alpha_sweep(sweep_backend, sweep_instances, grid=grid)
             assert len(calls) == 2 * len(sweep_instances)
+
+    def test_table_matches_each_instance_once(self, mixed_backend_and_instances):
+        backend, instances = mixed_backend_and_instances
+        table = sweep_table(backend, instances)
+        records = run_eval(backend, instances, "sv").records
+        assert table.n_instances == len(instances) == 50
+        assert table.errors == [r["error"] for r in records if r["error"] is not None]
+        agreed = [r for r in records if r["branch"] == "cot-by-agreement"]
+        assert table.agreed_right == sum(r["correct"] for r in agreed)
+        assert len(table.disagreeing) == len(records) - len(agreed) - len(table.errors)
+        for (direct, cot, direct_right, cot_right), record in zip(
+                table.disagreeing, [r for r in records if r["branch"] in BRANCHES[1:]]):
+            assert (direct.answer, cot.answer) == (record["direct"]["answer"], record["cot"]["answer"])
+            assert (direct_right, cot_right) == (answers_equal(direct.answer, record["gold"]),
+                                                 answers_equal(cot.answer, record["gold"]))
+
+    def test_only_disagreeing_instances_are_decided_per_point(self, mixed_backend_and_instances,
+                                                              monkeypatch):
+        backend, instances = mixed_backend_and_instances
+        n_disagreeing = len(sweep_table(backend, instances).disagreeing)
+        assert 0 < n_disagreeing < len(instances)
+        decided = []
+        real = evalharness.self_verify
+        monkeypatch.setattr(evalharness, "self_verify",
+                            lambda direct, cot, alpha: decided.append(alpha) or real(direct, cot, alpha))
+        grid = default_alpha_grid()
+        alpha_sweep(backend, instances, grid=grid)
+        assert decided == [a for a in grid for _ in range(n_disagreeing)]
+
+    def test_table_rejects_an_alpha_out_of_range(self, easy_hard_backend, easy_hard_instances):
+        table = sweep_table(easy_hard_backend, easy_hard_instances)
+        for alpha in (-0.01, 1.5, math.nan):
+            with pytest.raises(ValueError, match=r"alpha must be in \[0, 1\]"):
+                table.accuracy(alpha)
 
     def test_disk_cache_layout(self, sweep_backend, sweep_instances, tmp_path):
         """One log per directory; each line is the JSON-quoted id, a tab and

@@ -15,6 +15,8 @@ from gatemix.objectives import (
     generation_loss,
     similarity_matrix,
     stage1_objective,
+    text_side,
+    token_targets,
 )
 from gatemix.tensor import (
     DegenerateVectorError,
@@ -31,7 +33,7 @@ from gatemix.tensor import (
 
 def _reps(img: np.ndarray, txt: np.ndarray, grad: bool = False) -> BatchRepresentations:
     return BatchRepresentations(
-        img=Tensor(img, requires_grad=grad), txt=Tensor(txt, requires_grad=grad)
+        img=Tensor(img, requires_grad=grad), txt=text_side(Tensor(txt, requires_grad=grad))
     )
 
 
@@ -78,14 +80,42 @@ class TestSimilarityMatrix:
     (lambda: _reps(np.ones(2), np.ones(2)), "batch representations must be rank 2"),
     (lambda: _reps(np.ones((2, 3)), np.ones((3, 3))),
      "img/txt representation shapes differ: (2, 3) vs (3, 3)"),
-    (lambda: generation_loss(Tensor(np.zeros(4)), [0]),
+    (lambda: generation_loss(Tensor(np.zeros(4)), token_targets([0], 1, 4)),
      "generation_loss: logits must be rank 2, got (4,)"),
-    (lambda: generation_loss(Tensor(np.zeros((3, 4))), [0, 1]),
+    (lambda: generation_loss(Tensor(np.zeros((3, 4))), token_targets([0, 1], 3, 4)),
      "generation_loss: 2 targets for 3 logit rows"),
 ], ids=["rank-1-reps", "unequal-reps", "rank-1-logits", "too-few-targets"])
 def test_shape_guard(call, message):
     with pytest.raises(ShapeError, match=re.escape(message)):
         call()
+
+
+class TestPreparedOperands:
+    """The operands prepared once per batch, and the checks that moved with
+    them from the loss functions."""
+
+    def test_text_side_holds_the_transpose_and_row_norms(self):
+        txt = make_rng(3).standard_normal((4, 6))
+        side = text_side(Tensor(txt))
+        assert np.array_equal(side.rows.data, txt)
+        assert np.array_equal(side.rows_t.data, txt.T)
+        assert np.array_equal(side.norms.data, np.sqrt((txt * txt).sum(axis=1)).reshape(1, 4))
+
+    def test_zero_norm_txt_row_rejected_where_the_text_side_is_built(self):
+        with pytest.raises(DegenerateVectorError,
+                           match=re.escape("similarity_matrix: zero-norm txt row")):
+            text_side(Tensor(np.array([[1.0, 0.0], [0.0, 0.0]])))
+
+    def test_token_targets_is_the_one_hot_matrix(self):
+        prepared = token_targets([2, 0, 3], 3, 4)
+        np.testing.assert_array_equal(prepared.onehot.data, np.eye(4)[[2, 0, 3]])
+        assert not prepared.onehot.requires_grad
+
+    @pytest.mark.parametrize("logits", [np.zeros((2, 4)), np.zeros((3, 5))], ids=["rows", "vocab"])
+    def test_targets_prepared_for_another_shape_rejected(self, logits):
+        with pytest.raises(ShapeError, match=re.escape(
+                f"generation_loss: targets of shape (3, 4) for logits of shape {logits.shape}")):
+            generation_loss(Tensor(logits), token_targets([0, 1, 2], 3, 4))
 
 
 class TestGuardsWithoutRecording:
@@ -106,9 +136,9 @@ class TestGuardsWithoutRecording:
     def test_out_of_range_target_rejected_under_no_grad(self):
         with no_grad():
             with pytest.raises(ValueError, match="target id -1 out of range for vocab 4"):
-                generation_loss(Tensor(np.zeros((3, 4))), [0, -1, 2])
+                generation_loss(Tensor(np.zeros((3, 4))), token_targets([0, -1, 2], 3, 4))
             with pytest.raises(ValueError, match="target id 4 out of range for vocab 4"):
-                generation_loss(Tensor(np.zeros((3, 4))), np.array([0, 2, 4]))
+                generation_loss(Tensor(np.zeros((3, 4))), token_targets(np.array([0, 2, 4]), 3, 4))
 
 
 class TestCregLoss:
@@ -169,7 +199,7 @@ class TestCregLoss:
         txt = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
 
         def f(ps):
-            reps = BatchRepresentations(img=ps[0], txt=ps[1])
+            reps = BatchRepresentations(img=ps[0], txt=text_side(ps[1]))
             return creg_loss(similarity_matrix(reps))
 
         assert finite_diff_check(f, [img, txt], eps=1e-5) <= 1e-5
@@ -180,11 +210,11 @@ class TestGenerationLoss:
         logits = np.zeros((3, 4))
         targets = [0, 2, 3]
         logits[np.arange(3), targets] = 60.0
-        loss = generation_loss(Tensor(logits), targets)
+        loss = generation_loss(Tensor(logits), token_targets(targets, 3, 4))
         assert loss.item() == pytest.approx(0.0, abs=1e-12)
 
     def test_uniform_logits_give_log_vocab(self):
-        loss = generation_loss(Tensor(np.zeros((5, 4))), [0, 1, 2, 3, 0])
+        loss = generation_loss(Tensor(np.zeros((5, 4))), token_targets([0, 1, 2, 3, 0], 5, 4))
         assert loss.item() == pytest.approx(math.log(4.0), abs=1e-12)
 
     def test_matches_explicit_softmax_oracle(self):
@@ -194,18 +224,19 @@ class TestGenerationLoss:
         ex = np.exp(logits)
         probs = ex / ex.sum(axis=1, keepdims=True)
         oracle = -np.mean([math.log(probs[t, targets[t]]) for t in range(5)])
-        loss = generation_loss(Tensor(logits), targets)
+        loss = generation_loss(Tensor(logits), token_targets(targets, 5, 7))
         assert loss.item() == pytest.approx(oracle, abs=1e-10)
 
     def test_out_of_range_target_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
-            generation_loss(Tensor(np.zeros((2, 4))), [0, 4])
+            generation_loss(Tensor(np.zeros((2, 4))), token_targets([0, 4], 2, 4))
 
     def test_gradient_matches_finite_differences(self):
         rng = make_rng(5)
         logits = Tensor(rng.standard_normal((4, 6)), requires_grad=True)
         targets = [1, 0, 5, 3]
-        rel = finite_diff_check(lambda ps: generation_loss(ps[0], targets), [logits], eps=1e-5)
+        rel = finite_diff_check(lambda ps: generation_loss(ps[0], token_targets(targets, 4, 6)),
+                                [logits], eps=1e-5)
         assert rel <= 1e-6
 
 

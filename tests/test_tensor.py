@@ -418,7 +418,7 @@ class TestComposedObjectiveGradients:
     def test_connector_plus_contrastive_composite(self):
         from conftest import reference_image_rows
         from gatemix.connector import ConnectorConfig, init_params
-        from gatemix.objectives import BatchRepresentations, creg_loss, similarity_matrix
+        from gatemix.objectives import BatchRepresentations, creg_loss, similarity_matrix, text_side
         from gatemix.training import FrozenStandins, synth_batch
 
         cfg = ConnectorConfig()
@@ -429,7 +429,7 @@ class TestComposedObjectiveGradients:
 
             def f(ts):
                 rows = reference_image_rows(params, batch, standins)
-                reps = BatchRepresentations(img=concat(rows, axis=0), txt=batch.txt_reps)
+                reps = BatchRepresentations(img=concat(rows, axis=0), txt=text_side(batch.txt_reps))
                 return creg_loss(similarity_matrix(reps))
 
             assert finite_diff_check(f, params.tensors(), eps=1e-5) <= 1e-5

@@ -12,7 +12,7 @@ import pytest
 from conftest import reference_stage1_loss
 from gatemix import cli, training
 from gatemix.connector import ConnectorConfig, init_params
-from gatemix.tensor import Graph, backward, finite_diff_check, no_grad
+from gatemix.tensor import DegenerateVectorError, Graph, backward, finite_diff_check, no_grad
 from gatemix.training import (
     DivergenceError,
     FrozenStandins,
@@ -164,6 +164,39 @@ class TestBatchedObjective:
         assert batch.stage1_constants(CFG.n_prefix) is first
         assert first[1].shape == (4, CFG.n_prefix + 4 * CFG.n_tokens)
         assert batch.stage1_constants(CFG.n_prefix + 1)[1].shape == (4, CFG.n_prefix + 1 + 4 * CFG.n_tokens)
+
+    def test_loss_terms_get_the_batch_prepared_operands(self, monkeypatch):
+        # the one-hot targets and the text side reach the loss terms as the
+        # objects the batch built once, on every call
+        seen = []
+        real_gen, real_sim = training.generation_loss, training.similarity_matrix
+        monkeypatch.setattr(training, "generation_loss",
+                            lambda logits, targets: seen.append(targets) or real_gen(logits, targets))
+        monkeypatch.setattr(training, "similarity_matrix",
+                            lambda reps: seen.append(reps.txt) or real_sim(reps))
+        params, batch, standins = init_params(CFG, 0), synth_batch(0, 4, CFG), FrozenStandins(CFG.d_llm)
+        for _ in range(3):
+            stage1_loss(params, batch, standins)
+        constants = batch.stage1_constants(CFG.n_prefix)
+        expected = [constants.targets, constants.text] * 3
+        assert len(seen) == len(expected) and all(a is b for a, b in zip(seen, expected))
+        assert constants.text.rows is batch.txt_reps
+        assert constants.targets.onehot.shape == (4 * training.TARGET_LEN, training.VOCAB_SIZE)
+
+    @pytest.mark.parametrize("corrupt, error, message", [
+        (lambda batch: batch.target_tokens[1].__setitem__(0, training.VOCAB_SIZE), ValueError,
+         f"generation_loss: target id {training.VOCAB_SIZE} out of range for vocab {training.VOCAB_SIZE}"),
+        (lambda batch: batch.txt_reps.data.__setitem__(2, 0.0), DegenerateVectorError,
+         "similarity_matrix: zero-norm txt row"),
+    ], ids=["target-out-of-range", "zero-norm-txt-row"])
+    def test_batch_checks_fire_where_the_constants_are_built(self, corrupt, error, message):
+        batch = synth_batch(0, 4, CFG)
+        corrupt(batch)
+        for _ in range(2):  # a failed build caches nothing
+            with pytest.raises(error, match=re.escape(message)):
+                batch.stage1_constants(CFG.n_prefix)
+            with pytest.raises(error, match=re.escape(message)):
+                stage1_loss(init_params(CFG, 0), batch, FrozenStandins(CFG.d_llm))
 
 
 class TestBitIdentity:

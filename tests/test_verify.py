@@ -173,6 +173,17 @@ class TestExtractAnswer:
         assert extract_answer("final answer: B", OPTIONS) == "B"
 
     @pytest.mark.parametrize("text, want", [
+        ("I am bored", "I am bored"),  # "red" inside a word names no option
+        ("It is red, I am sure", "A"),
+        ("bluer than red", "A"),  # "blue" touches "r": only red is named
+        ("blue, not bored", "B"),
+        ("It is 2blue", "It is 2blue"),  # a digit touches it too
+        ("The bored one is blue", "B"),  # rule 2: "red" in "bored" comes before nothing
+    ])
+    def test_option_text_inside_a_word_is_not_named(self, text, want):
+        assert extract_answer(text, [("A", "red"), ("B", "blue")]) == want
+
+    @pytest.mark.parametrize("text, want", [
         ("The answer is 2.5.", "2.5"),
         ("The answer is 3.14", "3.14"),
         ("So the answer is $1.50 per item.", "$1.50 per item"),
