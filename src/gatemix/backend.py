@@ -202,6 +202,20 @@ def trace_to_dict(trace: GenerationTrace) -> dict:
     return {"text": trace.text, **{n: getattr(trace, n).tolist() for n in trace.FLOAT_FIELDS}}
 
 
+def _trace_arrays(obj: dict) -> dict:
+    """``json.load`` object hook: a trace's number lists become float64
+    arrays as the parser closes the trace's object, so a loaded script
+    never holds all its numbers as Python floats at once. A list that does
+    not convert stays as it is, for ``GenerationTrace`` to reject."""
+    for name in GenerationTrace.FLOAT_FIELDS:
+        if isinstance(obj.get(name), list):
+            try:
+                obj[name] = np.array(obj[name], dtype=np.float64)
+            except (TypeError, ValueError, OverflowError):
+                pass
+    return obj
+
+
 def trace_from_dict(payload: dict) -> GenerationTrace:
     """The trace a dict of its fields holds. ``token_logprobs`` defaults to
     none, and neither representation (no embeddings) to orthogonal unit
@@ -251,7 +265,7 @@ class MockBackend:
     def from_json(cls, path) -> "MockBackend":
         """Load and validate a script; a malformed one, or a key not shown above, is a ValueError."""
         with open(path, "r", encoding="utf-8") as fh:
-            spec = json.load(fh)
+            spec = json.load(fh, object_hook=_trace_arrays)
         if not isinstance(spec, dict):
             raise ValueError(f"mock script {path} must hold a JSON object")
         _check_keys(spec, ("entries", "default", "completions", "default_completion"), "mock script")

@@ -26,7 +26,7 @@ import math
 import os
 import sys
 import time
-from contextlib import closing
+from contextlib import closing, contextmanager
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -150,11 +150,27 @@ def _out_dir(args) -> Path:
     return out
 
 
+@contextmanager
+def _replacing(path: Path):
+    """A text file to write that replaces ``path`` when the block ends.
+    It is written as a temp file in the same directory; on any exception
+    the temp file is removed and ``path`` keeps what it held. There is no
+    fsync: this guards against a failed or killed write, not power loss."""
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _write_json(path: Path, value) -> None:
     """Write ``value`` (a dataclass as its fields) as a byte-stable JSON
     artifact: sorted keys, two-space indent and a final newline, streamed
     with no whole-artifact string."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with _replacing(path) as fh:
         json.dump(vars(value) if is_dataclass(value) else value, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -252,7 +268,8 @@ def _cmd_eval(args, settings) -> int:
     if report.branch_counts:
         counts = sorted(report.branch_counts.items())
         lines.append("branches: " + ", ".join(f"{k}={v}" for k, v in counts))
-    (out / "report.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with _replacing(out / "report.txt") as fh:
+        fh.write("\n".join(lines) + "\n")
     errors = [r["error"] for r in report.records if r["error"] is not None]
     print(f"{args.strategy} accuracy: {report.accuracy:.4f} on {report.n_instances} instances, "
           f"{len(errors)} failed")
@@ -270,7 +287,8 @@ def _cmd_sweep(args, settings) -> int:
     text = "\n".join(lines) + "\n"
     print(text, end="")
     _write_json(out / "sweep.json", [{"alpha": a, "accuracy": acc} for a, acc in results])
-    (out / "sweep.txt").write_text(text, encoding="utf-8")
+    with _replacing(out / "sweep.txt") as fh:
+        fh.write(text)
     print(f"swept {table.n_instances} instances, {len(table.errors)} failed")
     return _failed_exit(table.n_instances, table.errors)
 
@@ -281,7 +299,7 @@ def _cmd_curate(args, settings) -> int:
         records = load_records(args.records)
         instances, stats = run_pipeline(records, backend.complete_text,
                                         threshold=settings["threshold"])
-    with open(out / "curated.jsonl", "w", encoding="utf-8") as fh:
+    with _replacing(out / "curated.jsonl") as fh:
         for inst in instances:
             fh.write(json.dumps(vars(inst), sort_keys=True) + "\n")
     _write_json(out / "curation_stats.json", stats)

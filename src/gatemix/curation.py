@@ -136,22 +136,26 @@ def build_score_prompt(rec: CurationRecord, cot: str) -> str:
     ).rstrip("\n")
 
 
-_SCORE_RE = re.compile(
-    r"(?:scoring|overall)\s*:\s*(-?(?:\d+\.?\d*|\.\d+))", re.IGNORECASE
-)
+_SCORE_RE = re.compile(r"(?:scoring|overall(?:\s+score)?)\s*:\s*((?=-?\.?\d)\S+)", re.IGNORECASE)
+_NUMBER_RE = re.compile(r"(-?(?:\d+(?:\.\d*)?|\.\d+)(?:e[-+]?\d+)?)\.?", re.IGNORECASE)
 
 
 def parse_overall_score(reply: str) -> float:
     """Extract the overall score from a scorer reply.
 
-    Looks for a "Scoring:" line (or an "Overall" key) and takes the first
-    numeric literal; anything outside [0, 1] or missing entirely is a parse
-    error that carries the raw reply for debugging.
+    Looks for the first "Scoring:", "Overall:" or "Overall score:" key that
+    a number follows and reads the token after it whole: a decimal with an
+    optional exponent, and at most one trailing sentence ".". Any other
+    token (``0,9``, ``0.7/1``), a value outside [0, 1] or no score at all
+    is a parse error that carries the raw reply for debugging.
     """
     m = _SCORE_RE.search(reply)
     if not m:
         raise ScoreParseError("no 'Scoring:'/'Overall' value found in reply", reply=reply)
-    value = float(m.group(1))
+    number = _NUMBER_RE.fullmatch(m.group(1))
+    if not number:
+        raise ScoreParseError(f"score {m.group(1)!r} is not a decimal number", reply=reply)
+    value = float(number.group(1))
     if not (0.0 <= value <= 1.0):
         raise ScoreParseError(f"score {value} outside [0, 1]", reply=reply)
     return value

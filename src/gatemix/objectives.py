@@ -7,7 +7,7 @@ regulariser over batch-pooled image/text representations,
 
 where S holds pairwise similarities between pooled image rows and pooled
 text rows. Raw cosine can be negative or zero, which leaves the logs
-undefined, so the similarity is exp(cos/tau), which is always positive.
+undefined, so the similarity is exp(cos), which is always positive.
 
 The operands that do not depend on the trained parameters are prepared
 once, with their checks: ``token_targets`` turns target ids into the
@@ -35,8 +35,6 @@ __all__ = [
     "InvalidSimilarityError",
     "TokenTargets",
     "TextSide",
-    "BatchRepresentations",
-    "SimilarityMatrix",
     "token_targets",
     "text_side",
     "similarity_matrix",
@@ -72,57 +70,32 @@ def text_side(txt: Tensor) -> TextSide:
                     norms=squared.sqrt().reshape((1, txt.shape[0])))
 
 
-@dataclass
-class BatchRepresentations:
-    """Pooled per-item representations: img is b x d_llm, txt the prepared
-    text side of b rows of the same width."""
-
-    img: Tensor
-    txt: TextSide
-
-    def __post_init__(self):
-        if self.img.ndim != 2:
-            raise ShapeError("batch representations must be rank 2")
-        if self.img.shape != self.txt.rows.shape:
-            raise ShapeError(
-                f"img/txt representation shapes differ: {self.img.shape} vs {self.txt.rows.shape}"
-            )
-
-    @property
-    def b(self) -> int:
-        return self.img.shape[0]
-
-
-@dataclass
-class SimilarityMatrix:
-    """b x b similarity values."""
-
-    S: Tensor
-
-
-def similarity_matrix(reps: BatchRepresentations, tau: float = 1.0) -> SimilarityMatrix:
-    """Pairwise similarities S_ij = exp(cos(img_i, txt_j) / tau) between img
-    row i and txt row j, strictly positive. Differentiable end to end; the
-    text side arrives prepared, so only the img rows' norms are computed.
+def similarity_matrix(img: Tensor, txt: TextSide) -> Tensor:
+    """Pairwise similarities S_ij = exp(cos(img_i, txt_j)) between row i of
+    the b x d image rows ``img`` and row j of the prepared text side, as a
+    strictly positive b x b tensor. Differentiable end to end; the text side
+    arrives prepared, so only the img rows' norms are computed.
     """
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
-    img = reps.img
-    dots = matmul(img, reps.txt.rows_t)                               # b x b
+    if img.ndim != 2:
+        raise ShapeError("batch representations must be rank 2")
+    if img.shape != txt.rows.shape:
+        raise ShapeError(
+            f"img/txt representation shapes differ: {img.shape} vs {txt.rows.shape}"
+        )
+    dots = matmul(img, txt.rows_t)                                    # b x b
     squared = (img * img).sum(axis=1)
     if not squared.data.all():
         raise DegenerateVectorError("similarity_matrix: zero-norm img row")
-    cos = dots / matmul(squared.sqrt().reshape((reps.b, 1)), reps.txt.norms)
-    return SimilarityMatrix(S=(cos / tau).exp())
+    cos = dots / matmul(squared.sqrt().reshape((img.shape[0], 1)), txt.norms)
+    return cos.exp()
 
 
-def creg_loss(sm: SimilarityMatrix) -> Tensor:
-    """Contrastive regulariser over a square similarity matrix.
+def creg_loss(S: Tensor) -> Tensor:
+    """Contrastive regulariser over a square similarity matrix ``S``.
 
     Pulls each diagonal entry up against its row and column totals; zero at
     b=1 and non-negative whenever all entries are positive.
     """
-    S = sm.S
     if S.ndim != 2 or S.shape[0] != S.shape[1] or not S.shape[0]:
         raise ShapeError(f"creg_loss: similarity matrix must be square and non-empty, got {S.shape}")
     if _any_non_positive(S.data):

@@ -19,7 +19,6 @@ import numpy as np
 
 from .connector import ConnectorConfig, EncoderFeatures, GateMixerParams, forward, init_params
 from .objectives import (
-    BatchRepresentations,
     TextSide,
     TokenTargets,
     creg_loss,
@@ -220,7 +219,7 @@ def stage1_loss(
     img = matmul(matmul(pool, h_img0), standins.pool_map)  # b x d_llm
     logits = matmul(tile, matmul(img, standins.readout))  # sum T_i x V
     gen = generation_loss(logits, targets)
-    creg = creg_loss(similarity_matrix(BatchRepresentations(img=img, txt=text)))
+    creg = creg_loss(similarity_matrix(img, text))
     return stage1_objective(gen, creg, lam)
 
 

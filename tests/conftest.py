@@ -8,7 +8,6 @@ from gatemix.backend import GenerationTrace, MockBackend
 from gatemix.connector import forward
 from gatemix.evalharness import load_benchmark
 from gatemix.objectives import (
-    BatchRepresentations,
     creg_loss,
     generation_loss,
     similarity_matrix,
@@ -55,8 +54,8 @@ def reference_stage1_loss(params, batch, standins, lam: float = 1.0) -> Tensor:
         term = generation_loss(logits, token_targets(targets, *logits.shape))
         gen = term if gen is None else gen + term
     gen = gen * (1.0 / len(rows))
-    reps = BatchRepresentations(img=concat(rows, axis=0), txt=text_side(batch.txt_reps))
-    return stage1_objective(gen, creg_loss(similarity_matrix(reps)), lam)
+    S = similarity_matrix(concat(rows, axis=0), text_side(batch.txt_reps))
+    return stage1_objective(gen, creg_loss(S), lam)
 
 
 @pytest.fixture()

@@ -25,8 +25,7 @@ from gatemix.curation import (
     run_pipeline,
 )
 from gatemix.evalharness import alpha_sweep, load_benchmark, run_eval
-from gatemix.objectives import (SimilarityMatrix, creg_loss, similarity_matrix, BatchRepresentations,
-                                text_side)
+from gatemix.objectives import creg_loss, similarity_matrix, text_side
 from gatemix.tensor import Tensor, finite_diff_check, make_rng
 from gatemix.training import (
     FrozenStandins,
@@ -98,12 +97,10 @@ def test_criterion_2_gate_invariants():
 
 def test_criterion_3_contrastive_loss_oracle():
     with _criterion(3, "contrastive loss matches the hand-derived cases and is permutation-invariant"):
-        single = similarity_matrix(
-            BatchRepresentations(img=Tensor([[1.0, 2.0]]), txt=text_side(Tensor([[0.3, -0.7]])))
-        )
+        single = similarity_matrix(Tensor([[1.0, 2.0]]), text_side(Tensor([[0.3, -0.7]])))
         assert abs(creg_loss(single).item()) <= 1e-12
 
-        hand = creg_loss(SimilarityMatrix(S=Tensor([[math.e, 1.0], [1.0, math.e]])))
+        hand = creg_loss(Tensor([[math.e, 1.0], [1.0, math.e]]))
         assert hand.item() == pytest.approx(math.log(1.0 + math.exp(-1.0)), abs=1e-9)
 
         rng = make_rng(7)
@@ -111,8 +108,8 @@ def test_criterion_3_contrastive_loss_oracle():
             b = int(rng.integers(2, 7))
             S = rng.uniform(0.05, 4.0, size=(b, b))
             perm = rng.permutation(b)
-            base = creg_loss(SimilarityMatrix(S=Tensor(S))).item()
-            permuted = creg_loss(SimilarityMatrix(S=Tensor(S[np.ix_(perm, perm)]))).item()
+            base = creg_loss(Tensor(S)).item()
+            permuted = creg_loss(Tensor(S[np.ix_(perm, perm)])).item()
             assert permuted == pytest.approx(base, abs=1e-9)
 
 

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 from pathlib import Path
@@ -239,7 +240,11 @@ class TestMockBackend:
         ({"prompt_mode": "CoT"}, "entry 1: prompt mode must be one of ('direct', 'cot'), got 'CoT'"),
         ({"trace": {"text": "A", "token_logprobs": [-0.1], "img_reps": [1, 0], "txt_rep": [0, 1]}},
          "entry 1: unknown trace key 'img_reps'"),
-    ])
+        ({"trace": {"text": "A", "token_logprobs": [-0.1, "x"]}},
+         "entry 1: trace values must be sequences of numbers: could not convert string to float: 'x'"),
+        ({"trace": {"text": "A", "token_logprobs": [-0.1], "img_rep": [[1], [0, 1]], "txt_rep": [0, 1]}},
+         "entry 1: trace values must be sequences of numbers: setting an array element with a sequence"),
+    ], ids=["prompt-mode", "trace-key", "string-value", "ragged-rep"])
     def test_bad_entry_is_named(self, tmp_path, entry, message):
         good = {"image_ref": "img1", "question": QUESTION, "prompt_mode": "direct",
                 "trace": {"text": "A", "token_logprobs": [-0.1]}}
@@ -248,6 +253,34 @@ class TestMockBackend:
         with pytest.raises(ValueError) as exc:
             MockBackend.from_json(path)
         assert message in str(exc.value)
+
+    def test_a_script_loads_one_trace_at_a_time(self, tmp_path):
+        # each trace's numbers become arrays as its object is parsed, so the
+        # load peaks well below a plain json.load of the script, which
+        # holds every number as a Python float at once
+        rng = random.Random(5)
+        script = {"entries": [
+            {"image_ref": f"img{i}", "question": QUESTION, "prompt_mode": "cot",
+             "trace": {"text": "A", "token_logprobs": [-rng.random() for _ in range(32)],
+                       "img_rep": [rng.random() for _ in range(64)],
+                       "txt_rep": [rng.random() for _ in range(64)]}}
+            for i in range(200)]}
+        path = tmp_path / "script.json"
+        path.write_text(json.dumps(script))
+
+        def peak(load):
+            tracemalloc.start()
+            try:
+                result = load()
+                return tracemalloc.get_traced_memory()[1], result
+            finally:
+                tracemalloc.stop()
+
+        plain, _ = peak(lambda: json.loads(path.read_text()))
+        loaded, mock = peak(lambda: MockBackend.from_json(path))
+        assert loaded < 0.8 * plain
+        trace = mock.generate(BackendRequest("img7", QUESTION, "cot"))
+        assert trace.img_rep.tolist() == script["entries"][7]["trace"]["img_rep"]
 
     def test_referentially_transparent_across_loads(self, tmp_path):
         script = {

@@ -182,6 +182,26 @@ class TestEval:
         report = json.loads((out / "report.json").read_text())
         assert "n_errors" not in report and report["branch_counts"]["error"] == 1
 
+    def test_a_failed_write_keeps_the_earlier_report_whole(self, tmp_path, monkeypatch):
+        # a value that fails to serialize near the end of report.json
+        out = tmp_path / "e"
+        argv = ["eval", "--benchmark", str(FIXTURES / "easy_hard_benchmark.jsonl"),
+                "--backend", EASY_HARD, "--out", str(out)]
+        assert dispatch(argv) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        real = cli.run_eval
+
+        def unserializable(*args, **kwargs):
+            report = real(*args, **kwargs)
+            report.records.append({"error": object()})
+            return report
+
+        monkeypatch.setattr(cli, "run_eval", unserializable)
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            dispatch(argv)
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        assert sorted(before) == ["report.json", "report.txt"]
+
     def test_missing_benchmark_is_runtime_failure(self, tmp_path):
         code = dispatch(
             [

@@ -120,6 +120,25 @@ class TestParseOverallScore:
     def test_zero_accepted(self):
         assert parse_overall_score("Scoring: 0") == 0.0
 
+    @pytest.mark.parametrize("reply, score", [
+        ("Scoring: 1e-3", 1e-3),
+        ("Overall: 1.0e-1\nExplanation: weak", 0.1),
+        ("Overall score: 0.75", 0.75),
+        ("Scoring: 2.5e-1.", 0.25),
+    ], ids=["exponent", "decimal-exponent", "overall-score-key", "sentence-dot"])
+    def test_number_read_whole(self, reply, score):
+        assert parse_overall_score(reply) == score
+
+    def test_key_without_a_number_is_skipped(self):
+        # a reply that echoes the form's bare "- Overall:" line before its score
+        assert parse_overall_score("- Overall:\n- Scoring: 0.8") == 0.8
+
+    @pytest.mark.parametrize("reply", ["Scoring: 0,9", "Scoring: 0.7/1"], ids=["comma", "fraction"])
+    def test_malformed_number_is_parse_error(self, reply):
+        with pytest.raises(ScoreParseError, match="is not a decimal number") as exc:
+            parse_overall_score(reply)
+        assert exc.value.reply == reply
+
 
 REWRITE_CUE = "Now you can start to rewrite the given CoT."
 RAW_COT = _record().raw_cot

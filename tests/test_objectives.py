@@ -8,9 +8,7 @@ import numpy as np
 import pytest
 
 from gatemix.objectives import (
-    BatchRepresentations,
     InvalidSimilarityError,
-    SimilarityMatrix,
     creg_loss,
     generation_loss,
     similarity_matrix,
@@ -31,60 +29,57 @@ from gatemix.tensor import (
 )
 
 
-def _reps(img: np.ndarray, txt: np.ndarray, grad: bool = False) -> BatchRepresentations:
-    return BatchRepresentations(
-        img=Tensor(img, requires_grad=grad), txt=text_side(Tensor(txt, requires_grad=grad))
-    )
+def _reps(img: np.ndarray, txt: np.ndarray, grad: bool = False) -> tuple:
+    """``similarity_matrix``'s operands: the image rows and the prepared text side."""
+    return Tensor(img, requires_grad=grad), text_side(Tensor(txt, requires_grad=grad))
 
 
 class TestSimilarityMatrix:
     def test_orthonormal_rows_give_e_on_diagonal(self):
         eye = np.eye(3)
-        sm = similarity_matrix(_reps(eye, eye))
+        S = similarity_matrix(*_reps(eye, eye))
         expected = np.where(np.eye(3) > 0, math.e, 1.0)
-        np.testing.assert_allclose(sm.S.data, expected, atol=1e-12)
+        np.testing.assert_allclose(S.data, expected, atol=1e-12)
 
     def test_single_item(self):
         img = np.array([[1.0, 2.0, -1.0]])
         txt = np.array([[0.5, -1.0, 2.0]])
-        sm = similarity_matrix(_reps(img, txt))
+        S = similarity_matrix(*_reps(img, txt))
         expected = math.exp(cosine_sim(img[0], txt[0]))
-        assert sm.S.shape == (1, 1)
-        assert sm.S.data[0, 0] == pytest.approx(expected, abs=1e-12)
+        assert S.shape == (1, 1)
+        assert S.data[0, 0] == pytest.approx(expected, abs=1e-12)
 
     def test_matches_per_pair_oracle(self):
         rng = make_rng(42)
         img = rng.standard_normal((4, 6))
         txt = rng.standard_normal((4, 6))
-        sm = similarity_matrix(_reps(img, txt), tau=0.7)
+        S = similarity_matrix(*_reps(img, txt))
         oracle = np.array(
             [
-                [math.exp(cosine_sim(img[i], txt[j]) / 0.7) for j in range(4)]
+                [math.exp(cosine_sim(img[i], txt[j])) for j in range(4)]
                 for i in range(4)
             ]
         )
-        np.testing.assert_allclose(sm.S.data, oracle, atol=1e-12)
+        np.testing.assert_allclose(S.data, oracle, atol=1e-12)
 
     def test_zero_norm_row_rejected(self):
         img = np.array([[1.0, 0.0], [0.0, 0.0]])
         txt = np.eye(2)
         with pytest.raises(DegenerateVectorError):
-            similarity_matrix(_reps(img, txt))
-
-    def test_bad_tau_rejected(self):
-        with pytest.raises(ValueError):
-            similarity_matrix(_reps(np.eye(2), np.eye(2)), tau=0.0)
+            similarity_matrix(*_reps(img, txt))
 
 
 @pytest.mark.parametrize("call, message", [
     (lambda: _reps(np.ones(2), np.ones(2)), "batch representations must be rank 2"),
-    (lambda: _reps(np.ones((2, 3)), np.ones((3, 3))),
+    (lambda: similarity_matrix(*_reps(np.ones(2), np.ones((1, 2)))),
+     "batch representations must be rank 2"),
+    (lambda: similarity_matrix(*_reps(np.ones((2, 3)), np.ones((3, 3)))),
      "img/txt representation shapes differ: (2, 3) vs (3, 3)"),
     (lambda: generation_loss(Tensor(np.zeros(4)), token_targets([0], 1, 4)),
      "generation_loss: logits must be rank 2, got (4,)"),
     (lambda: generation_loss(Tensor(np.zeros((3, 4))), token_targets([0, 1], 3, 4)),
      "generation_loss: 2 targets for 3 logit rows"),
-], ids=["rank-1-reps", "unequal-reps", "rank-1-logits", "too-few-targets"])
+], ids=["rank-1-reps", "rank-1-img", "unequal-reps", "rank-1-logits", "too-few-targets"])
 def test_shape_guard(call, message):
     with pytest.raises(ShapeError, match=re.escape(message)):
         call()
@@ -122,16 +117,16 @@ class TestGuardsWithoutRecording:
     """The domain guards fire the same whether or not the tape records."""
 
     def test_zero_norm_row_rejected_under_no_grad(self):
-        reps = _reps(np.array([[1.0, 0.0], [0.0, 0.0]]), np.eye(2), grad=True)
+        img, txt = _reps(np.array([[1.0, 0.0], [0.0, 0.0]]), np.eye(2), grad=True)
         with Graph(), no_grad():
             with pytest.raises(DegenerateVectorError, match="zero-norm img row"):
-                similarity_matrix(reps)
+                similarity_matrix(img, txt)
 
     def test_non_positive_entries_rejected_under_no_grad(self):
-        sm = SimilarityMatrix(S=Tensor(np.array([[1.0, -0.5], [0.2, 1.0]]), requires_grad=True))
+        S = Tensor(np.array([[1.0, -0.5], [0.2, 1.0]]), requires_grad=True)
         with Graph(), no_grad():
             with pytest.raises(InvalidSimilarityError, match="non-positive"):
-                creg_loss(sm)
+                creg_loss(S)
 
     def test_out_of_range_target_rejected_under_no_grad(self):
         with no_grad():
@@ -143,14 +138,14 @@ class TestGuardsWithoutRecording:
 
 class TestCregLoss:
     def test_single_item_is_zero(self):
-        sm = similarity_matrix(_reps(np.array([[1.0, 2.0]]), np.array([[2.0, 1.0]])))
-        assert abs(creg_loss(sm).item()) <= 1e-12
+        S = similarity_matrix(*_reps(np.array([[1.0, 2.0]]), np.array([[2.0, 1.0]])))
+        assert abs(creg_loss(S).item()) <= 1e-12
 
     def test_two_item_hand_case(self):
         # S = [[e, 1], [1, e]] makes all four ratio terms e/(e+1), so the
         # loss is exactly log(1 + 1/e).
         S = Tensor(np.array([[math.e, 1.0], [1.0, math.e]]))
-        loss = creg_loss(SimilarityMatrix(S=S))
+        loss = creg_loss(S)
         assert loss.item() == pytest.approx(math.log(1.0 + math.exp(-1.0)), abs=1e-9)
 
     def test_permutation_invariance(self):
@@ -159,38 +154,37 @@ class TestCregLoss:
             b = int(rng.integers(2, 6))
             S = rng.uniform(0.1, 3.0, size=(b, b))
             perm = rng.permutation(b)
-            base = creg_loss(SimilarityMatrix(S=Tensor(S))).item()
-            permuted = creg_loss(SimilarityMatrix(S=Tensor(S[np.ix_(perm, perm)]))).item()
+            base = creg_loss(Tensor(S)).item()
+            permuted = creg_loss(Tensor(S[np.ix_(perm, perm)])).item()
             assert permuted == pytest.approx(base, abs=1e-9)
 
     def test_non_positive_entries_rejected(self):
         S = Tensor(np.array([[1.0, -0.2], [0.3, 1.0]]))
         with pytest.raises(InvalidSimilarityError, match="non-positive"):
-            creg_loss(SimilarityMatrix(S=S))
+            creg_loss(S)
 
     def test_non_negative_in_exp_mode(self):
         rng = make_rng(7)
         for _ in range(50):
             img = rng.standard_normal((4, 5))
             txt = rng.standard_normal((4, 5))
-            assert creg_loss(similarity_matrix(_reps(img, txt))).item() >= 0.0
+            assert creg_loss(similarity_matrix(*_reps(img, txt))).item() >= 0.0
 
     def test_saturates_to_zero_when_diagonal_dominates(self):
-        # matched orthonormal rows at a small temperature: off-diagonal mass
+        # S = exp(cos / 0.05) of matched orthonormal rows: off-diagonal mass
         # vanishes relative to the diagonal and the loss approaches zero
-        eye = np.eye(4)
-        loss = creg_loss(similarity_matrix(_reps(eye, eye), tau=0.05)).item()
+        loss = creg_loss(Tensor(np.exp(np.eye(4) / 0.05))).item()
         assert 0.0 <= loss <= 1e-8
 
     def test_matched_pairs_beat_any_row_swap(self):
         rng = make_rng(13)
         for b in range(2, 7):
             img = np.eye(b)
-            matched = creg_loss(similarity_matrix(_reps(img, img))).item()
+            matched = creg_loss(similarity_matrix(*_reps(img, img))).item()
             i, j = rng.choice(b, size=2, replace=False)
             swapped = img.copy()
             swapped[[i, j]] = swapped[[j, i]]
-            worse = creg_loss(similarity_matrix(_reps(img, swapped))).item()
+            worse = creg_loss(similarity_matrix(*_reps(img, swapped))).item()
             assert matched < worse
 
     def test_gradient_matches_finite_differences(self):
@@ -199,8 +193,7 @@ class TestCregLoss:
         txt = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
 
         def f(ps):
-            reps = BatchRepresentations(img=ps[0], txt=text_side(ps[1]))
-            return creg_loss(similarity_matrix(reps))
+            return creg_loss(similarity_matrix(ps[0], text_side(ps[1])))
 
         assert finite_diff_check(f, [img, txt], eps=1e-5) <= 1e-5
 

@@ -418,7 +418,7 @@ class TestComposedObjectiveGradients:
     def test_connector_plus_contrastive_composite(self):
         from conftest import reference_image_rows
         from gatemix.connector import ConnectorConfig, init_params
-        from gatemix.objectives import BatchRepresentations, creg_loss, similarity_matrix, text_side
+        from gatemix.objectives import creg_loss, similarity_matrix, text_side
         from gatemix.training import FrozenStandins, synth_batch
 
         cfg = ConnectorConfig()
@@ -429,8 +429,7 @@ class TestComposedObjectiveGradients:
 
             def f(ts):
                 rows = reference_image_rows(params, batch, standins)
-                reps = BatchRepresentations(img=concat(rows, axis=0), txt=text_side(batch.txt_reps))
-                return creg_loss(similarity_matrix(reps))
+                return creg_loss(similarity_matrix(concat(rows, axis=0), text_side(batch.txt_reps)))
 
             assert finite_diff_check(f, params.tensors(), eps=1e-5) <= 1e-5
 
@@ -560,13 +559,13 @@ def _guard_cases() -> list:
     surfaces); a zero of either sign is, even beside a NaN, and so is a
     negative entry except as a denominator; an empty array passes, except as
     the diagonal of S, since a mean over b = 0 items is undefined."""
-    from gatemix.objectives import InvalidSimilarityError, SimilarityMatrix, creg_loss
+    from gatemix.objectives import InvalidSimilarityError, creg_loss
 
     def creg(values):
         # the values on the diagonal of a square S whose other entries are 1
         S = np.ones((values.size, values.size))
         S[np.diag_indices(values.size)] = values
-        return creg_loss(SimilarityMatrix(S=Tensor._raw(S)))
+        return creg_loss(Tensor._raw(S))
 
     guards = [
         ("log", lambda v: Tensor._raw(v).log(), ValueError, "log: requires strictly positive"),
