@@ -10,10 +10,13 @@ bit-deterministic scripted mock for tests and offline runs, and a client
 for an HTTP inference service that exposes logprobs and embeddings.
 
 Wire protocol of the remote service (JSON over HTTP POST):
-  request: {model, prompt, image_ref?, temperature, top_p, max_tokens,
-            want_logprobs: true, want_embeddings: true}
-  reply:   {text, logprobs: [float],
-            embeddings: {prompt: [float], completion: [float]}}
+  generation request: {model, prompt, image_ref, temperature, top_p,
+                       max_tokens, want_logprobs: true, want_embeddings: true}
+  reply:              {text, logprobs: [float],
+                       embeddings: {prompt: [float], completion: [float]}}
+  text completion request (the curation rewriter and scorer):
+                      {model, prompt, temperature, top_p, max_tokens}
+  reply:              {text}
 
 A reply without logprobs is a hard capability error; a reply without
 embeddings degrades to neutral orthogonal representation vectors (whose
@@ -704,11 +707,9 @@ class RemoteBackend:
             "temperature": decoding.temperature,
             "top_p": decoding.top_p,
             "max_tokens": decoding.max_tokens,
-            "want_logprobs": True,
-            "want_embeddings": True,
         }
-        if image_ref is not None:
-            payload["image_ref"] = image_ref
+        if image_ref is not None:  # a generation: a text completion reads only its text
+            payload.update(want_logprobs=True, want_embeddings=True, image_ref=image_ref)
         body = json.dumps(payload).encode("utf-8")
         return b"%sContent-Length: %d\r\n\r\n%s" % (self._head, len(body), body)
 

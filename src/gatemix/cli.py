@@ -14,7 +14,8 @@ selected with "mock:<script.json>" or "remote:<url>"; remote credentials
 come from the GATEMIX_API_KEY environment variable. All artifacts land
 under the --out directory. Exit codes: 0 success, 1 validation error, 2
 runtime failure, which includes an eval or sweep whose every instance
-failed (its artifacts are still written).
+failed, or a curation whose every record failed (its artifacts are still
+written).
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .backend import BackendError, MockBackend, RemoteBackend, dual_generate
-from .connector import ConnectorConfig
-from .curation import SCORE_THRESHOLD, ScoreParseError, load_records, run_pipeline
+from .connector import ConnectorConfig, checkpoint_bytes
+from .curation import SCORE_THRESHOLD, load_records, run_pipeline
 from .evalharness import STRATEGIES, default_alpha_grid, load_benchmark, run_eval, sweep_table
 from .training import GRAD_CHECK_TOL, TrainConfig, grad_check, train_stage1
 from .verify import (DEFAULT_ALPHA, audit_record, check_alpha, letter_options, score_response,
@@ -151,14 +152,15 @@ def _out_dir(args) -> Path:
 
 
 @contextmanager
-def _replacing(path: Path):
-    """A text file to write that replaces ``path`` when the block ends.
+def _replacing(path: Path, mode: str = "w"):
+    """A file to write, text or (``mode`` "wb") binary, that replaces
+    ``path`` when the block ends.
     It is written as a temp file in the same directory; on any exception
     the temp file is removed and ``path`` keeps what it held. There is no
     fsync: this guards against a failed or killed write, not power loss."""
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -213,11 +215,12 @@ def _cmd_train_align(args, settings) -> int:
     out = _out_dir(args)
     cfg = TrainConfig(steps=settings["steps"], batch_size=settings["batch_size"],
                       lr=settings["lr"], lam=settings["lambda"], seed=settings["seed"])
+    ccfg = ConnectorConfig(**settings["dims"])
     start = time.perf_counter()
-    report = train_stage1(
-        cfg, ConnectorConfig(**settings["dims"]), checkpoint_path=out / "gatemixer.ckpt"
-    )
+    report, params = train_stage1(cfg, ccfg)
     wall_time_s = time.perf_counter() - start
+    with _replacing(out / "gatemixer.ckpt", "wb") as fh:
+        fh.write(checkpoint_bytes(ccfg, params))
     _write_json(out / "training_report.json", report)
     print(
         f"loss {report.initial_loss:.6f} -> {report.final_loss:.6f} over {cfg.steps} steps "
@@ -247,11 +250,11 @@ def _load_benchmark(path) -> list:
     return instances
 
 
-def _failed_exit(n_instances: int, errors: list) -> int:
-    """2 when each of the ``n_instances`` failed, naming the first error
-    on stderr, else 0."""
-    if errors and len(errors) == n_instances:
-        print(f"failure: every instance failed, the first with {errors[0]}", file=sys.stderr)
+def _failed_exit(n_items: int, errors: list, item: str = "instance") -> int:
+    """2 when each of the ``n_items`` failed, naming the first error on
+    stderr, else 0."""
+    if errors and len(errors) == n_items:
+        print(f"failure: every {item} failed, the first with {errors[0]}", file=sys.stderr)
         return 2
     return 0
 
@@ -297,14 +300,14 @@ def _cmd_curate(args, settings) -> int:
     out = _out_dir(args)
     with closing(_make_backend(settings)) as backend:
         records = load_records(args.records)
-        instances, stats = run_pipeline(records, backend.complete_text,
-                                        threshold=settings["threshold"])
+        instances, stats, errors = run_pipeline(records, backend.complete_text,
+                                                threshold=settings["threshold"])
     with _replacing(out / "curated.jsonl") as fh:
         for inst in instances:
             fh.write(json.dumps(vars(inst), sort_keys=True) + "\n")
     _write_json(out / "curation_stats.json", stats)
-    print(f"kept {stats.kept}, dropped {stats.dropped}")
-    return 0
+    print(f"kept {stats.kept}, dropped {stats.dropped}, {len(errors)} failed")
+    return _failed_exit(len(records), errors, "record")
 
 
 def _build_parser() -> _Parser:
@@ -350,9 +353,9 @@ def dispatch(argv) -> int:
         args = parser.parse_args(argv)
         with np.errstate(all="ignore"):  # the finiteness checks report a diverging run
             return args.func(args, _resolve(args, _load_config(args.config)))
-    except (BackendError, ScoreParseError, RuntimeError, OSError) as exc:
-        # before ValueError: a malformed service or scorer reply is both,
-        # and the service is at fault
+    except (BackendError, RuntimeError, OSError) as exc:
+        # before ValueError: a malformed service reply is both, and the
+        # service is at fault
         print(f"failure: {exc}", file=sys.stderr)
         return 2
     except (_ValidationError, ValueError) as exc:

@@ -32,7 +32,7 @@ __all__ = [
     "init_params",
     "gate_mix",
     "forward",
-    "save_checkpoint",
+    "checkpoint_bytes",
     "load_checkpoint",
 ]
 
@@ -174,7 +174,7 @@ def forward(feats: EncoderFeatures, params: GateMixerParams) -> MixOutput:
     return MixOutput(h_v=h_v, h_c=h_c, alpha=alpha, h=h, h_img0=h_img0)
 
 
-def save_checkpoint(path, cfg: ConnectorConfig, params: GateMixerParams) -> None:
+def checkpoint_bytes(cfg: ConnectorConfig, params: GateMixerParams) -> bytes:
     """Binary layout: 8 magic bytes, six little-endian uint32 dims, then the
     row-major float64 blocks in GateMixerParams field order."""
     shapes = _param_shapes(cfg)
@@ -190,12 +190,11 @@ def save_checkpoint(path, cfg: ConnectorConfig, params: GateMixerParams) -> None
     blocks = b"".join(
         np.ascontiguousarray(t.data, dtype="<f8").tobytes() for t in params.tensors()
     )
-    with open(path, "wb") as fh:
-        fh.write(header + blocks)
+    return header + blocks
 
 
 def load_checkpoint(path) -> tuple:
-    """Inverse of ``save_checkpoint``; returns (config, params)."""
+    """Inverse of ``checkpoint_bytes``, read from ``path``; returns (config, params)."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[: len(_CKPT_MAGIC)] != _CKPT_MAGIC:

@@ -8,8 +8,9 @@ faithfulness/relevance/completeness rubric, the higher-scoring CoT wins
 threshold (default ``SCORE_THRESHOLD``) are dropped. Survivors become
 single-turn instruction instances.
 
-Records arrive as JSONL; ``run_pipeline`` returns the instances and a stats
-summary, and the CLI writes them as JSONL and JSON.
+Records arrive as JSONL; ``run_pipeline`` returns the instances, a stats
+summary and the errors of the records whose scoring failed, and the CLI
+writes the first two as JSONL and JSON.
 Records tagged with a held-out split are rejected at ingestion so no
 evaluation data can leak into training sets.
 """
@@ -22,7 +23,8 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Callable, Optional
 
-from .verify import letter_options
+from .backend import BackendError
+from .verify import _number, letter_options
 
 __all__ = [
     "SCORE_THRESHOLD",
@@ -137,25 +139,28 @@ def build_score_prompt(rec: CurationRecord, cot: str) -> str:
 
 
 _SCORE_RE = re.compile(r"(?:scoring|overall(?:\s+score)?)\s*:\s*((?=-?\.?\d)\S+)", re.IGNORECASE)
-_NUMBER_RE = re.compile(r"(-?(?:\d+(?:\.\d*)?|\.\d+)(?:e[-+]?\d+)?)\.?", re.IGNORECASE)
 
 
 def parse_overall_score(reply: str) -> float:
     """Extract the overall score from a scorer reply.
 
     Looks for the first "Scoring:", "Overall:" or "Overall score:" key that
-    a number follows and reads the token after it whole: a decimal with an
-    optional exponent, and at most one trailing sentence ".". Any other
-    token (``0,9``, ``0.7/1``), a value outside [0, 1] or no score at all
-    is a parse error that carries the raw reply for debugging.
+    a number follows and reads the token after it whole: a plain decimal
+    as the answer match reads one (``verify._number``), and at most one
+    trailing sentence ".". Any other token (``0,9``, ``0.7/1``), a value
+    outside [0, 1] or no score at all is a parse error that carries the raw
+    reply for debugging.
     """
     m = _SCORE_RE.search(reply)
     if not m:
         raise ScoreParseError("no 'Scoring:'/'Overall' value found in reply", reply=reply)
-    number = _NUMBER_RE.fullmatch(m.group(1))
-    if not number:
-        raise ScoreParseError(f"score {m.group(1)!r} is not a decimal number", reply=reply)
-    value = float(number.group(1))
+    token = m.group(1)
+    value = _number(token)
+    if value is None and token.endswith("."):
+        value = _number(token[:-1])
+    if value is None:
+        raise ScoreParseError(f"score {token!r} is not a decimal number", reply=reply)
+    value = float(value)
     if not (0.0 <= value <= 1.0):
         raise ScoreParseError(f"score {value} outside [0, 1]", reply=reply)
     return value
@@ -192,20 +197,29 @@ def run_pipeline(
 
     ``llm`` maps a prompt string to a reply string (scripted mock in tests,
     a remote backend's ``complete_text`` in production). The same winner
-    feeds the histogram and the threshold. Returns (instances, stats);
-    emission order is input order. ``threshold`` must lie in [0, 1].
+    feeds the histogram and the threshold. A record whose scorer reply holds
+    no usable score, or whose ``llm`` call fails with a ``BackendError``, is
+    dropped with its error and lands in no histogram bin; a held-out record
+    stops the run. Returns (instances, stats, the error text of each failed
+    record); emission order is input order. ``threshold`` must lie in [0, 1].
     """
     if not 0.0 <= threshold <= 1.0:  # NaN fails too
         raise ValueError(f"threshold must be in [0, 1], got {threshold}")
     instances = []
+    errors = []
     histogram = [0] * 10
     for rec in records:
         if rec.split in HELD_OUT_SPLITS:
             raise HeldOutSplitError(
                 f"record {rec.id} is tagged with held-out split {rec.split!r}"
             )
+        try:
+            candidates = score_candidates(rec, llm)
+        except (ScoreParseError, BackendError) as exc:
+            errors.append(f"{type(exc).__name__} on record {rec.id}: {exc}")
+            continue
         # max keeps the first of equal scores: the preferred candidate
-        cot, score = max(score_candidates(rec, llm), key=lambda c: c[1])
+        cot, score = max(candidates, key=lambda c: c[1])
         histogram[_score_bin(score)] += 1
         if score >= threshold:
             instances.append(CuratedInstance(
@@ -218,7 +232,7 @@ def run_pipeline(
     kept = len(instances)
     return instances, PipelineStats(
         kept=kept, dropped=len(records) - kept, score_histogram=histogram
-    )
+    ), errors
 
 
 def load_records(path) -> list:

@@ -107,7 +107,8 @@ def creg_loss(S: Tensor) -> Tensor:
     diag = (S * eye).sum(axis=1)      # (b,)
     col_sums = S.sum(axis=0)          # sum_j S_ji for each i
     row_sums = S.sum(axis=1)          # sum_j S_ij for each i
-    terms = (diag.log() - col_sums.log()) + (diag.log() - row_sums.log())
+    log_diag = diag.log()
+    terms = (log_diag - col_sums.log()) + (log_diag - row_sums.log())
     return terms.sum() * (-1.0 / (2.0 * b))
 
 

@@ -6,8 +6,8 @@ produces token logits over a tiny vocabulary, and synthetic feature/text
 pairs share a per-item latent so that alignment is actually learnable. The
 optimizer is plain gradient descent, which keeps the update rule exactly
 testable (params - lr * grad). ``train_stage1`` returns its report and the
-CLI writes it; wall time is printed, not stored, so the report is the same
-bytes on every run.
+trained parameters, and the CLI writes both; wall time is printed, not
+stored, so the report is the same bytes on every run.
 """
 
 from __future__ import annotations
@@ -264,52 +264,45 @@ def _stage1_setup(cfg: TrainConfig, ccfg: ConnectorConfig) -> tuple:
             FrozenStandins(ccfg.d_llm))
 
 
+def _grad_check(params, batch, standins, lam: float) -> float:
+    """Max relative error of the finite-difference check of ``stage1_loss``
+    at ``params``, which it leaves exactly as it found them."""
+    return finite_diff_check(
+        lambda ts: stage1_loss(params, batch, standins, lam=lam), params.tensors()
+    )
+
+
 def grad_check(cfg: TrainConfig, connector_cfg: ConnectorConfig | None = None) -> float:
     """Max relative error of the finite-difference check of the stage-1
     objective at initialization, for ``cfg``'s seed, batch size and lambda.
     ``train_stage1`` requires it to be at most ``GRAD_CHECK_TOL``."""
-    params, batch, standins = _stage1_setup(cfg, connector_cfg or ConnectorConfig())
-    return finite_diff_check(
-        lambda ts: stage1_loss(params, batch, standins, lam=cfg.lam), params.tensors()
-    )
+    return _grad_check(*_stage1_setup(cfg, connector_cfg or ConnectorConfig()), cfg.lam)
 
 
-def train_stage1(
-    cfg: TrainConfig,
-    connector_cfg: ConnectorConfig | None = None,
-    checkpoint_path=None,
-) -> TrainingReport:
-    """Run the alignment stage at desk scale.
+def train_stage1(cfg: TrainConfig, connector_cfg: ConnectorConfig | None = None) -> tuple:
+    """Run the alignment stage at desk scale; returns (report, trained params).
 
     Deterministic under ``cfg.seed``: the same seed reproduces the whole
-    loss curve bit for bit. ``grad_check`` runs at step 0 and must pass
-    before any update. A non-finite loss, the one after the last update
-    included, is a ``DivergenceError`` raised before anything is saved.
-    When ``checkpoint_path`` is given, the trained connector is saved there
-    in the binary checkpoint format.
+    loss curve bit for bit. The gradient check runs on the very draw that
+    trains, at step 0, and must pass before any update. A non-finite loss,
+    the one after the last update included, is a ``DivergenceError``.
     """
-    ccfg = connector_cfg or ConnectorConfig()
-    rel_err = grad_check(cfg, ccfg)
+    params, batch, standins = _stage1_setup(cfg, connector_cfg or ConnectorConfig())
+    rel_err = _grad_check(params, batch, standins, cfg.lam)
     if not rel_err <= GRAD_CHECK_TOL:
         raise RuntimeError(
             f"gradient check failed at initialization: {rel_err:.3e} > {GRAD_CHECK_TOL:.0e}"
         )
 
-    params, batch, standins = _stage1_setup(cfg, ccfg)
-    initial_loss = stage1_loss(params, batch, standins, lam=cfg.lam).item()
     curve = []
     state = GDState()
     for _ in range(cfg.steps):
         value, params, state = train_step(params, batch, state, cfg, standins)
         curve.append(value)
     final_loss = _checked_loss(params, batch, standins, cfg.lam, state.step)[1]
-    if checkpoint_path is not None:
-        from .connector import save_checkpoint
-
-        save_checkpoint(checkpoint_path, ccfg, params)
     return TrainingReport(
         loss_curve=curve,
-        initial_loss=initial_loss,
+        initial_loss=curve[0] if curve else final_loss,
         final_loss=final_loss,
         grad_check_rel_err=rel_err,
-    )
+    ), params

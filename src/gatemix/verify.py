@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import re
+from decimal import Decimal, InvalidOperation
 from functools import partial
 from typing import NamedTuple, Optional, Sequence
 
@@ -106,9 +107,41 @@ def _fold(text: str) -> str:
     return text.strip().casefold()
 
 
+# A whole plain decimal: a sign, ASCII digits with at most one point, and
+# an optional exponent. No thousands separator (1,000 1_000), decimal comma
+# or fraction (3/4) is a number.
+_NUMBER = re.compile(r"[-+]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?")
+_NUMBER_STARTS = frozenset("+-.0123456789")
+
+
+def _number(text: str) -> Optional[Decimal]:
+    """The exact value of ``text`` if it is a whole plain decimal, else
+    None. A ``Decimal`` holds it at any exponent in constant time, where a
+    ``Fraction`` builds the integer 10**n (seconds for ``1e10000000``, in a
+    reply the service wrote); an exponent past ``Decimal``'s range of about
+    10**18 is no number."""
+    if not _NUMBER.fullmatch(text):
+        return None
+    try:
+        return Decimal(text)
+    except InvalidOperation:
+        return None
+
+
 def answers_equal(a: str, b: str) -> bool:
-    """The one answer-matching rule: equal after trimming, ignoring case."""
-    return _fold(a) == _fold(b)
+    """The one answer-matching rule: two numbers match by value (``12`` and
+    ``12.0``, ``.5`` and ``0.5``), any other answers when equal after
+    trimming, ignoring case."""
+    if a == b:
+        return True
+    # _fold inline: a sweep matches thousands of pairs, nearly all letters
+    a, b = a.strip().casefold(), b.strip().casefold()
+    if a == b:
+        return True
+    if a[:1] not in _NUMBER_STARTS:  # a letter or a word: no number to read
+        return False
+    value = _number(a)
+    return value is not None and value == _number(b)
 
 
 # A "." before a digit is a decimal point: it ends no declared answer. The
@@ -127,8 +160,7 @@ _MASK = str.maketrans(".!?\n", "\0\1\2\3")
 
 def _option_letter(candidate: str, options, part: int):
     """The upper-cased letter of the first option whose letter (``part``
-    0) or text (``part`` 1) matches ``candidate`` as ``answers_equal``
-    does, or None."""
+    0) or text (``part`` 1) equals ``candidate`` after ``_fold``, or None."""
     folded = _fold(candidate)
     for option in options:
         if option[part] and _fold(option[part]) == folded:

@@ -177,7 +177,7 @@ def test_criterion_6_stage1_training():
         ccfg = ConnectorConfig()
 
         start = time.perf_counter()
-        report = train_stage1(cfg, ccfg)
+        report, _ = train_stage1(cfg, ccfg)
         elapsed = time.perf_counter() - start
         assert elapsed < 60.0, f"training took {elapsed:.1f}s (budget 60s)"
         assert len(report.loss_curve) == cfg.steps
@@ -186,7 +186,7 @@ def test_criterion_6_stage1_training():
             f"loss only dropped {report.initial_loss:.4f} -> {report.final_loss:.4f}"
         )
 
-        rerun = train_stage1(cfg, ccfg)
+        rerun, _ = train_stage1(cfg, ccfg)
         assert rerun.loss_curve == report.loss_curve
         assert rerun.final_loss == report.final_loss
 
@@ -267,7 +267,7 @@ def test_criterion_9_curation_pipeline():
             record("ai-keep", "machine reasoning pass. The answer is A.", "ai-generated"),
             record("ai-drop", "machine reasoning fail. The answer is A.", "ai-generated"),
         ]
-        instances, stats = run_pipeline(records, scripted_scorer, threshold=0.6)
+        instances, stats, _ = run_pipeline(records, scripted_scorer, threshold=0.6)
         by_id = {inst.id: inst for inst in instances}
 
         assert set(by_id) == {"tie", "raw-wins", "rewrite-wins", "ai-keep"}

@@ -432,6 +432,7 @@ class TestRemoteBackend:
         assert np.array_equal(trace.txt_rep, [0.9, 0.1])
         sent = handler.requests[-1]
         assert sent["want_logprobs"] is True and sent["want_embeddings"] is True
+        assert sent["image_ref"] == "img1"
         assert sent["temperature"] == 0.4 and sent["top_p"] == 0.9
         assert sent["max_tokens"] == 1024
         assert QUESTION in sent["prompt"]
@@ -626,6 +627,10 @@ class TestRemoteBackend:
         endpoint, handler = stub_server
         handler.reply = {"text": "Scoring: 0.8"}
         assert RemoteBackend(endpoint).complete_text("score this") == "Scoring: 0.8"
+        # the completion reads only the text: it asks for no logprobs or embeddings
+        sent = handler.requests[-1]
+        assert sorted(sent) == ["max_tokens", "model", "prompt", "temperature", "top_p"]
+        assert sent["prompt"] == "score this"
 
     def test_non_string_completion_is_malformed_reply(self, stub_server, tmp_path, capsys):
         endpoint, handler = stub_server

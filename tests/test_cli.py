@@ -1,6 +1,7 @@
 """CLI tests: every subcommand end to end against mock backends, exit-code
 semantics, and config-file precedence."""
 
+import errno
 import hashlib
 import json
 import shlex
@@ -15,6 +16,8 @@ import pytest
 from gatemix import cli
 from gatemix.backend import BackendError, MalformedReplyError, MockBackend
 from gatemix.cli import dispatch
+from gatemix.connector import ConnectorConfig, checkpoint_bytes
+from gatemix.training import TrainConfig, train_stage1
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -58,6 +61,47 @@ class TestTrainAlign:
         assert len(report["loss_curve"]) == 5
         assert "wall_time_s" not in report
         assert (out / "gatemixer.ckpt").exists()
+
+    def test_non_finite_final_loss_writes_nothing(self, tmp_path, capsys):
+        # the loss before the one update is finite; only the last check sees the overflow
+        out = tmp_path / "run"
+        assert dispatch(["train-align", "--steps", "1", "--lr", "1e200", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "failure: non-finite loss at step 1 (batch of 4)\n"
+        assert list(out.iterdir()) == []
+
+    def test_a_failed_checkpoint_write_keeps_the_earlier_run_whole(self, tmp_path, monkeypatch,
+                                                                   capsys):
+        out = tmp_path / "run"
+        assert dispatch(["train-align", "--steps", "2", "--out", str(out)]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        real_open = open
+
+        class FullDisk:
+            """A binary file that takes half of what it is given, then fails."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(data[: len(data) // 2])
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        def full_disk_open(file, mode="r", *args, **kwargs):
+            fh = real_open(file, mode, *args, **kwargs)
+            return FullDisk(fh) if mode == "wb" else fh
+
+        monkeypatch.setattr("builtins.open", full_disk_open)
+        assert dispatch(["train-align", "--steps", "3", "--out", str(out)]) == 2
+        assert "No space left on device" in capsys.readouterr().err
+        # no temp file is left, and both artifacts keep the earlier run's bytes
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        assert sorted(before) == ["gatemixer.ckpt", "training_report.json"]
 
 
 class TestVerify:
@@ -364,16 +408,39 @@ class TestCurate:
         assert code == 1
         assert f"records.jsonl:1: bad curation record: {key} must be" in capsys.readouterr().err
 
-    def test_scorer_reply_without_a_score_is_a_service_failure(self, tmp_path, capsys):
+    def test_scorer_reply_without_a_score_fails_every_record_and_exits_2(self, tmp_path, capsys):
         script = tmp_path / "scorer.json"
         script.write_text(json.dumps({"default_completion": "I cannot score this."}))
         out = tmp_path / "c"
         code = dispatch(["curate", "--records", str(FIXTURES / "curation_records.jsonl"),
                          "--backend", f"mock:{script}", "--out", str(out)])
         assert code == 2
-        assert capsys.readouterr().err == (
-            "failure: no 'Scoring:'/'Overall' value found in reply\n")
-        assert list(out.iterdir()) == []
+        captured = capsys.readouterr()
+        assert captured.out == "kept 0, dropped 2, 2 failed\n"
+        assert captured.err == (
+            "failure: every record failed, the first with ScoreParseError on record cur-1: "
+            "no 'Scoring:'/'Overall' value found in reply\n")
+        # the artifacts are still written, as eval and sweep write theirs
+        assert (out / "curated.jsonl").read_text() == ""
+        assert json.loads((out / "curation_stats.json").read_text()) == {
+            "kept": 0, "dropped": 2, "score_histogram": [0] * 10}
+
+    def test_one_unscorable_record_is_counted_and_exits_0(self, tmp_path, capsys):
+        script = json.loads((FIXTURES / "curation_mock.json").read_text())
+        script["completions"].insert(0, {"contains": "machine-written rambling",
+                                         "reply": "I cannot score this."})
+        path = tmp_path / "scorer.json"
+        path.write_text(json.dumps(script))
+        out = tmp_path / "c"
+        code = dispatch(["curate", "--records", str(FIXTURES / "curation_records.jsonl"),
+                         "--backend", f"mock:{path}", "--out", str(out)])
+        assert code == 0
+        assert capsys.readouterr().out == "kept 1, dropped 1, 1 failed\n"
+        kept = [json.loads(l) for l in (out / "curated.jsonl").read_text().splitlines()]
+        assert [r["id"] for r in kept] == ["cur-1"]
+        stats = json.loads((out / "curation_stats.json").read_text())
+        assert stats["kept"] == 1 and stats["dropped"] == 1
+        assert sum(stats["score_histogram"]) == 1
 
 
 class TestExitCodes:
@@ -751,6 +818,13 @@ def test_fixture_artifacts_are_pinned(tmp_path, capsys, name):
     assert dispatch(argv + ["--out", str(tmp_path)]) == 0
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
     assert written == pinned
+
+
+def test_trained_params_are_the_pinned_checkpoint():
+    # the run of the train-align pin, through the library: the CLI adds no bytes
+    _, params = train_stage1(TrainConfig(steps=30, seed=0))
+    digest = hashlib.sha256(checkpoint_bytes(ConnectorConfig(), params)).hexdigest()
+    assert digest == _ARTIFACT_RUNS["train-align"][1]["gatemixer.ckpt"]
 
 
 class TestConfigPrecedence:

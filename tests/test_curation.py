@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from gatemix import cli
-from gatemix.backend import MockBackend
+from gatemix.backend import BackendError, MockBackend
 from gatemix.curation import (
     CuratedInstance,
     CurationRecord,
@@ -159,7 +159,7 @@ def _scoring_llm(scores: dict, prompts: list | None = None):
 
 
 def _curate_one(rec: CurationRecord, scores: dict):
-    instances, stats = run_pipeline([rec], _scoring_llm(scores))
+    instances, stats, _ = run_pipeline([rec], _scoring_llm(scores))
     return (instances[0] if instances else None), stats
 
 
@@ -239,14 +239,14 @@ def _scripted_llm(prompt: str) -> str:
 class TestRunPipeline:
     def test_manual_record_rewritten_and_kept(self):
         records = [_record()]
-        instances, stats = run_pipeline(records, _scripted_llm)
+        instances, stats, _ = run_pipeline(records, _scripted_llm)
         assert stats.kept == 1 and stats.dropped == 0
         assert instances[0].overall_score == 0.9
         assert instances[0].cot_response.startswith("Observing the figure")
 
     def test_ai_generated_skips_rewrite(self):
         rec = _record(id="ai-1", source_kind="ai-generated", raw_cot="noisy machine cot")
-        instances, stats = run_pipeline([rec], _scripted_llm)
+        instances, stats, _ = run_pipeline([rec], _scripted_llm)
         assert rec.rewritten_cot is None
         assert stats.dropped == 1 and instances == []
 
@@ -256,7 +256,7 @@ class TestRunPipeline:
             _record(id="drop-ai", source_kind="ai-generated", raw_cot="noisy machine cot"),
             _record(id="keep-ai", source_kind="ai-generated", raw_cot="fine machine cot"),
         ]
-        instances, stats = run_pipeline(records, _scripted_llm)
+        instances, stats, _ = run_pipeline(records, _scripted_llm)
         assert {i.id for i in instances} == {"keep-manual", "keep-ai"}
         assert all(i.overall_score >= 0.6 for i in instances)
         assert stats.kept == 2 and stats.dropped == 1
@@ -271,12 +271,35 @@ class TestRunPipeline:
 
     def test_emission_preserves_input_order(self):
         records = [_record(id=f"r{i}") for i in range(5)]
-        instances, _ = run_pipeline(records, _scripted_llm)
+        instances, _, _ = run_pipeline(records, _scripted_llm)
         assert [i.id for i in instances] == [f"r{i}" for i in range(5)]
 
     def test_held_out_split_rejected(self):
         with pytest.raises(HeldOutSplitError):
             run_pipeline([_record(split="test")], _scripted_llm)
+
+    def test_a_failed_score_drops_only_its_own_record(self):
+        def llm(prompt):
+            if "unscorable cot" in prompt:
+                return "I cannot score this."
+            if "dead service cot" in prompt:
+                raise BackendError("service unavailable")
+            return _scripted_llm(prompt)
+
+        records = [
+            _record(id="bad", source_kind="ai-generated", raw_cot="unscorable cot"),
+            _record(id="keep-ai", source_kind="ai-generated", raw_cot="fine machine cot"),
+            _record(id="dead", source_kind="ai-generated", raw_cot="dead service cot"),
+            _record(id="drop-ai", source_kind="ai-generated", raw_cot="noisy machine cot"),
+        ]
+        instances, stats, errors = run_pipeline(records, llm)
+        assert [i.id for i in instances] == ["keep-ai"]
+        assert stats.kept == 1 and stats.dropped == 3
+        assert sum(stats.score_histogram) == 2  # a failed record lands in no bin
+        assert errors == [
+            "ScoreParseError on record bad: no 'Scoring:'/'Overall' value found in reply",
+            "BackendError on record dead: service unavailable",
+        ]
 
     @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), 1.5, -3.0])
     def test_threshold_outside_unit_interval_rejected(self, threshold):
@@ -389,7 +412,7 @@ class TestRecordsIO:
         path.write_text(json.dumps(dataclasses.asdict(records[0])) + "\n")
         script = tmp_path / "script.json"
         script.write_text(json.dumps({"default_completion": "Scoring: 0.7\nExplanation: fine."}))
-        instances, stats = run_pipeline(records, MockBackend.from_json(script).complete_text)
+        instances, stats, _ = run_pipeline(records, MockBackend.from_json(script).complete_text)
         assert cli.dispatch(["curate", "--records", str(path), "--backend", f"mock:{script}",
                              "--out", str(tmp_path / "c")]) == 0
         reloaded = [json.loads(line) for line in (tmp_path / "c" / "curated.jsonl").read_text().splitlines()]

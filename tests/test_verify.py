@@ -14,6 +14,7 @@ from gatemix.tensor import DegenerateVectorError
 from gatemix.verify import (
     InvalidLogProbError,
     ScoredResponse,
+    answers_equal,
     audit_record,
     branch_record,
     confidence,
@@ -235,12 +236,38 @@ class TestExtractAnswer:
         assert extract_answer("The answer is b.", [("a", "x"), ("b", "y")]) == "B"
 
 
+class TestAnswersEqual:
+    @pytest.mark.parametrize("a, b", [
+        ("12", "12.0"), (".5", "0.5"), ("-0", "0"), ("5.", "5"), ("+5", "5"),
+        ("1e3", "1000"), ("2.5E-1", " 0.25 "), ("0012", "12"),
+    ])
+    def test_numbers_match_by_value(self, a, b):
+        assert answers_equal(a, b) and answers_equal(b, a)
+
+    @pytest.mark.parametrize("a, b", [
+        ("1,000", "1000"), ("1_000", "1000"), ("3/4", "0.75"), ("0,5", "0.5"),
+        ("12 apples", "12.0 apples"), ("1.2.3", "1.2"), ("12", "13"), ("-", "+"),
+        ("1e99999999999999999999", "10e99999999999999999998"), ("", "0"),
+    ])
+    def test_other_texts_are_not_numbers(self, a, b):
+        assert not answers_equal(a, b) and not answers_equal(b, a)
+
+    @pytest.mark.parametrize("a, b", [("Three apples", " three APPLES"), ("1,000", "1,000"), ("", "")])
+    def test_other_texts_match_after_trimming_ignoring_case(self, a, b):
+        assert answers_equal(a, b)
+
+
 class TestSelfVerify:
     def test_agreement_returns_cot_answer(self):
         direct = _scored("B", s=0.2, c=0.2)
         cot = _scored("B", s=0.1, c=0.1)
         decision = self_verify(direct, cot, alpha=0.7)
         assert decision.final_answer == "B"
+        assert decision.chosen_branch == "cot-by-agreement"
+
+    def test_branches_equal_in_value_agree(self):
+        decision = self_verify(_scored("12", s=0.9, c=0.9), _scored("12.0", s=0.1, c=0.1), 0.7)
+        assert decision.final_answer == "12.0"
         assert decision.chosen_branch == "cot-by-agreement"
 
     def test_hand_scored_disagreement(self):
