@@ -17,6 +17,7 @@ import numpy as np
 from .tensor import (
     ShapeError,
     Tensor,
+    _op,
     concat,
     make_rng,
     matmul,
@@ -103,7 +104,7 @@ class MixOutput:
 
     h_v: Tensor     # n x d
     h_c: Tensor     # n x d
-    alpha: Tensor   # n x d gate, strictly inside (0, 1)
+    alpha: Tensor   # n x d gate, strictly inside (0, 1); a constant
     h: Tensor       # n x d blended features
     h_img0: Tensor  # (n_prefix + n) x d_llm
 
@@ -150,6 +151,13 @@ def gate_mix(h_v: Tensor, h_c: Tensor, W_g: Tensor, b_g: Tensor) -> tuple:
     Each token row gets a gate ``alpha = sigmoid([h_v; h_c] W_g^T + b_g)``
     and the blend ``h = (1 - alpha) * h_v + alpha * h_c``, so each output
     channel sits between the corresponding channels of the two streams.
+
+    The whole gate is one recorded op, ``gate_mix``, with output ``h``: its
+    forward runs the numpy calls of the primitive chain (concat, transpose,
+    matmul, add, sigmoid, sub, mul, mul, add) in order, and its grad rule
+    sums each input's contributions in the order ``backward`` would over
+    that chain's records, so values and gradients keep every bit. ``alpha``
+    comes back as a constant: gradients flow through ``h`` only.
     """
     if h_v.shape != h_c.shape or h_v.ndim != 2:
         raise ShapeError(f"gate_mix: stream shapes differ: {h_v.shape} vs {h_c.shape}")
@@ -158,10 +166,25 @@ def gate_mix(h_v: Tensor, h_c: Tensor, W_g: Tensor, b_g: Tensor) -> tuple:
         raise ShapeError(f"gate_mix: W_g must be {(d, 2 * d)}, got {W_g.shape}")
     if b_g.shape != (d,):
         raise ShapeError(f"gate_mix: b_g must be {(d,)}, got {b_g.shape}")
-    pair = concat([h_v, h_c], axis=1)           # n x 2d, order fixed [h_v; h_c]
-    alpha = sigmoid(matmul(pair, W_g.transpose()) + b_g)
-    h = (1.0 - alpha) * h_v + alpha * h_c
-    return alpha, h
+    pair = np.concatenate([h_v.data, h_c.data], axis=1)   # n x 2d, order fixed [h_v; h_c]
+    w_t = np.ascontiguousarray(W_g.data.T)
+    alpha = sigmoid(Tensor._raw(pair @ w_t + b_g.data)).data
+    keep = 1.0 - alpha
+    h = keep * h_v.data + alpha * h_c.data
+    return Tensor._raw(alpha), _op("gate_mix", (h_v, h_c, W_g, b_g), h, _gate_mix_grad,
+                                   h_v, h_c, W_g, b_g, pair, w_t, alpha, keep)
+
+
+def _gate_mix_grad(h_v, h_c, W_g, b_g, pair, w_t, alpha, keep, g):
+    # the blend's add hands g to both products; 1 - alpha negates its share
+    g_z = (g * h_c.data + -(g * h_v.data)) * alpha * (1.0 - alpha)
+    g_pair = g_z @ w_t.T if h_v.requires_grad or h_c.requires_grad else None
+    d = keep.shape[1]
+    # each stream's product contribution comes first, then its concat slice
+    return (g * keep + g_pair[:, :d] if h_v.requires_grad else None,
+            g * alpha + g_pair[:, d:] if h_c.requires_grad else None,
+            np.ascontiguousarray((pair.T @ g_z).T) if W_g.requires_grad else None,
+            g_z.sum(axis=0) if b_g.requires_grad else None)
 
 
 def forward(feats: EncoderFeatures, params: GateMixerParams) -> MixOutput:

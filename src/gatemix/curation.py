@@ -31,6 +31,7 @@ __all__ = [
     "HELD_OUT_SPLITS",
     "SOURCE_KINDS",
     "ScoreParseError",
+    "RewriteReplyError",
     "HeldOutSplitError",
     "CurationRecord",
     "CuratedInstance",
@@ -56,6 +57,10 @@ class ScoreParseError(ValueError):
     def __init__(self, message: str, reply: str):
         super().__init__(message)
         self.reply = reply
+
+
+class RewriteReplyError(ValueError):
+    """The rewrite reply carried no CoT: it was empty or blank."""
 
 
 class HeldOutSplitError(ValueError):
@@ -174,12 +179,16 @@ def score_candidates(rec: CurationRecord, llm: Callable[[str], str]) -> list:
     """The record's scored candidates as (cot, score) pairs, preferred
     first: a manual record's rewrite (made by ``llm`` unless the record
     carries one), then the raw CoT. ``llm`` is called in the order rewrite,
-    score raw, score rewrite."""
+    score raw, score rewrite. A blank rewrite reply is a ``RewriteReplyError``;
+    a blank ``rewritten_cot`` in the record is the record's own fault, a
+    ``ValueError`` from ``build_score_prompt``."""
     if rec.source_kind != "manual":
         return [(rec.raw_cot, _score(rec, rec.raw_cot, llm))]
     rewritten = rec.rewritten_cot
     if rewritten is None:
         rewritten = llm(build_rewrite_prompt(rec)).strip()
+        if not rewritten:
+            raise RewriteReplyError("the rewrite reply is empty")
     raw = (rec.raw_cot, _score(rec, rec.raw_cot, llm))
     return [(rewritten, _score(rec, rewritten, llm)), raw]
 
@@ -198,10 +207,11 @@ def run_pipeline(
     ``llm`` maps a prompt string to a reply string (scripted mock in tests,
     a remote backend's ``complete_text`` in production). The same winner
     feeds the histogram and the threshold. A record whose scorer reply holds
-    no usable score, or whose ``llm`` call fails with a ``BackendError``, is
-    dropped with its error and lands in no histogram bin; a held-out record
-    stops the run. Returns (instances, stats, the error text of each failed
-    record); emission order is input order. ``threshold`` must lie in [0, 1].
+    no usable score, whose rewrite reply is blank, or whose ``llm`` call
+    fails with a ``BackendError``, is dropped with its error and lands in no
+    histogram bin; a held-out record stops the run. Returns (instances,
+    stats, the error text of each failed record); emission order is input
+    order. ``threshold`` must lie in [0, 1].
     """
     if not 0.0 <= threshold <= 1.0:  # NaN fails too
         raise ValueError(f"threshold must be in [0, 1], got {threshold}")
@@ -215,7 +225,7 @@ def run_pipeline(
             )
         try:
             candidates = score_candidates(rec, llm)
-        except (ScoreParseError, BackendError) as exc:
+        except (ScoreParseError, RewriteReplyError, BackendError) as exc:
             errors.append(f"{type(exc).__name__} on record {rec.id}: {exc}")
             continue
         # max keeps the first of equal scores: the preferred candidate

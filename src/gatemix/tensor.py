@@ -1,9 +1,15 @@
 """Dense float64 tensors with tape-recorded ops and reverse-mode gradients.
 
-The op set is deliberately closed -- matmul, transpose, reshape, add, sub,
-mul, div, sigmoid, exp, log, sqrt, sum, mean, concat -- and every op
-carries a hand-written backward rule, so the tape stays small enough to
+The primitive op set is deliberately closed -- matmul, transpose, reshape,
+add, sub, mul, div, sigmoid, exp, log, sqrt, sum, mean, concat -- and every
+op carries a hand-written backward rule, so the tape stays small enough to
 audit against the finite-difference checker at the bottom of this file.
+Four composite terms record as one fused op each through ``_op``:
+``connector.gate_mix`` (the whole gate) and ``objectives.generation_loss``,
+``similarity_matrix`` and ``creg_loss``. A fused op's forward runs the numpy
+calls of its primitive chain in order; its grad rule computes the chain
+rules' expressions and sums each input's contributions in the order
+``backward`` sums them over the chain's records, so both keep every bit.
 
 Conventions:
   * float64 everywhere, row-major, rank 0..3;
@@ -468,7 +474,7 @@ def cosine_sim(u, v) -> float:
 
     Accepts tensors or array-likes; this is a plain numeric measure, not a
     recorded op (the differentiable similarity matrix in ``objectives`` is
-    assembled from recorded primitives instead).
+    a fused recorded op instead).
     """
     ua = np.asarray(u.data if isinstance(u, Tensor) else u, dtype=np.float64)
     va = np.asarray(v.data if isinstance(v, Tensor) else v, dtype=np.float64)

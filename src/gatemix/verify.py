@@ -160,10 +160,10 @@ _MASK = str.maketrans(".!?\n", "\0\1\2\3")
 
 def _option_letter(candidate: str, options, part: int):
     """The upper-cased letter of the first option whose letter (``part``
-    0) or text (``part`` 1) equals ``candidate`` after ``_fold``, or None."""
-    folded = _fold(candidate)
+    0) or text (``part`` 1) matches ``candidate`` by ``answers_equal``, or
+    None."""
     for option in options:
-        if option[part] and _fold(option[part]) == folded:
+        if option[part] and answers_equal(candidate, option[part]):
             return option[0].upper()
     return None
 

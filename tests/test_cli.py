@@ -442,6 +442,39 @@ class TestCurate:
         assert stats["kept"] == 1 and stats["dropped"] == 1
         assert sum(stats["score_histogram"]) == 1
 
+    def _blank_rewrite(self, tmp_path, records):
+        script = json.loads((FIXTURES / "curation_mock.json").read_text())
+        script["completions"][0]["reply"] = "  "
+        path = tmp_path / "blank.json"
+        path.write_text(json.dumps(script))
+        return dispatch(["curate", "--records", str(records), "--backend", f"mock:{path}",
+                         "--out", str(tmp_path / "c")])
+
+    def test_a_blank_rewrite_reply_fails_its_record_alone(self, tmp_path, capsys):
+        code = self._blank_rewrite(tmp_path, FIXTURES / "curation_records.jsonl")
+        assert code == 0
+        assert capsys.readouterr().out == "kept 0, dropped 2, 1 failed\n"
+        stats = json.loads((tmp_path / "c" / "curation_stats.json").read_text())
+        assert stats == {"kept": 0, "dropped": 2, "score_histogram": [0, 0, 0, 0, 0, 1, 0, 0, 0, 0]}
+
+    def test_blank_rewrite_replies_for_every_record_exit_2(self, tmp_path, capsys):
+        records = tmp_path / "records.jsonl"
+        records.write_text((FIXTURES / "curation_records.jsonl").read_text().splitlines()[0] + "\n")
+        assert self._blank_rewrite(tmp_path, records) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "kept 0, dropped 1, 1 failed\n"
+        assert captured.err == ("failure: every record failed, the first with RewriteReplyError "
+                                "on record cur-1: the rewrite reply is empty\n")
+
+    def test_a_record_carrying_an_empty_rewrite_is_validation_error(self, tmp_path, capsys):
+        record = json.loads((FIXTURES / "curation_records.jsonl").read_text().splitlines()[0])
+        records = tmp_path / "records.jsonl"
+        records.write_text(json.dumps({**record, "rewritten_cot": ""}) + "\n")
+        code = dispatch(["curate", "--records", str(records), "--backend", CURATION,
+                         "--out", str(tmp_path / "c")])
+        assert code == 1
+        assert "record cur-1: cannot score an empty CoT" in capsys.readouterr().err
+
 
 class TestExitCodes:
     def test_unknown_subcommand_is_usage_error(self, capsys):

@@ -301,6 +301,24 @@ class TestRunPipeline:
             "BackendError on record dead: service unavailable",
         ]
 
+    @pytest.mark.parametrize("reply", ["", "  \n\t "], ids=["empty", "blank"])
+    def test_a_blank_rewrite_reply_drops_only_its_own_record(self, reply):
+        def llm(prompt):
+            if "Now you can start to rewrite" in prompt and "blank cot" in prompt:
+                return reply
+            return _scripted_llm(prompt)
+
+        records = [_record(id="blank", raw_cot="blank cot"), _record(id="keep-manual")]
+        instances, stats, errors = run_pipeline(records, llm)
+        assert [i.id for i in instances] == ["keep-manual"]
+        assert stats.kept == 1 and stats.dropped == 1
+        assert sum(stats.score_histogram) == 1
+        assert errors == ["RewriteReplyError on record blank: the rewrite reply is empty"]
+
+    def test_a_record_carrying_an_empty_rewrite_stops_the_run(self):
+        with pytest.raises(ValueError, match="record rec-001: cannot score an empty CoT"):
+            run_pipeline([_record(rewritten_cot="")], _scripted_llm)
+
     @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), 1.5, -3.0])
     def test_threshold_outside_unit_interval_rejected(self, threshold):
         def llm(prompt):

@@ -235,6 +235,14 @@ class TestExtractAnswer:
     def test_letters_come_back_upper_cased(self):
         assert extract_answer("The answer is b.", [("a", "x"), ("b", "y")]) == "B"
 
+    @pytest.mark.parametrize("text", ["The answer is 12.0.", "The answer is 12.", "answer: +12",
+                                      "The answer is 1.2e1!"])
+    def test_declared_number_matches_an_option_text_by_value(self, text):
+        assert extract_answer(text, [("A", "12"), ("B", "13")]) == "A"
+
+    def test_declared_number_of_no_option_comes_back_as_declared(self):
+        assert extract_answer("The answer is 12.5.", [("A", "12"), ("B", "13")]) == "12.5"
+
 
 class TestAnswersEqual:
     @pytest.mark.parametrize("a, b", [
