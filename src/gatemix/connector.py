@@ -9,6 +9,7 @@ parameters together with their dimension config.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -223,6 +224,8 @@ def load_checkpoint(path) -> tuple:
     if raw[: len(_CKPT_MAGIC)] != _CKPT_MAGIC:
         raise ValueError("checkpoint: bad magic bytes")
     off = len(_CKPT_MAGIC)
+    if off + struct.calcsize("<6I") > len(raw):
+        raise ValueError("checkpoint: truncated while reading the dims header")
     dims = struct.unpack_from("<6I", raw, off)
     off += struct.calcsize("<6I")
     cfg = ConnectorConfig(**dict(zip(_DIM_FIELDS, dims)))
@@ -230,7 +233,7 @@ def load_checkpoint(path) -> tuple:
     values = {}
     for name in GateMixerParams.FIELD_ORDER:
         shape = shapes[name]
-        count = int(np.prod(shape))
+        count = math.prod(shape)  # an exact int: dims near 2**32 must not wrap
         nbytes = count * 8
         if off + nbytes > len(raw):
             raise ValueError(f"checkpoint: truncated while reading {name}")

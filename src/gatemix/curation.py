@@ -143,7 +143,7 @@ def build_score_prompt(rec: CurationRecord, cot: str) -> str:
     ).rstrip("\n")
 
 
-_SCORE_RE = re.compile(r"(?:scoring|overall(?:\s+score)?)\s*:\s*((?=-?\.?\d)\S+)", re.IGNORECASE)
+_SCORE_RE = re.compile(r"(?:scoring|overall(?:\s+score)?)\s*:\s*((?=[-+]?\.?\d)\S+)", re.IGNORECASE)
 
 
 def parse_overall_score(reply: str) -> float:

@@ -14,7 +14,8 @@ once, with their checks: ``token_targets`` turns target ids into the
 one-hot matrix ``generation_loss`` takes, and ``text_side`` turns text rows
 into the transpose and row norms ``similarity_matrix`` takes. A training
 loop builds them once per batch; each loss call then computes only what
-depends on the parameters.
+depends on the parameters. The text side is frozen, as stage 1 trains only
+the connector: it is a constant, and no gradient flows into it.
 
 ``generation_loss``, ``similarity_matrix`` and ``creg_loss`` each record
 as one tape op named after the function. Its forward runs the numpy calls
@@ -67,24 +68,26 @@ class TextSide:
 
 
 def text_side(txt: Tensor) -> TextSide:
-    """Prepare the b x d text rows ``txt``; a zero-norm row is a
-    ``DegenerateVectorError``. The transpose and norms are built with
-    tensor ops, so they record when ``txt`` requires grad."""
+    """Prepare the b x d text rows ``txt`` as a constant; a ``txt`` that
+    requires grad is a ``ValueError``, as its gradient would be dropped, and
+    a zero-norm row is a ``DegenerateVectorError``."""
     if txt.ndim != 2:
         raise ShapeError("batch representations must be rank 2")
-    squared = (txt * txt).sum(axis=1)
-    if not squared.data.all():
+    if txt.requires_grad:
+        raise ValueError("text_side: txt must not require grad; the text side is a constant")
+    x = txt.data
+    squared = np.add.reduce(x * x, 1)
+    if not squared.all():
         raise DegenerateVectorError("similarity_matrix: zero-norm txt row")
-    return TextSide(rows=txt, rows_t=txt.transpose(),
-                    norms=squared.sqrt().reshape((1, txt.shape[0])))
+    return TextSide(rows=txt, rows_t=Tensor._raw(np.ascontiguousarray(x.T)),
+                    norms=Tensor._raw(np.sqrt(squared).reshape((1, x.shape[0]))))
 
 
 def similarity_matrix(img: Tensor, txt: TextSide) -> Tensor:
     """Pairwise similarities S_ij = exp(cos(img_i, txt_j)) between row i of
     the b x d image rows ``img`` and row j of the prepared text side, as a
-    strictly positive b x b tensor. Differentiable in ``img`` and in the
-    text side's transpose and norms; the text side arrives prepared, so
-    only the img rows' norms are computed.
+    strictly positive b x b tensor. Differentiable in ``img`` only; the text
+    side arrives prepared, so only the img rows' norms are computed.
     """
     if img.ndim != 2:
         raise ShapeError("batch representations must be rank 2")
@@ -93,34 +96,28 @@ def similarity_matrix(img: Tensor, txt: TextSide) -> Tensor:
             f"img/txt representation shapes differ: {img.shape} vs {txt.rows.shape}"
         )
     x = img.data
-    dots = x @ txt.rows_t.data                                        # b x b
+    rows_t = txt.rows_t.data
+    txt_norms = txt.norms.data
+    dots = x @ rows_t                                                 # b x b
     squared = np.add.reduce(x * x, 1)
     if not squared.all():
         raise DegenerateVectorError("similarity_matrix: zero-norm img row")
     root = np.sqrt(squared)
-    norms = root.reshape((x.shape[0], 1))
-    denom = norms @ txt.norms.data
+    denom = root.reshape((x.shape[0], 1)) @ txt_norms
     if not denom.all():
         raise ValueError("div: zero denominator")
     S = np.exp(dots / denom)
-    return _op("similarity_matrix", (img, txt.rows_t, txt.norms), S, _similarity_grad,
-               img, txt.rows_t, txt.norms, dots, root, norms, denom, S)
+    return _op("similarity_matrix", (img,), S, _similarity_grad,
+               x, rows_t, txt_norms, dots, root, denom, S)
 
 
-def _similarity_grad(img, rows_t, txt_norms, dots, root, norms, denom, S, g):
+def _similarity_grad(x, rows_t, txt_norms, dots, root, denom, S, g):
     g_cos = g * S
-    g_dots = g_cos / denom
     g_denom = -g_cos * dots / (denom * denom)
-    g_img = None
-    if img.requires_grad:
-        # d(exp), d(div), d(norms matmul), d(sqrt); the sum of squares hands
-        # one share to each factor of img * img, then dots adds its own
-        g_squared = (g_denom @ txt_norms.data.T).reshape(root.shape) * 0.5 / root
-        x = img.data
-        g_img = (g_squared[:, None] * x + g_squared[:, None] * x) + g_dots @ rows_t.data.T
-    return (g_img,
-            img.data.T @ g_dots if rows_t.requires_grad else None,
-            norms.T @ g_denom if txt_norms.requires_grad else None)
+    # d(exp), d(div), d(norms matmul), d(sqrt); the sum of squares hands one
+    # share to each factor of img * img, then dots adds its own
+    g_squared = (g_denom @ txt_norms.T).reshape(root.shape) * 0.5 / root
+    return ((g_squared[:, None] * x + g_squared[:, None] * x) + (g_cos / denom) @ rows_t.T,)
 
 
 def creg_loss(S: Tensor) -> Tensor:

@@ -16,13 +16,15 @@ Conventions:
   * leaves built with ``requires_grad=True`` allocate a zero grad buffer at
     construction; op outputs only propagate the flag, so ``backward``
     deposits gradients exclusively into leaves;
+  * a thread records onto at most one ``Graph`` at a time: the one it has
+    entered. Entering a second while it records is a ``RuntimeError``;
   * every op computes its output and hands it to ``_op``, the one place
-    that decides whether to record. An op records onto the innermost
-    active ``Graph`` when an input requires grad, keeping a module-level
-    grad rule and the context it needs; otherwise (no graph active,
-    ``no_grad`` innermost, or only constant inputs) it returns a bare
-    output: no tape record, no grad flag. Both paths run the same numpy
-    arithmetic, so their values agree bit for bit;
+    that decides whether to record. An op records onto the thread's
+    ``Graph`` when an input requires grad, keeping a module-level grad
+    rule and the context it needs; otherwise (no graph entered, or only
+    constant inputs) it returns a bare output: no tape record, no grad
+    flag. Both paths run the same numpy arithmetic, so their values agree
+    bit for bit;
   * a grad rule computes nothing for an input that does not require grad
     and returns ``None`` in its place, which ``backward`` skips. A rule may
     return its incoming gradient itself, so one array can stand for
@@ -47,7 +49,6 @@ import numpy as np
 __all__ = [
     "Tensor",
     "Graph",
-    "no_grad",
     "ShapeError",
     "DegenerateVectorError",
     "matmul",
@@ -204,14 +205,18 @@ class _OpRecord:
         self.ctx = ctx
 
 
-_graph_state = threading.local()
+class _Recording(threading.local):
+    """Per thread: the ``Graph`` the thread has entered, or None."""
+
+    graph: Optional[Graph] = None
 
 
-def _graph_stack() -> list:
-    stack = getattr(_graph_state, "stack", None)
-    if stack is None:
-        stack = _graph_state.stack = []
-    return stack
+_recording = _Recording()
+
+
+def _refuse_if_recording(what: str) -> None:
+    if _recording.graph is not None:
+        raise RuntimeError(f"{what}: this thread already records onto a Graph")
 
 
 class Graph:
@@ -219,30 +224,21 @@ class Graph:
 
     Graphs are single-writer: build the tape on one thread, then call
     ``backward``. Entering a graph makes it the recording target for ops on
-    the current thread; graphs nest (innermost wins).
+    the current thread until the block exits, also by an exception. A
+    thread records onto one graph at a time, so entering a graph while the
+    thread records is a ``RuntimeError``.
     """
 
     def __init__(self):
         self.records: list[_OpRecord] = []
 
     def __enter__(self) -> "Graph":
-        _graph_stack().append(self)
+        _refuse_if_recording("Graph")
+        _recording.graph = self
         return self
 
     def __exit__(self, *exc) -> bool:
-        _graph_stack().pop()
-        return False
-
-
-class no_grad:
-    """Context that suppresses recording even inside an active graph."""
-
-    def __enter__(self):
-        _graph_stack().append(None)
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        _graph_stack().pop()
+        _recording.graph = None
         return False
 
 
@@ -252,22 +248,22 @@ _new_tensor = object.__new__
 def _op(op: str, inputs: tuple, out_data: np.ndarray, grad_rule, *ctx) -> Tensor:
     """Return an op's output as a tensor, recorded onto a tape if one records.
 
-    The only code that reads the graph stack to decide whether to record,
-    and the only code that appends to a tape. The op records onto the
-    innermost active graph when an input requires grad; ``backward`` then
-    calls ``grad_rule(*ctx, g)``, which returns one gradient per input.
+    The only code that reads the thread's graph to decide whether to
+    record, and the only code that appends to a tape. The op records onto
+    that graph when an input requires grad; ``backward`` then calls
+    ``grad_rule(*ctx, g)``, which returns one gradient per input.
     Otherwise the output is returned bare.
     """
     out = _new_tensor(Tensor)
     out.data = out_data
     out.grad = None
-    stack = getattr(_graph_state, "stack", None)
+    graph = _recording.graph
     # every op but concat has one or two inputs: test their flags directly
-    if stack and stack[-1] is not None and (
+    if graph is not None and (
             inputs[0].requires_grad or inputs[-1].requires_grad
             or len(inputs) > 2 and any(t.requires_grad for t in inputs)):
         out.requires_grad = True
-        stack[-1].records.append(_OpRecord(op, inputs, out, grad_rule, ctx))
+        graph.records.append(_OpRecord(op, inputs, out, grad_rule, ctx))
     else:
         out.requires_grad = False
     return out
@@ -541,13 +537,16 @@ def finite_diff_check(
 ) -> float:
     """Central-difference gradient check of a scalar objective.
 
-    Runs ``f`` once under a fresh graph for the analytic gradients, then
-    perturbs every coordinate of every parameter by +/- eps (recording
-    suppressed) and compares. Returns the max over coordinates of
-    ``|analytic - numeric| / max(1e-12, |numeric|)``; a non-finite one is a ValueError.
+    Runs ``f`` once under a fresh graph for the analytic gradients, then,
+    with that graph exited, perturbs every coordinate of every parameter by
+    +/- eps and compares. Returns the max over coordinates of
+    ``|analytic - numeric| / max(1e-12, |numeric|)``; a non-finite one is a
+    ValueError. Called while the thread records, it is a ``RuntimeError``
+    before any gradient or parameter changes.
     """
     if eps <= 0:
         raise ValueError("finite_diff_check: eps must be positive")
+    _refuse_if_recording("finite_diff_check")
     params = list(params)
     for p in params:
         if p.grad is None:
@@ -563,28 +562,27 @@ def finite_diff_check(
     analytic = [p.grad.copy() for p in params]
 
     max_rel = 0.0
-    with no_grad():
-        for k, (p, ag) in enumerate(zip(params, analytic)):
-            flat = p.data.reshape(-1)
-            aflat = ag.reshape(-1)
-            for i in range(flat.size):
-                orig = flat[i]
-                try:
-                    flat[i] = orig + eps
-                    f_plus = f(params).item()
-                    flat[i] = orig - eps
-                    f_minus = f(params).item()
-                finally:
-                    flat[i] = orig
-                if not (math.isfinite(f_plus) and math.isfinite(f_minus)):
-                    raise ValueError("finite_diff_check: non-finite value during probing")
-                numeric = (f_plus - f_minus) / (2.0 * eps)
-                rel = abs(aflat[i] - numeric) / max(1e-12, abs(numeric))
-                if not rel <= max_rel:  # true for NaN too
-                    if not math.isfinite(rel):
-                        raise ValueError("finite_diff_check: non-finite relative error at "
-                                         f"coordinate {i} of param {k}")
-                    max_rel = rel
+    for k, (p, ag) in enumerate(zip(params, analytic)):
+        flat = p.data.reshape(-1)
+        aflat = ag.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            try:
+                flat[i] = orig + eps
+                f_plus = f(params).item()
+                flat[i] = orig - eps
+                f_minus = f(params).item()
+            finally:
+                flat[i] = orig
+            if not (math.isfinite(f_plus) and math.isfinite(f_minus)):
+                raise ValueError("finite_diff_check: non-finite value during probing")
+            numeric = (f_plus - f_minus) / (2.0 * eps)
+            rel = abs(aflat[i] - numeric) / max(1e-12, abs(numeric))
+            if not rel <= max_rel:  # true for NaN too
+                if not math.isfinite(rel):
+                    raise ValueError("finite_diff_check: non-finite relative error at "
+                                     f"coordinate {i} of param {k}")
+                max_rel = rel
     return max_rel
 
 

@@ -2,6 +2,7 @@
 invariants, and the checkpoint format."""
 
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -229,6 +230,23 @@ class TestCheckpoint:
         path.write_bytes(checkpoint_bytes(cfg, params))
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(ValueError, match="truncated"):
+            load_checkpoint(path)
+
+    def test_every_cut_is_a_value_error(self, tmp_path):
+        cfg = ConnectorConfig(n_tokens=3, d_v=4, d_c=5, d=2, d_llm=2, n_prefix=2)
+        raw = checkpoint_bytes(cfg, init_params(cfg, 0))
+        path = tmp_path / "connector.ckpt"
+        for length in range(len(raw)):
+            path.write_bytes(raw[:length])
+            match = "bad magic" if length < 8 else "checkpoint: truncated"
+            with pytest.raises(ValueError, match=match):
+                load_checkpoint(path)
+
+    def test_dims_past_the_file_rejected_as_truncated(self, tmp_path):
+        # a block of 2**32-1 squared floats overflows int64 if sized in numpy
+        path = tmp_path / "huge.ckpt"
+        path.write_bytes(b"GMIXCK01" + struct.pack("<6I", *[0xFFFFFFFF] * 6))
+        with pytest.raises(ValueError, match="checkpoint: truncated while reading W1_v"):
             load_checkpoint(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):

@@ -129,6 +129,11 @@ class TestParseOverallScore:
     def test_number_read_whole(self, reply, score):
         assert parse_overall_score(reply) == score
 
+    def test_plus_sign_read_as_the_answer_match_reads_it(self):
+        assert parse_overall_score("Scoring: +0.5") == 0.5
+        with pytest.raises(ScoreParseError, match=r"score 1\.5 outside \[0, 1\]"):
+            parse_overall_score("Scoring: +1.5")
+
     def test_key_without_a_number_is_skipped(self):
         # a reply that echoes the form's bare "- Overall:" line before its score
         assert parse_overall_score("- Overall:\n- Scoring: 0.8") == 0.8

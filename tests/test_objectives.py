@@ -25,13 +25,13 @@ from gatemix.tensor import (
     cosine_sim,
     finite_diff_check,
     make_rng,
-    no_grad,
 )
 
 
 def _reps(img: np.ndarray, txt: np.ndarray, grad: bool = False) -> tuple:
-    """``similarity_matrix``'s operands: the image rows and the prepared text side."""
-    return Tensor(img, requires_grad=grad), text_side(Tensor(txt, requires_grad=grad))
+    """``similarity_matrix``'s operands: the image rows, which require grad
+    if ``grad``, and the text side, prepared as a constant."""
+    return Tensor(img, requires_grad=grad), text_side(Tensor(txt))
 
 
 class TestSimilarityMatrix:
@@ -96,6 +96,11 @@ class TestPreparedOperands:
         assert np.array_equal(side.rows_t.data, txt.T)
         assert np.array_equal(side.norms.data, np.sqrt((txt * txt).sum(axis=1)).reshape(1, 4))
 
+    def test_txt_requiring_grad_rejected(self):
+        txt = Tensor(make_rng(3).standard_normal((4, 6)), requires_grad=True)
+        with pytest.raises(ValueError, match="text_side: txt must not require grad"):
+            text_side(txt)
+
     def test_zero_norm_txt_row_rejected_where_the_text_side_is_built(self):
         with pytest.raises(DegenerateVectorError,
                            match=re.escape("similarity_matrix: zero-norm txt row")):
@@ -114,26 +119,24 @@ class TestPreparedOperands:
 
 
 class TestGuardsWithoutRecording:
-    """The domain guards fire the same whether or not the tape records."""
+    """The domain guards fire the same whether or not the tape records;
+    these run outside any graph, where nothing records."""
 
-    def test_zero_norm_row_rejected_under_no_grad(self):
+    def test_zero_norm_row_rejected_without_recording(self):
         img, txt = _reps(np.array([[1.0, 0.0], [0.0, 0.0]]), np.eye(2), grad=True)
-        with Graph(), no_grad():
-            with pytest.raises(DegenerateVectorError, match="zero-norm img row"):
-                similarity_matrix(img, txt)
+        with pytest.raises(DegenerateVectorError, match="zero-norm img row"):
+            similarity_matrix(img, txt)
 
-    def test_non_positive_entries_rejected_under_no_grad(self):
+    def test_non_positive_entries_rejected_without_recording(self):
         S = Tensor(np.array([[1.0, -0.5], [0.2, 1.0]]), requires_grad=True)
-        with Graph(), no_grad():
-            with pytest.raises(InvalidSimilarityError, match="non-positive"):
-                creg_loss(S)
+        with pytest.raises(InvalidSimilarityError, match="non-positive"):
+            creg_loss(S)
 
-    def test_out_of_range_target_rejected_under_no_grad(self):
-        with no_grad():
-            with pytest.raises(ValueError, match="target id -1 out of range for vocab 4"):
-                generation_loss(Tensor(np.zeros((3, 4))), token_targets([0, -1, 2], 3, 4))
-            with pytest.raises(ValueError, match="target id 4 out of range for vocab 4"):
-                generation_loss(Tensor(np.zeros((3, 4))), token_targets(np.array([0, 2, 4]), 3, 4))
+    def test_out_of_range_target_rejected_without_recording(self):
+        with pytest.raises(ValueError, match="target id -1 out of range for vocab 4"):
+            generation_loss(Tensor(np.zeros((3, 4))), token_targets([0, -1, 2], 3, 4))
+        with pytest.raises(ValueError, match="target id 4 out of range for vocab 4"):
+            generation_loss(Tensor(np.zeros((3, 4))), token_targets(np.array([0, 2, 4]), 3, 4))
 
 
 class TestCregLoss:
@@ -190,12 +193,12 @@ class TestCregLoss:
     def test_gradient_matches_finite_differences(self):
         rng = make_rng(21)
         img = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
-        txt = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        txt = text_side(Tensor(rng.standard_normal((3, 4))))
 
         def f(ps):
-            return creg_loss(similarity_matrix(ps[0], text_side(ps[1])))
+            return creg_loss(similarity_matrix(ps[0], txt))
 
-        assert finite_diff_check(f, [img, txt], eps=1e-5) <= 1e-5
+        assert finite_diff_check(f, [img], eps=1e-5) <= 1e-5
 
 
 class TestGenerationLoss:

@@ -1,7 +1,9 @@
 """Numeric-core tests: op semantics, the tape, and the gradient checker."""
 
+import contextlib
 import math
 import operator
+import threading
 
 import numpy as np
 import pytest
@@ -17,7 +19,6 @@ from gatemix.tensor import (
     finite_diff_check,
     make_rng,
     matmul,
-    no_grad,
     scaled_uniform,
     sigmoid,
 )
@@ -483,25 +484,26 @@ _OP_CASES = _op_cases()
 
 
 class TestNoRecordPath:
-    """Ops record only inside a graph, outside ``no_grad``, and when an input
-    requires grad; otherwise they return bare outputs."""
+    """Ops record only inside a graph and when an input requires grad;
+    otherwise they return bare outputs."""
 
-    def test_no_grad_inside_graph_records_nothing(self):
+    def test_ops_outside_a_graph_record_nothing(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
+        y = (x * x).sum().log() + 1.0
         with Graph() as g:
-            with no_grad():
-                y = (x * x).sum().log() + 1.0
             z = x.sum()
         assert [rec.op for rec in g.records] == ["sum"]
         assert not y.requires_grad and y.grad is None
         assert z.requires_grad
 
-    def test_graph_nested_in_no_grad_records_again(self):
+    def test_a_graph_records_again_after_another_exits(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
-        with no_grad():
-            with Graph() as g:
-                loss = (x * x).sum()
-            backward(g, loss)
+        with Graph() as first:
+            x.sum()
+        with Graph() as g:
+            loss = (x * x).sum()
+        backward(g, loss)
+        assert [rec.op for rec in first.records] == ["sum"]
         assert [rec.op for rec in g.records] == ["mul", "sum"]
         np.testing.assert_array_equal(x.grad, [2.0, 4.0])
 
@@ -524,10 +526,8 @@ class TestNoRecordPath:
             recorded = fn(*params)
         assert [rec.op for rec in g.records] == [name]
         assert recorded.requires_grad
-        with Graph() as g:
-            with no_grad():
-                bare = fn(*params)
-        assert g.records == []
+        bare = fn(*params)
+        assert len(g.records) == 1
         assert not bare.requires_grad and bare.grad is None
         assert bare.shape == recorded.shape
         assert bare.data.tobytes() == recorded.data.tobytes()
@@ -544,12 +544,79 @@ class TestNoRecordPath:
         (lambda x: x * float("nan"), "finite"),
         (lambda x: x - float("inf"), "finite"),
     ])
-    def test_guards_raise_under_no_grad(self, op, match, in_graph):
+    def test_guards_raise_with_or_without_a_graph(self, op, match, in_graph):
         x = Tensor([1.0, 2.0], requires_grad=True)
-        with Graph() if in_graph else no_grad():
-            with no_grad():
-                with pytest.raises(ValueError, match=match):
-                    op(x)
+        with Graph() if in_graph else contextlib.nullcontext():
+            with pytest.raises(ValueError, match=match):
+                op(x)
+
+
+class TestOneGraphPerThread:
+    """A thread records onto the one graph it has entered, or none."""
+
+    def test_nested_graph_raises_and_the_outer_keeps_recording(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        with Graph() as g:
+            x.sum()
+            with pytest.raises(RuntimeError, match="already records onto a Graph"):
+                with Graph():
+                    pass
+            x.mean()
+        assert [rec.op for rec in g.records] == ["sum", "mean"]
+        assert not x.sum().requires_grad
+
+    def test_exit_stops_recording_when_the_block_raises(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        with pytest.raises(KeyError):
+            with Graph() as g:
+                x.sum()
+                raise KeyError("inside the graph")
+        assert not x.sum().requires_grad
+        with Graph() as again:
+            x.sum()
+        assert len(g.records) == len(again.records) == 1
+
+    def test_each_thread_records_on_its_own(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        seen = {}
+
+        def other_thread():
+            seen["bare"] = not x.sum().requires_grad
+            with Graph() as own:
+                (x * x).sum()
+            seen["own"] = [rec.op for rec in own.records]
+
+        with Graph() as g:
+            x.mean()
+            worker = threading.Thread(target=other_thread)
+            worker.start()
+            worker.join()
+        assert seen == {"bare": True, "own": ["mul", "sum"]}
+        assert [rec.op for rec in g.records] == ["mean"]
+
+    def test_finite_diff_check_inside_a_graph_raises_and_changes_nothing(self):
+        rng = make_rng(9)
+        params = [Tensor(rng.standard_normal((2, 3)), requires_grad=True),
+                  Tensor(rng.standard_normal(3), requires_grad=True)]
+        for p in params:
+            p.grad[...] = rng.standard_normal(p.shape)
+        before = [(p.data.tobytes(), p.grad.tobytes()) for p in params]
+        calls = []
+
+        def objective(ps):
+            calls.append(1)
+            return (ps[0] * ps[1]).sum()
+
+        with Graph() as g:
+            outer = objective(params)
+            with pytest.raises(RuntimeError, match="finite_diff_check: this thread already records"):
+                finite_diff_check(objective, params)
+        assert calls == [1]
+        assert [rec.op for rec in g.records] == ["mul", "sum"]
+        assert [(p.data.tobytes(), p.grad.tobytes()) for p in params] == before
+        backward(g, outer)
+        np.testing.assert_array_equal(params[0].grad,
+                                      np.frombuffer(before[0][1]).reshape(2, 3) + params[1].data)
 
 
 def _guard_cases() -> list:
@@ -595,12 +662,11 @@ def _guard_cases() -> list:
 class TestGuardOutcomes:
     @pytest.mark.parametrize("call, error, match, values, rejected", _guard_cases())
     def test_guard_outcome(self, call, error, match, values, rejected):
-        with no_grad():
-            if rejected:
-                with pytest.raises(error, match=match):
-                    call(np.array(values))
-            else:
-                assert isinstance(call(np.array(values)), Tensor)
+        if rejected:
+            with pytest.raises(error, match=match):
+                call(np.array(values))
+        else:
+            assert isinstance(call(np.array(values)), Tensor)
 
 
 def _exp_sum(ps):

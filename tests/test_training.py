@@ -12,7 +12,7 @@ import pytest
 from conftest import reference_stage1_loss
 from gatemix import cli, training
 from gatemix.connector import ConnectorConfig, checkpoint_bytes, init_params, load_checkpoint
-from gatemix.tensor import DegenerateVectorError, Graph, backward, finite_diff_check, no_grad
+from gatemix.tensor import DegenerateVectorError, Graph, backward, finite_diff_check
 from gatemix.training import (
     DivergenceError,
     FrozenStandins,
@@ -121,16 +121,15 @@ class TestBatchedObjective:
 
 
     @pytest.mark.parametrize("b", [1, 4, 16])
-    def test_no_grad_pass_inside_graph_records_nothing_and_matches(self, b):
+    def test_bare_pass_outside_graph_records_nothing_and_matches(self, b):
         params = init_params(CFG, 0)
         batch = synth_batch(0, b, CFG)
         standins = FrozenStandins(CFG.d_llm)
         with Graph() as g:
             recorded = stage1_loss(params, batch, standins)
-            assert len(g.records) == 14
-            with no_grad():
-                probe = stage1_loss(params, batch, standins)
-            assert len(g.records) == 14
+        assert len(g.records) == 14
+        probe = stage1_loss(params, batch, standins)
+        assert len(g.records) == 14
         assert not probe.requires_grad
         assert probe.item().hex() == recorded.item().hex()
 
